@@ -26,6 +26,15 @@ const char* to_string(MsgType t) {
   return "unknown";
 }
 
+void Writer::u32s(const std::int32_t* p, std::size_t n) {
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+  const auto* b = reinterpret_cast<const std::uint8_t*>(p);
+  out_.insert(out_.end(), b, b + 4 * n);
+#else
+  for (std::size_t i = 0; i < n; ++i) u32(static_cast<std::uint32_t>(p[i]));
+#endif
+}
+
 void Writer::str(const std::string& s) {
   if (s.size() > 0xFFFF) throw FramingError("string exceeds u16 length");
   u16(static_cast<std::uint16_t>(s.size()));
@@ -80,13 +89,20 @@ std::string Reader::str() {
   return s;
 }
 
-std::vector<std::uint8_t> Reader::blob() {
+const std::uint8_t* Reader::blob_view(std::size_t& len) {
   const std::size_t n = u32();
   if (n > kMaxMessageBytes) throw FramingError("blob length exceeds bound");
   need(n);
-  std::vector<std::uint8_t> b(p_, p_ + n);
+  const std::uint8_t* at = p_;
   p_ += n;
-  return b;
+  len = n;
+  return at;
+}
+
+std::vector<std::uint8_t> Reader::blob() {
+  std::size_t n = 0;
+  const std::uint8_t* at = blob_view(n);
+  return std::vector<std::uint8_t>(at, at + n);
 }
 
 void Reader::expect_end() const {
@@ -94,6 +110,71 @@ void Reader::expect_end() const {
 }
 
 namespace {
+
+std::size_t egress_bytes(const std::vector<EgressRecord>& egress) {
+  std::size_t n = 4;
+  for (const EgressRecord& e : egress) n += 8 + 4 + e.bytes.size();
+  return n;
+}
+
+std::size_t slot_states_bytes(const std::vector<SlotState>& slots) {
+  std::size_t n = 4;
+  for (const SlotState& s : slots) n += 4 + 8 + 4 + s.state.size();
+  return n;
+}
+
+// A store's variables in canonical (name) order.
+using SortedVars =
+    std::vector<std::pair<const std::string*, const banzai::StateVar*>>;
+
+SortedVars sorted_vars(const banzai::StateStore& s) {
+  SortedVars vars;
+  vars.reserve(s.vars().size());
+  for (const auto& [name, var] : s.vars()) vars.emplace_back(&name, &var);
+  std::sort(vars.begin(), vars.end(),
+            [](const auto& a, const auto& b) { return *a.first < *b.first; });
+  return vars;
+}
+
+std::size_t state_bytes(const SortedVars& vars) {
+  std::size_t n = 4;
+  for (const auto& [name, var] : vars)
+    n += 2 + name->size() + 1 + 4 + 4 * var->size();
+  return n;
+}
+
+// The canonical blob body (see serialize_state_store), without a length
+// prefix.
+void write_state(Writer& w, const SortedVars& vars) {
+  w.u32(static_cast<std::uint32_t>(vars.size()));
+  for (const auto& [name, var] : vars) {
+    w.str(*name);
+    w.u8(var->is_scalar() ? 1 : 0);
+    w.u32(static_cast<std::uint32_t>(var->size()));
+    w.u32s(var->cells().data(), var->size());
+  }
+}
+
+template <typename Frames>
+std::vector<std::uint8_t> encode_frames(std::uint64_t confirmed,
+                                        const Frames& frames,
+                                        std::size_t begin, std::size_t count) {
+  std::size_t size = kIngestHeadBytes;
+  for (std::size_t i = begin; i < begin + count; ++i)
+    size += ingest_record_bytes(frames[i].bytes.size());
+  std::vector<std::uint8_t> out;
+  Writer w(out);
+  w.reserve(size);
+  w.u64(confirmed);
+  w.u32(static_cast<std::uint32_t>(count));
+  for (std::size_t i = begin; i < begin + count; ++i) {
+    const FrameRecord& f = frames[i];
+    w.u64(f.seq);
+    w.u32(f.slot);
+    w.blob(f.bytes);
+  }
+  return out;
+}
 
 void write_egress(Writer& w, const std::vector<EgressRecord>& egress) {
   w.u32(static_cast<std::uint32_t>(egress.size()));
@@ -169,6 +250,7 @@ std::vector<std::uint8_t> encode_hello_ack(const HelloAck& m) {
   Writer w(out);
   w.u32(m.num_slots);
   w.u8(m.engine);
+  w.u64(m.incarnation);
   return out;
 }
 
@@ -177,37 +259,51 @@ HelloAck decode_hello_ack(const std::uint8_t* p, std::size_t n) {
   HelloAck m;
   m.num_slots = r.u32();
   m.engine = r.u8();
+  m.incarnation = r.u64();
   r.expect_end();
   return m;
 }
 
 std::vector<std::uint8_t> encode_ingest_batch(const IngestBatch& m) {
-  std::vector<std::uint8_t> out;
-  Writer w(out);
-  w.u32(static_cast<std::uint32_t>(m.frames.size()));
-  for (const FrameRecord& f : m.frames) {
-    w.u64(f.seq);
-    w.u32(f.slot);
-    w.blob(f.bytes);
-  }
-  return out;
+  return encode_frames(m.confirmed, m.frames, 0, m.frames.size());
 }
 
-IngestBatch decode_ingest_batch(const std::uint8_t* p, std::size_t n) {
+std::vector<std::uint8_t> encode_ingest_batch(
+    std::uint64_t confirmed, const std::deque<FrameRecord>& frames,
+    std::size_t begin, std::size_t count) {
+  return encode_frames(confirmed, frames, begin, count);
+}
+
+IngestBatchView view_ingest_batch(const std::uint8_t* p, std::size_t n) {
   Reader r(p, n);
-  IngestBatch m;
+  IngestBatchView m;
+  m.confirmed = r.u64();
   const std::uint32_t count = r.u32();
   if (count > kMaxMessageBytes / 8)
     throw FramingError("frame count exceeds bound");
+  // Every record takes at least ingest_record_bytes(0): a count the payload
+  // cannot hold is garbage, refused before anything is reserved for it.
+  if (count > r.remaining() / ingest_record_bytes(0))
+    throw FramingError("frame count exceeds payload");
   m.frames.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    FrameRecord f;
+    FrameView f;
     f.seq = r.u64();
     f.slot = r.u32();
-    f.bytes = r.blob();
-    m.frames.push_back(std::move(f));
+    f.data = r.blob_view(f.len);
+    m.frames.push_back(f);
   }
   r.expect_end();
+  return m;
+}
+
+IngestBatch decode_ingest_batch(const std::uint8_t* p, std::size_t n) {
+  const IngestBatchView view = view_ingest_batch(p, n);
+  IngestBatch m;
+  m.confirmed = view.confirmed;
+  m.frames.reserve(view.frames.size());
+  for (const FrameView& f : view.frames)
+    m.frames.push_back({f.seq, f.slot, {f.data, f.data + f.len}});
   return m;
 }
 
@@ -216,6 +312,7 @@ std::vector<std::uint8_t> encode_ingest_ack(const IngestAck& m) {
     throw FramingError("ingest ack: seqs/statuses size mismatch");
   std::vector<std::uint8_t> out;
   Writer w(out);
+  w.reserve(4 + 9 * m.seqs.size() + egress_bytes(m.egress));
   w.u32(static_cast<std::uint32_t>(m.seqs.size()));
   for (std::size_t i = 0; i < m.seqs.size(); ++i) {
     w.u64(m.seqs[i]);
@@ -263,6 +360,7 @@ Heartbeat decode_heartbeat(const std::uint8_t* p, std::size_t n) {
 std::vector<std::uint8_t> encode_heartbeat_ack(const HeartbeatAck& m) {
   std::vector<std::uint8_t> out;
   Writer w(out);
+  w.reserve(16 + egress_bytes(m.egress));
   w.u64(m.nonce);
   w.u64(m.delivered);
   write_egress(w, m.egress);
@@ -302,8 +400,33 @@ SnapshotReq decode_snapshot_req(const std::uint8_t* p, std::size_t n) {
 std::vector<std::uint8_t> encode_snapshot_resp(const SnapshotResp& m) {
   std::vector<std::uint8_t> out;
   Writer w(out);
+  w.reserve(slot_states_bytes(m.slots) + egress_bytes(m.egress));
   write_slot_states(w, m.slots);
   write_egress(w, m.egress);
+  return out;
+}
+
+std::vector<std::uint8_t> encode_snapshot_resp(
+    const std::vector<SlotStateRef>& slots,
+    const std::vector<EgressRecord>& egress) {
+  std::vector<SortedVars> vars;
+  vars.reserve(slots.size());
+  std::size_t size = 4 + egress_bytes(egress);
+  for (const SlotStateRef& s : slots) {
+    vars.push_back(sorted_vars(*s.state));
+    size += 4 + 8 + 4 + state_bytes(vars.back());
+  }
+  std::vector<std::uint8_t> out;
+  Writer w(out);
+  w.reserve(size);
+  w.u32(static_cast<std::uint32_t>(slots.size()));
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    w.u32(slots[i].slot);
+    w.u64(slots[i].applied_seq);
+    w.u32(static_cast<std::uint32_t>(state_bytes(vars[i])));
+    write_state(w, vars[i]);
+  }
+  write_egress(w, egress);
   return out;
 }
 
@@ -319,6 +442,7 @@ SnapshotResp decode_snapshot_resp(const std::uint8_t* p, std::size_t n) {
 std::vector<std::uint8_t> encode_restore_req(const RestoreReq& m) {
   std::vector<std::uint8_t> out;
   Writer w(out);
+  w.reserve(slot_states_bytes(m.slots));
   write_slot_states(w, m.slots);
   return out;
 }
@@ -364,6 +488,7 @@ SwapAck decode_swap_ack(const std::uint8_t* p, std::size_t n) {
 std::vector<std::uint8_t> encode_flush_ack(const FlushAck& m) {
   std::vector<std::uint8_t> out;
   Writer w(out);
+  w.reserve(egress_bytes(m.egress));
   write_egress(w, m.egress);
   return out;
 }
@@ -392,22 +517,11 @@ ErrorMsg decode_error(const std::uint8_t* p, std::size_t n) {
 }
 
 std::vector<std::uint8_t> serialize_state_store(const banzai::StateStore& s) {
-  std::vector<std::pair<std::string, const banzai::StateVar*>> vars;
-  vars.reserve(s.vars().size());
-  for (const auto& [name, var] : s.vars()) vars.emplace_back(name, &var);
-  std::sort(vars.begin(), vars.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-
+  const SortedVars vars = sorted_vars(s);
   std::vector<std::uint8_t> out;
   Writer w(out);
-  w.u32(static_cast<std::uint32_t>(vars.size()));
-  for (const auto& [name, var] : vars) {
-    w.str(name);
-    w.u8(var->is_scalar() ? 1 : 0);
-    w.u32(static_cast<std::uint32_t>(var->size()));
-    for (banzai::Value v : var->cells())
-      w.u32(static_cast<std::uint32_t>(v));
-  }
+  w.reserve(state_bytes(vars));
+  write_state(w, vars);
   return out;
 }
 
@@ -428,11 +542,11 @@ banzai::StateStore deserialize_state_store(const std::uint8_t* p,
     if (scalar && ncells != 1)
       throw FramingError("scalar state var with more than one cell");
     if (store.contains(name)) throw FramingError("duplicate state var name");
+    if (r.remaining() / 4 < ncells) throw FramingError("truncated payload");
     store.declare(name, ncells, scalar);
-    banzai::StateVar& var = store.var(name);
+    banzai::Value* cells = store.var(name).data();
     for (std::uint32_t c = 0; c < ncells; ++c)
-      var.store(static_cast<banzai::Value>(c),
-                static_cast<banzai::Value>(r.u32()));
+      cells[c] = static_cast<banzai::Value>(r.u32());
   }
   r.expect_end();
   return store;

@@ -19,6 +19,8 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
+#include <deque>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -29,8 +31,12 @@ namespace dist {
 
 // Protocol version, checked in the HELLO exchange; bump on any change to the
 // message encodings below or their semantics (v2: an empty RestoreReq state
-// blob means "reset the slot to pristine initial state").
-constexpr std::uint32_t kProtocolVersion = 2;
+// blob means "reset the slot to pristine initial state"; v3: an IngestBatch
+// carries `confirmed`, the count of replies the front has received on the
+// connection, and only that count releases a reply's egress at the worker —
+// with several batches in flight, request k+1 no longer proves that reply k
+// arrived; and HelloAck carries the worker's incarnation).
+constexpr std::uint32_t kProtocolVersion = 3;
 
 // Upper bound on one message's payload: a full-fleet snapshot of corpus-sized
 // state is well under a megabyte, so 64 MiB is generous headroom while still
@@ -67,31 +73,34 @@ class FramingError : public std::runtime_error {
 
 // ---- little-endian primitives ----------------------------------------------
 
-// Append-only writer over a byte vector.
+// Append-only writer over a byte vector.  Encoders reserve() the payload's
+// exact size first, and every field goes in as one bulk append.
 class Writer {
  public:
   explicit Writer(std::vector<std::uint8_t>& out) : out_(out) {}
 
+  void reserve(std::size_t n) { out_.reserve(out_.size() + n); }
   void u8(std::uint8_t v) { out_.push_back(v); }
-  void u16(std::uint16_t v) {
-    out_.push_back(static_cast<std::uint8_t>(v));
-    out_.push_back(static_cast<std::uint8_t>(v >> 8));
-  }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i)
-      out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i)
-      out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  void u16(std::uint16_t v) { le(v); }
+  void u32(std::uint32_t v) { le(v); }
+  void u64(std::uint64_t v) { le(v); }
   void bytes(const std::uint8_t* p, std::size_t n) {
     out_.insert(out_.end(), p, p + n);
   }
+  // n values as consecutive u32 LE: one memcpy on a little-endian host.
+  void u32s(const std::int32_t* p, std::size_t n);
   void str(const std::string& s);    // u16 length + bytes
   void blob(const std::vector<std::uint8_t>& b);  // u32 length + bytes
 
  private:
+  template <typename T>
+  void le(T v) {
+    const std::size_t at = out_.size();
+    out_.resize(at + sizeof(T));
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+      out_[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+
   std::vector<std::uint8_t>& out_;
 };
 
@@ -106,6 +115,9 @@ class Reader {
   std::uint64_t u64();
   std::string str();
   std::vector<std::uint8_t> blob();
+  // A u32-length-prefixed field left in place: sets `len` and returns a
+  // pointer into the payload being read.
+  const std::uint8_t* blob_view(std::size_t& len);
 
   std::size_t remaining() const { return static_cast<std::size_t>(end_ - p_); }
   // Decoders call this last: trailing bytes mean a version mismatch or
@@ -130,6 +142,10 @@ struct Hello {
 struct HelloAck {
   std::uint32_t num_slots = 0;
   std::uint8_t engine = 0;  // banzai::ExecEngine the worker runs on
+  // Names the worker's current state: drawn afresh whenever the worker
+  // starts from empty (a new process, a kill()).  A front that reconnects
+  // and finds another value knows the slots it had there are gone.
+  std::uint64_t incarnation = 0;
 };
 
 struct FrameRecord {
@@ -139,8 +155,33 @@ struct FrameRecord {
 };
 
 struct IngestBatch {
+  // Replies the sender has received on this connection (the HelloAck is
+  // reply 1).  The worker holds each reply's egress until a batch confirms
+  // it, and re-queues everything unconfirmed on a reconnect.
+  std::uint64_t confirmed = 0;
   std::vector<FrameRecord> frames;
 };
+
+// An IngestBatch decoded in place: frame bytes point into the request
+// payload, which must outlive the view.  The worker applies straight from it.
+struct FrameView {
+  std::uint64_t seq = 0;
+  std::uint32_t slot = 0;
+  const std::uint8_t* data = nullptr;
+  std::size_t len = 0;
+};
+
+struct IngestBatchView {
+  std::uint64_t confirmed = 0;
+  std::vector<FrameView> frames;
+};
+
+// Encoded sizes of an IngestBatch: the fixed head, plus one record per
+// frame.  The front cuts batches by these so no request outgrows a message.
+constexpr std::size_t kIngestHeadBytes = 8 + 4;
+constexpr std::size_t ingest_record_bytes(std::size_t frame_len) {
+  return 8 + 4 + 4 + frame_len;
+}
 
 // Per-frame verdict in an IngestAck.  kDuplicate is the at-least-once path
 // working as designed: a replayed or duplicated frame whose seq the worker
@@ -189,6 +230,14 @@ struct SnapshotResp {
   std::vector<EgressRecord> egress;  // settled by the snapshot barrier
 };
 
+// One slot of a SnapshotResp as the worker encodes it: the state blob is
+// serialized straight from the live store into the reply payload.
+struct SlotStateRef {
+  std::uint32_t slot = 0;
+  std::uint64_t applied_seq = 0;
+  const banzai::StateStore* state = nullptr;
+};
+
 struct RestoreReq {
   std::vector<SlotState> slots;
 };
@@ -220,7 +269,15 @@ Hello decode_hello(const std::uint8_t* p, std::size_t n);
 std::vector<std::uint8_t> encode_hello_ack(const HelloAck& m);
 HelloAck decode_hello_ack(const std::uint8_t* p, std::size_t n);
 std::vector<std::uint8_t> encode_ingest_batch(const IngestBatch& m);
+// The same bytes, encoded straight from frames [begin, begin + count) of the
+// front's outbox, with no FrameRecord copies.
+std::vector<std::uint8_t> encode_ingest_batch(
+    std::uint64_t confirmed, const std::deque<FrameRecord>& frames,
+    std::size_t begin, std::size_t count);
 IngestBatch decode_ingest_batch(const std::uint8_t* p, std::size_t n);
+// Validates the whole batch (same checks as decode_ingest_batch) before
+// returning views into `p`.
+IngestBatchView view_ingest_batch(const std::uint8_t* p, std::size_t n);
 std::vector<std::uint8_t> encode_ingest_ack(const IngestAck& m);
 IngestAck decode_ingest_ack(const std::uint8_t* p, std::size_t n);
 std::vector<std::uint8_t> encode_heartbeat(const Heartbeat& m);
@@ -230,6 +287,11 @@ HeartbeatAck decode_heartbeat_ack(const std::uint8_t* p, std::size_t n);
 std::vector<std::uint8_t> encode_snapshot_req(const SnapshotReq& m);
 SnapshotReq decode_snapshot_req(const std::uint8_t* p, std::size_t n);
 std::vector<std::uint8_t> encode_snapshot_resp(const SnapshotResp& m);
+// Byte-identical to encode_snapshot_resp of the SnapshotResp whose blobs are
+// serialize_state_store(*slots[i].state), without building those blobs.
+std::vector<std::uint8_t> encode_snapshot_resp(
+    const std::vector<SlotStateRef>& slots,
+    const std::vector<EgressRecord>& egress);
 SnapshotResp decode_snapshot_resp(const std::uint8_t* p, std::size_t n);
 std::vector<std::uint8_t> encode_restore_req(const RestoreReq& m);
 RestoreReq decode_restore_req(const std::uint8_t* p, std::size_t n);

@@ -8,6 +8,23 @@
 
 namespace dist {
 
+namespace {
+
+// IngestBatch requests kept in flight per worker.  With one, the link idles
+// through every scheduling delay on either side of each round trip; a few
+// in flight hide those delays behind the next batches.
+constexpr std::size_t kIngestWindow = 4;
+
+// Encoded record bytes at which a batch is cut short of max_batch.  The
+// window then holds at most kIngestWindow * kBatchBytes unread request
+// bytes, well under a loopback socket buffer, so a pipelined send never
+// blocks on a worker that is itself blocked writing a reply the front has
+// not read yet.  A lone frame larger than this travels in a batch of its
+// own, sent only into an empty window.
+constexpr std::size_t kBatchBytes = 16u << 10;
+
+}  // namespace
+
 // ---- EgressWindow ----------------------------------------------------------
 
 bool EgressWindow::put(std::uint64_t seq, Cell::State state,
@@ -61,6 +78,7 @@ FrontTier::FrontTier(std::shared_ptr<const wire::WireCodec> rx,
       backoff_(cfg_.backoff_base, cfg_.backoff_max, cfg_.seed),
       scratch_(rx_->num_table_fields()) {
   if (cfg_.num_slots == 0) cfg_.num_slots = 1;
+  if (cfg_.max_batch == 0) cfg_.max_batch = 1;
   resend_.resize(cfg_.num_slots);
 }
 
@@ -98,30 +116,40 @@ std::size_t FrontTier::slot_of_frame(const std::uint8_t* data,
 }
 
 void FrontTier::route(FrameRecord rec) {
-  workers_[owner_[rec.slot]].outbox.push_back(std::move(rec));
+  WorkerLink& w = workers_[owner_[rec.slot]];
+  w.unsent_bytes += ingest_record_bytes(rec.bytes.size());
+  w.outbox.push_back(std::move(rec));
 }
 
 void FrontTier::offer(const std::uint8_t* data, std::size_t len) {
   FrameRecord rec;
   rec.seq = next_seq_++;
+  ++stats_.frames_offered;
+  if (kIngestHeadBytes + ingest_record_bytes(len) > kMaxMessageBytes) {
+    // No message can carry it.  The worker would reject it kOversized
+    // (parse_exact checks the length first), so settle that verdict here.
+    deliver_tombstone(rec.seq);
+    return;
+  }
   rec.slot = static_cast<std::uint32_t>(slot_of_frame(data, len));
   rec.bytes.assign(data, data + len);
-  ++stats_.frames_offered;
   resend_[rec.slot].push_back(rec);
   ++resend_total_;
   const std::size_t wi = owner_[rec.slot];
   route(std::move(rec));
   if (resend_total_ >= cfg_.resend_limit) checkpoint();
-  if (workers_[wi].outbox.size() >= cfg_.max_batch) flush_worker(wi);
+  if (has_full_batch(workers_[wi])) pump(wi, false);
 }
 
 bool FrontTier::ensure_connected(WorkerLink& w) {
   if (w.conn.valid()) return true;
   if (w.attempt > 0)
     std::this_thread::sleep_for(backoff_.delay(w.attempt - 1));
+  std::uint64_t incarnation = 0;
   try {
     w.conn = connect_local(w.port, cfg_.connect_timeout);
-    hello(w);
+    w.replies = 0;
+    incarnation = hello(w);
   } catch (const RpcTimeout&) {
     w.conn.close();
     ++w.attempt;
@@ -132,8 +160,24 @@ bool FrontTier::ensure_connected(WorkerLink& w) {
     ++w.attempt;
     w.detector.on_error(Clock::now());
     return false;
+  } catch (const FramingError&) {
+    w.conn.close();
+    ++w.attempt;
+    w.detector.on_error(Clock::now());
+    return false;
   }
   w.attempt = 0;
+  const bool restarted = w.incarnation != 0 && incarnation != w.incarnation;
+  w.incarnation = incarnation;
+  const auto wi = static_cast<std::size_t>(&w - workers_.data());
+  if (restarted && !owned_slots(wi).empty()) {
+    // The worker died and came back empty since we last spoke: the state of
+    // every slot it owns is gone, and only a migration (last checkpoint +
+    // replay) can rebuild it.
+    w.conn.close();
+    if (w.detector.alive()) w.detector.mark_dead(Clock::now());
+    return false;
+  }
   // A dead worker only re-enters the fleet through this handshake: the
   // detector moves to recovering, and the first successful RPC completes the
   // arc to healthy.
@@ -143,7 +187,7 @@ bool FrontTier::ensure_connected(WorkerLink& w) {
   return true;
 }
 
-void FrontTier::hello(WorkerLink& w) {
+std::uint64_t FrontTier::hello(WorkerLink& w) {
   Hello h;
   h.version = kProtocolVersion;
   h.algorithm = cfg_.algorithm;
@@ -156,18 +200,33 @@ void FrontTier::hello(WorkerLink& w) {
       decode_hello_ack(resp.payload.data(), resp.payload.size());
   if (ack.num_slots != cfg_.num_slots)
     throw RpcError("hello: slot count mismatch");
+  return ack.incarnation;
 }
 
 Message FrontTier::call(WorkerLink& w, MsgType type,
                         const std::vector<std::uint8_t>& payload) {
-  const TimePoint deadline = Clock::now() + cfg_.rpc_timeout;
-  w.conn.send_msg(type, payload, deadline);
-  return w.conn.recv_msg(deadline);
+  while (!w.window.empty()) read_ack(w, Clock::now() + cfg_.rpc_timeout);
+  w.conn.send_msg(type, payload, Clock::now() + cfg_.rpc_timeout);
+  return recv_reply(w, Clock::now() + cfg_.rpc_timeout);
+}
+
+Message FrontTier::recv_reply(WorkerLink& w, TimePoint deadline) {
+  Message m = w.conn.recv_msg(deadline);
+  ++w.replies;
+  return m;
+}
+
+void FrontTier::drop_connection(WorkerLink& w) {
+  w.conn.close();
+  for (const InFlight& b : w.window)
+    if (!b.dup) w.unsent_bytes += b.bytes;
+  w.window.clear();
+  w.sent = 0;
 }
 
 void FrontTier::on_rpc_failure(WorkerLink& w, bool timeout) {
   // The stream may be mid-message: only a fresh connection is safe.
-  w.conn.close();
+  drop_connection(w);
   if (timeout)
     w.detector.on_timeout(Clock::now());
   else
@@ -209,82 +268,114 @@ void FrontTier::process_ack_frames(const std::vector<std::uint64_t>& seqs,
   }
 }
 
-void FrontTier::process_egress(const std::vector<EgressRecord>& egress) {
-  for (const EgressRecord& rec : egress) {
+void FrontTier::process_egress(std::vector<EgressRecord>&& egress) {
+  for (EgressRecord& rec : egress) {
     if (!valid_egress_seq(rec.seq)) continue;
-    window_.deliver(rec.seq, rec.bytes);
+    window_.deliver(rec.seq, std::move(rec.bytes));
   }
 }
 
-bool FrontTier::flush_worker(std::size_t wi) {
+std::pair<std::size_t, std::size_t> FrontTier::next_batch(
+    const WorkerLink& w) const {
+  std::size_t n = 0;
+  std::size_t bytes = 0;
+  while (w.sent + n < w.outbox.size() && n < cfg_.max_batch) {
+    const std::size_t b =
+        ingest_record_bytes(w.outbox[w.sent + n].bytes.size());
+    if (n > 0 && bytes + b > kBatchBytes) break;
+    bytes += b;
+    ++n;
+  }
+  return {n, bytes};
+}
+
+bool FrontTier::has_full_batch(const WorkerLink& w) const {
+  return w.outbox.size() - w.sent >= cfg_.max_batch ||
+         w.unsent_bytes >= kBatchBytes;
+}
+
+void FrontTier::send_batch(WorkerLink& w) {
+  const auto [n, bytes] = next_batch(w);
+  w.conn.send_msg(MsgType::kIngestBatch,
+                  encode_ingest_batch(w.replies, w.outbox, w.sent, n),
+                  Clock::now() + cfg_.rpc_timeout);
+  w.window.push_back(InFlight{n, bytes, false});
+  w.sent += n;
+  w.unsent_bytes -= bytes;
+}
+
+void FrontTier::read_ack(WorkerLink& w, TimePoint deadline) {
+  const Message resp = recv_reply(w, deadline);
+  if (resp.type != MsgType::kIngestAck)
+    throw FramingError("unexpected reply to ingest");
+  IngestAck ack = decode_ingest_ack(resp.payload.data(), resp.payload.size());
+  const InFlight batch = w.window.front();
+  w.window.pop_front();
+  w.detector.on_success(Clock::now());
+  stats_.frames_sent += batch.frames;
+  process_ack_frames(ack.seqs, ack.statuses);
+  process_egress(std::move(ack.egress));
+  if (batch.dup) return;
+  std::vector<std::uint8_t> dup;
+  ++batches_sent_;
+  if (cfg_.dup_every != 0 && batches_sent_ % cfg_.dup_every == 0)
+    dup = encode_ingest_batch(w.replies, w.outbox, 0, batch.frames);
+  w.outbox.erase(w.outbox.begin(),
+                 w.outbox.begin() + static_cast<std::ptrdiff_t>(batch.frames));
+  w.sent -= batch.frames;
+  if (!dup.empty()) {
+    // Chaos knob: re-send the batch just acknowledged.  The worker's seq
+    // dedup must answer kDuplicate for every frame, and the egress window
+    // must not emit anything twice.
+    w.conn.send_msg(MsgType::kIngestBatch, dup,
+                    Clock::now() + cfg_.rpc_timeout);
+    w.window.push_back(InFlight{batch.frames, 0, true});
+  }
+}
+
+bool FrontTier::pump(std::size_t wi, bool drain) {
   WorkerLink& w = workers_[wi];
-  std::uint32_t attempts = 0;
-  while (!w.outbox.empty()) {
+  std::uint32_t failures = 0;
+  for (;;) {
+    const bool unsent = drain ? w.sent < w.outbox.size() : has_full_batch(w);
+    if (!unsent && (!drain || w.window.empty())) return true;
     if (!w.detector.alive()) {
       migrate(wi);
       return false;
     }
-    if (attempts++ >= cfg_.max_attempts) {
+    if (failures >= cfg_.max_attempts) {
       w.detector.mark_dead(Clock::now());
       migrate(wi);
       return false;
     }
-    if (!ensure_connected(w)) continue;
-    IngestBatch batch;
-    const std::size_t n = std::min(cfg_.max_batch, w.outbox.size());
-    for (std::size_t i = 0; i < n; ++i) batch.frames.push_back(w.outbox[i]);
-    const std::vector<std::uint8_t> wire_batch = encode_ingest_batch(batch);
-    Message resp;
+    if (!ensure_connected(w)) {
+      ++failures;
+      continue;
+    }
     try {
-      resp = call(w, MsgType::kIngestBatch, wire_batch);
+      // Send while the window has room (a batch past kBatchBytes only into
+      // an empty one); otherwise read the oldest ack.
+      if (unsent && w.window.size() < kIngestWindow &&
+          (w.window.empty() || next_batch(w).second <= kBatchBytes)) {
+        send_batch(w);
+      } else {
+        read_ack(w, Clock::now() + cfg_.rpc_timeout);
+        failures = 0;
+      }
     } catch (const RpcTimeout&) {
+      ++failures;
       ++stats_.retries;
       on_rpc_failure(w, true);
-      continue;
     } catch (const RpcError&) {
+      ++failures;
       ++stats_.retries;
       on_rpc_failure(w, false);
-      continue;
-    }
-    IngestAck ack;
-    try {
-      if (resp.type != MsgType::kIngestAck)
-        throw FramingError("unexpected reply to ingest");
-      ack = decode_ingest_ack(resp.payload.data(), resp.payload.size());
     } catch (const FramingError&) {
+      ++failures;
       ++stats_.retries;
       on_rpc_failure(w, false);
-      continue;
-    }
-    w.detector.on_success(Clock::now());
-    stats_.frames_sent += n;
-    process_ack_frames(ack.seqs, ack.statuses);
-    process_egress(ack.egress);
-    for (std::size_t i = 0; i < n; ++i) w.outbox.pop_front();
-    attempts = 0;
-    ++batches_sent_;
-    if (cfg_.dup_every != 0 && batches_sent_ % cfg_.dup_every == 0) {
-      // Chaos knob: replay the batch we just had acknowledged.  The worker's
-      // seq dedup must answer kDuplicate for every frame, and the egress
-      // window must not emit anything twice.
-      try {
-        const Message r2 = call(w, MsgType::kIngestBatch, wire_batch);
-        if (r2.type == MsgType::kIngestAck) {
-          const IngestAck a2 =
-              decode_ingest_ack(r2.payload.data(), r2.payload.size());
-          stats_.frames_sent += n;
-          process_ack_frames(a2.seqs, a2.statuses);
-          process_egress(a2.egress);
-          w.detector.on_success(Clock::now());
-        }
-      } catch (const RpcTimeout&) {
-        on_rpc_failure(w, true);
-      } catch (const RpcError&) {
-        on_rpc_failure(w, false);
-      }
     }
   }
-  return true;
 }
 
 void FrontTier::flush_all_outboxes() {
@@ -293,9 +384,9 @@ void FrontTier::flush_all_outboxes() {
       throw RpcError("flush: outboxes did not converge");
     bool any = false;
     for (std::size_t wi = 0; wi < workers_.size(); ++wi) {
-      if (workers_[wi].outbox.empty()) continue;
+      if (workers_[wi].outbox.empty() && workers_[wi].window.empty()) continue;
       any = true;
-      flush_worker(wi);  // false = migrated; frames moved to other outboxes
+      pump(wi, true);  // false = migrated; frames moved to other outboxes
     }
     if (!any) return;
   }
@@ -314,10 +405,10 @@ void FrontTier::flush() {
           const Message resp = call(w, MsgType::kFlushReq, {});
           if (resp.type != MsgType::kFlushAck)
             throw FramingError("unexpected reply to flush");
-          const FlushAck ack =
+          FlushAck ack =
               decode_flush_ack(resp.payload.data(), resp.payload.size());
           w.detector.on_success(Clock::now());
-          process_egress(ack.egress);
+          process_egress(std::move(ack.egress));
         } catch (const RpcTimeout&) {
           on_rpc_failure(w, true);
         } catch (const RpcError&) {
@@ -354,7 +445,7 @@ void FrontTier::checkpoint() {
       SnapshotResp sr =
           decode_snapshot_resp(resp.payload.data(), resp.payload.size());
       w.detector.on_success(Clock::now());
-      process_egress(sr.egress);
+      process_egress(std::move(sr.egress));
       for (SlotState& ss : sr.slots) {
         if (ss.slot >= resend_.size()) continue;
         // Everything up to applied_seq is baked into the blob: the resend
@@ -389,11 +480,11 @@ void FrontTier::heartbeat() {
           call(w, MsgType::kHeartbeat, encode_heartbeat(hb));
       if (resp.type != MsgType::kHeartbeatAck)
         throw FramingError("unexpected reply to heartbeat");
-      const HeartbeatAck ack =
+      HeartbeatAck ack =
           decode_heartbeat_ack(resp.payload.data(), resp.payload.size());
       if (ack.nonce != hb.nonce) throw FramingError("heartbeat nonce mismatch");
       w.detector.on_success(Clock::now());
-      process_egress(ack.egress);
+      process_egress(std::move(ack.egress));
       ++stats_.heartbeats;
     } catch (const RpcTimeout&) {
       on_rpc_failure(w, true);
@@ -434,9 +525,12 @@ void FrontTier::migrate(std::size_t dead) {
   if (w.detector.alive()) w.detector.mark_dead(Clock::now());
   std::deque<std::size_t> pending;
   for (std::size_t s : owned_slots(dead)) pending.push_back(s);
-  // Unsent frames in the dead worker's outbox are all in the resend buffers
+  // Unacked frames in the dead worker's outbox are all in the resend buffers
   // (offer() stores before routing), so the replay below re-creates them.
   w.outbox.clear();
+  w.sent = 0;
+  w.unsent_bytes = 0;
+  w.window.clear();
   if (pending.empty()) return;
   ++stats_.migrations;
   std::size_t salt = 0;
@@ -522,7 +616,7 @@ void FrontTier::move_slot(std::size_t slot, std::size_t to_worker) {
   if (from == to_worker) return;
   // Drain in-flight frames for the slot first; this may itself migrate the
   // owner if it turns out to be dead.
-  flush_worker(from);
+  pump(from, true);
   from = owner_[slot];
   if (from == to_worker) return;
   WorkerLink& src = workers_[from];
@@ -550,7 +644,7 @@ void FrontTier::move_slot(std::size_t slot, std::size_t to_worker) {
         SnapshotResp sr =
             decode_snapshot_resp(resp.payload.data(), resp.payload.size());
         src.detector.on_success(Clock::now());
-        process_egress(sr.egress);
+        process_egress(std::move(sr.egress));
         for (SlotState& ss : sr.slots) {
           if (ss.slot != slot) continue;
           auto& buf = resend_[slot];
@@ -577,7 +671,7 @@ void FrontTier::move_slot(std::size_t slot, std::size_t to_worker) {
   owner_[slot] = to_worker;
   ++stats_.slot_moves;
   replay_slot(slot);
-  flush_worker(to_worker);
+  pump(to_worker, true);
 }
 
 void FrontTier::swap_engine(std::uint8_t engine) {
@@ -610,7 +704,15 @@ void FrontTier::swap_engine(std::uint8_t engine) {
 
 void FrontTier::evict(std::size_t worker) {
   if (worker >= workers_.size()) return;
-  workers_[worker].detector.mark_dead(Clock::now());
+  WorkerLink& w = workers_[worker];
+  // Acks the worker sent before it went are valid answers: take the ones
+  // already here, waiting for none, before its slots move.
+  try {
+    while (!w.window.empty() && w.conn.valid()) read_ack(w, Clock::now());
+  } catch (const RpcError&) {
+  } catch (const FramingError&) {
+  }
+  w.detector.mark_dead(Clock::now());
   migrate(worker);
   flush_all_outboxes();
 }
@@ -618,6 +720,14 @@ void FrontTier::evict(std::size_t worker) {
 bool FrontTier::readmit(std::size_t worker) {
   if (worker >= workers_.size()) return false;
   WorkerLink& w = workers_[worker];
+  // Always a fresh connection: the open one may lead to a process that has
+  // died and come back since.
+  drop_connection(w);
+  w.attempt = 0;
+  if (ensure_connected(w)) return true;
+  if (w.detector.alive()) return false;
+  migrate(worker);
+  flush_all_outboxes();
   w.attempt = 0;
   return ensure_connected(w);
 }

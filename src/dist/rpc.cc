@@ -4,7 +4,9 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -16,9 +18,14 @@ namespace dist {
 
 namespace {
 
+// No deadline: the untimed waits (a raised Waker is their only way out
+// besides readiness).
+constexpr TimePoint kNever = TimePoint::max();
+
 // Remaining milliseconds until `deadline`, clamped to [0, INT_MAX] for
-// poll().  Zero means "already expired".
+// poll().  Zero means "already expired"; kNever maps to poll's -1.
 int millis_left(TimePoint deadline) {
+  if (deadline == kNever) return -1;
   const auto left =
       std::chrono::duration_cast<Millis>(deadline - Clock::now()).count();
   if (left <= 0) return 0;
@@ -30,18 +37,21 @@ int millis_left(TimePoint deadline) {
   throw RpcError(std::string(what) + ": " + std::strerror(errno));
 }
 
-// Waits until `fd` is ready for `events` or the deadline passes.  Returns
-// normally on readiness; throws RpcTimeout when time runs out.  EINTR loops.
-void wait_ready(int fd, short events, TimePoint deadline, const char* what) {
+// Waits until `fd` is ready for `events` (true), or `wake_fd` (when >= 0)
+// is readable first (false), or the deadline passes (throws RpcTimeout).
+// EINTR loops.
+bool wait_ready(int fd, short events, TimePoint deadline, const char* what,
+                int wake_fd = -1) {
   for (;;) {
-    pollfd pfd{fd, events, 0};
+    pollfd pfd[2] = {{fd, events, 0}, {wake_fd, POLLIN, 0}};
     const int left = millis_left(deadline);
     if (left == 0) throw RpcTimeout(std::string(what) + ": deadline exceeded");
-    const int rc = ::poll(&pfd, 1, left);
+    const int rc = ::poll(pfd, wake_fd >= 0 ? 2 : 1, left);
     if (rc > 0) {
+      if (wake_fd >= 0 && pfd[1].revents != 0) return false;
       // POLLERR/POLLHUP readiness falls through to the actual syscall, which
       // reports the precise error (or EOF) — one error path, not two.
-      return;
+      return true;
     }
     if (rc == 0) throw RpcTimeout(std::string(what) + ": deadline exceeded");
     if (errno == EINTR) continue;
@@ -61,6 +71,28 @@ void setup_stream(int fd) {
 
 }  // namespace
 
+Waker::Waker() : fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {
+  if (fd_ < 0) throw_errno("eventfd");
+}
+
+Waker::~Waker() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+void Waker::wake() {
+  const std::uint64_t one = 1;
+  // Only EINTR can interrupt the write; a full counter (EAGAIN) is already
+  // raised, which is all a wake needs.
+  while (::write(fd_, &one, sizeof(one)) < 0 && errno == EINTR) {
+  }
+}
+
+void Waker::clear() {
+  std::uint64_t count = 0;
+  while (::read(fd_, &count, sizeof(count)) < 0 && errno == EINTR) {
+  }
+}
+
 Conn& Conn::operator=(Conn&& o) noexcept {
   if (this != &o) {
     close();
@@ -74,29 +106,6 @@ void Conn::close() {
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;
-  }
-}
-
-void Conn::send_all(const std::uint8_t* data, std::size_t len,
-                    TimePoint deadline) {
-  std::size_t off = 0;
-  while (off < len) {
-#ifdef MSG_NOSIGNAL
-    const int flags = MSG_NOSIGNAL;
-#else
-    const int flags = 0;
-#endif
-    const ssize_t n = ::send(fd_, data + off, len - off, flags);
-    if (n > 0) {
-      off += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      wait_ready(fd_, POLLOUT, deadline, "send");
-      continue;
-    }
-    throw_errno("send");
   }
 }
 
@@ -123,14 +132,46 @@ void Conn::send_msg(MsgType type, const std::vector<std::uint8_t>& payload,
   if (!valid()) throw RpcError("send_msg: connection is closed");
   if (payload.size() > kMaxMessageBytes)
     throw RpcError("send_msg: payload exceeds kMaxMessageBytes");
-  std::vector<std::uint8_t> msg;
-  msg.reserve(5 + payload.size());
+  std::uint8_t hdr[5];
   const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
   for (int i = 0; i < 4; ++i)
-    msg.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
-  msg.push_back(static_cast<std::uint8_t>(type));
-  msg.insert(msg.end(), payload.begin(), payload.end());
-  send_all(msg.data(), msg.size(), deadline);
+    hdr[i] = static_cast<std::uint8_t>(len >> (8 * i));
+  hdr[4] = static_cast<std::uint8_t>(type);
+  // Header and payload leave in one gathered write; a partial write advances
+  // through the two pieces in place.
+  iovec iov[2] = {{hdr, sizeof(hdr)},
+                  {const_cast<std::uint8_t*>(payload.data()), payload.size()}};
+  iovec* cur = iov;
+  std::size_t count = payload.empty() ? 1 : 2;
+#ifdef MSG_NOSIGNAL
+  const int flags = MSG_NOSIGNAL;
+#else
+  const int flags = 0;
+#endif
+  while (count > 0) {
+    msghdr mh{};
+    mh.msg_iov = cur;
+    mh.msg_iovlen = count;
+    const ssize_t n = ::sendmsg(fd_, &mh, flags);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        wait_ready(fd_, POLLOUT, deadline, "send");
+        continue;
+      }
+      throw_errno("send");
+    }
+    std::size_t done = static_cast<std::size_t>(n);
+    while (count > 0 && done >= cur->iov_len) {
+      done -= cur->iov_len;
+      ++cur;
+      --count;
+    }
+    if (count > 0) {
+      cur->iov_base = static_cast<std::uint8_t*>(cur->iov_base) + done;
+      cur->iov_len -= done;
+    }
+  }
 }
 
 Message Conn::recv_msg(TimePoint deadline) {
@@ -148,15 +189,9 @@ Message Conn::recv_msg(TimePoint deadline) {
   return m;
 }
 
-bool Conn::readable() const {
-  if (!valid()) return false;
-  pollfd pfd{fd_, POLLIN, 0};
-  for (;;) {
-    const int rc = ::poll(&pfd, 1, 0);
-    if (rc >= 0) return rc > 0 && (pfd.revents & (POLLIN | POLLHUP | POLLERR));
-    if (errno == EINTR) continue;
-    return false;
-  }
+bool Conn::wait_readable(const Waker& waker) const {
+  if (!valid()) throw RpcError("wait_readable: connection is closed");
+  return wait_ready(fd_, POLLIN, kNever, "recv", waker.fd());
 }
 
 Conn connect_local(std::uint16_t port, Millis timeout) {
@@ -217,11 +252,16 @@ void Listener::close() {
   port_ = 0;
 }
 
-Conn Listener::accept(TimePoint deadline) {
-  if (!valid()) throw RpcError("accept: listener is closed");
+namespace {
+
+// The accept loop both Listener::accept overloads share; wake_fd < 0 means
+// no Waker.
+Conn accept_on(int fd, TimePoint deadline, int wake_fd) {
+  if (fd < 0) throw RpcError("accept: listener is closed");
   for (;;) {
-    wait_ready(fd_, POLLIN, deadline, "accept");
-    const int conn = ::accept(fd_, nullptr, nullptr);
+    if (!wait_ready(fd, POLLIN, deadline, "accept", wake_fd))
+      throw RpcError("accept: woken");
+    const int conn = ::accept(fd, nullptr, nullptr);
     if (conn >= 0) {
       setup_stream(conn);
       return Conn(conn);
@@ -231,6 +271,16 @@ Conn Listener::accept(TimePoint deadline) {
       continue;
     throw_errno("accept");
   }
+}
+
+}  // namespace
+
+Conn Listener::accept(TimePoint deadline) {
+  return accept_on(fd_, deadline, -1);
+}
+
+Conn Listener::accept(const Waker& waker) {
+  return accept_on(fd_, kNever, waker.fd());
 }
 
 void Listener::shutdown() {

@@ -4,6 +4,11 @@
 // Everything here is defensive by construction:
 //   * every send/recv runs a poll()-guarded loop with an absolute deadline —
 //     a stalled or dead peer costs at most the deadline, never a hang;
+//   * the two waits with no deadline — a worker idling between requests
+//     (Conn::wait_readable) or between connections (Listener::accept with a
+//     Waker) — block in poll() with an eventfd in the same poll set, so the
+//     thread that owns the wait ends it at once, with no timer and no
+//     sleep-poll;
 //   * EINTR and partial reads/writes are retried inside the loop (the same
 //     write-loop discipline the MetricsEndpoint hardening applies);
 //   * message length prefixes are bounded by framing.h's kMaxMessageBytes
@@ -51,6 +56,25 @@ struct Message {
   std::vector<std::uint8_t> payload;
 };
 
+// Ends the untimed waits below from another thread: an eventfd that sits in
+// the same poll set as the socket.  Level-triggered — once raised it ends
+// every wait, including one that starts later, until clear() — so a wake
+// that races the start of a wait is never lost.
+class Waker {
+ public:
+  Waker();  // throws RpcError when no eventfd can be created
+  ~Waker();
+  Waker(const Waker&) = delete;
+  Waker& operator=(const Waker&) = delete;
+
+  void wake();   // any thread
+  void clear();  // re-arms; call only while no wait is running
+  int fd() const { return fd_; }
+
+ private:
+  int fd_ = -1;
+};
+
 // One connected TCP stream carrying length-prefixed messages.  Owns the fd.
 // Not thread-safe: one side of the conversation drives it at a time (the
 // front tier's pump loop, or a worker's serve loop).
@@ -68,8 +92,9 @@ class Conn {
   int fd() const { return fd_; }
   void close();
 
-  // Writes the (u32 length, u8 type, payload) envelope, looping over partial
-  // writes and EINTR until done or `deadline` passes (throws RpcTimeout).
+  // Writes the (u32 length, u8 type, payload) envelope — header and payload
+  // in one gathered sendmsg, no framed copy — looping over partial writes
+  // and EINTR until done or `deadline` passes (throws RpcTimeout).
   void send_msg(MsgType type, const std::vector<std::uint8_t>& payload,
                 TimePoint deadline);
 
@@ -77,12 +102,12 @@ class Conn {
   // EOF / reset / an over-long length prefix.
   Message recv_msg(TimePoint deadline);
 
-  // True when at least one byte is readable without blocking (poll with zero
-  // timeout): the front tier uses this to harvest responses opportunistically.
-  bool readable() const;
+  // Blocks, with no timer, until the peer has sent bytes (or closed, or
+  // failed — the next recv_msg reports which): true.  Returns false as soon
+  // as `waker` is raised.  A worker waits here between requests.
+  bool wait_readable(const Waker& waker) const;
 
  private:
-  void send_all(const std::uint8_t* data, std::size_t len, TimePoint deadline);
   void recv_all(std::uint8_t* data, std::size_t len, TimePoint deadline);
 
   int fd_ = -1;
@@ -108,6 +133,10 @@ class Listener {
   // Blocks until a peer connects or `deadline` passes (RpcTimeout) or the
   // listener is shut down from another thread (RpcError).  EINTR retried.
   Conn accept(TimePoint deadline);
+
+  // Blocks, with no timer, until a peer connects.  Throws RpcError once
+  // `waker` is raised or the listener is shut down.
+  Conn accept(const Waker& waker);
 
   // Unblocks a concurrent accept() from another thread.
   void shutdown();

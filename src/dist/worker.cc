@@ -1,10 +1,13 @@
 #include "dist/worker.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
 #include <utility>
 
+#include "sim/partition.h"
 #include "wire/codec.h"
 
 namespace dist {
@@ -53,6 +56,16 @@ void WorkerServer::rebuild_service() {
   pending_seq_.clear();
   out_egress_.clear();
   unconfirmed_.clear();
+  replies_ = 0;
+  // Distinct across processes (pid, clock) and across rebuilds in one
+  // process (the counter); never 0, which a front reads as "not seen yet".
+  static std::atomic<std::uint64_t> rebuilds{0};
+  const auto now = static_cast<std::uint64_t>(
+      Clock::now().time_since_epoch().count());
+  incarnation_ = netsim::mix64(now ^ (static_cast<std::uint64_t>(::getpid())
+                                      << 40) ^
+                               rebuilds.fetch_add(1)) |
+                 1;
 }
 
 void WorkerServer::start() {
@@ -65,12 +78,14 @@ void WorkerServer::start() {
   }
   stopping_.store(false, std::memory_order_release);
   killed_.store(false, std::memory_order_release);
+  waker_.clear();
   running_.store(true, std::memory_order_release);
   server_ = std::thread([this] { serve_loop(); });
 }
 
 void WorkerServer::stop() {
   stopping_.store(true, std::memory_order_release);
+  waker_.wake();
   listener_.shutdown();
   if (server_.joinable()) server_.join();
   listener_.close();
@@ -83,6 +98,7 @@ void WorkerServer::stop() {
 
 void WorkerServer::kill() {
   stopping_.store(true, std::memory_order_release);
+  waker_.wake();
   listener_.shutdown();
   if (server_.joinable()) server_.join();
   listener_.close();
@@ -113,6 +129,7 @@ void WorkerServer::serve_forever() {
     if (!svc_->running()) svc_->start();
   }
   stopping_.store(false, std::memory_order_release);
+  waker_.clear();
   running_.store(true, std::memory_order_release);
   serve_loop();
   running_.store(false, std::memory_order_release);
@@ -127,11 +144,9 @@ void WorkerServer::serve_loop() {
   while (!stopping_.load(std::memory_order_acquire)) {
     Conn conn;
     try {
-      conn = listener_.accept(Clock::now() + Millis(200));
-    } catch (const RpcTimeout&) {
-      continue;  // periodic stopping_ check
+      conn = listener_.accept(waker_);
     } catch (const RpcError&) {
-      break;  // listener shut down
+      break;  // woken by stop()/kill(), or the listener was shut down
     }
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -144,23 +159,33 @@ void WorkerServer::serve_loop() {
 
 void WorkerServer::serve_connection(Conn& conn) {
   {
-    // A fresh connection means the previous one died, and its last reply may
-    // have died with it: re-queue that reply's egress so the next ack
-    // redelivers it (the front tier dedups if it did arrive).
+    // A fresh connection means the previous one died, and the replies no
+    // request confirmed may have died with it: re-queue their egress, oldest
+    // first, so the next ack redelivers it (the front tier dedups whatever
+    // did arrive).  Reply numbering restarts with the connection.
     std::lock_guard<std::mutex> lock(mu_);
     while (!unconfirmed_.empty()) {
-      out_egress_.push_front(std::move(unconfirmed_.back()));
+      std::vector<EgressRecord>& held = unconfirmed_.back().egress;
+      stats_.egress_redelivered += held.size();
+      out_egress_.insert(out_egress_.begin(),
+                         std::make_move_iterator(held.begin()),
+                         std::make_move_iterator(held.end()));
       unconfirmed_.pop_back();
     }
+    replies_ = 0;
   }
-  while (!stopping_.load(std::memory_order_acquire)) {
-    if (!conn.readable()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      continue;
-    }
+  for (;;) {
     Message req;
     try {
-      req = conn.recv_msg(Clock::now() + cfg_.io_timeout);
+      // Block until the next request's first bytes arrive, or until stop()
+      // or kill() raises the waker.  No timer: an idle worker costs nothing.
+      // Once stopping, answer only the requests already here in full (an
+      // expired deadline makes the read non-blocking), then close: the
+      // front's in-flight batches end answered or unanswered, never torn.
+      const bool stopping = stopping_.load(std::memory_order_acquire) ||
+                            !conn.wait_readable(waker_);
+      req = conn.recv_msg(stopping ? Clock::now()
+                                   : Clock::now() + cfg_.io_timeout);
     } catch (const RpcError&) {
       // Disconnect (or a mid-message stall, which leaves the stream in an
       // undefined position — same remedy): drop the connection and go back
@@ -171,9 +196,6 @@ void WorkerServer::serve_connection(Conn& conn) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.requests;
-      // Lockstep: a new request on this connection proves the previous
-      // reply was received — its egress is now safely the front's problem.
-      unconfirmed_.clear();
     }
     try {
       if (!handle(conn, req)) return;
@@ -191,8 +213,7 @@ bool WorkerServer::handle(Conn& conn, const Message& req) {
       handle_hello(conn, req);
       return true;
     case MsgType::kIngestBatch:
-      handle_ingest(conn, req);
-      return true;
+      return handle_ingest(conn, req);
     case MsgType::kHeartbeat:
       handle_heartbeat(conn, req);
       return true;
@@ -220,6 +241,7 @@ bool WorkerServer::handle(Conn& conn, const Message& req) {
 
 void WorkerServer::reply(Conn& conn, MsgType type,
                          const std::vector<std::uint8_t>& payload) {
+  ++replies_;
   conn.send_msg(type, payload, Clock::now() + cfg_.io_timeout);
 }
 
@@ -247,15 +269,23 @@ void WorkerServer::harvest_egress() {
   }
 }
 
-std::vector<EgressRecord> WorkerServer::take_egress(std::size_t limit) {
-  std::vector<EgressRecord> out;
-  while (!out_egress_.empty() && out.size() < limit) {
-    unconfirmed_.push_back(out_egress_.front());  // until the next request
-    out.push_back(std::move(out_egress_.front()));
-    out_egress_.pop_front();
-  }
+std::vector<EgressRecord> WorkerServer::take_egress() {
+  std::vector<EgressRecord> out(std::make_move_iterator(out_egress_.begin()),
+                                std::make_move_iterator(out_egress_.end()));
+  out_egress_.clear();
   stats_.egress_returned += out.size();
   return out;
+}
+
+void WorkerServer::hold(std::vector<EgressRecord>&& egress) {
+  if (egress.empty()) return;
+  // The reply carrying it is the next one reply() numbers.
+  unconfirmed_.push_back(HeldReply{replies_ + 1, std::move(egress)});
+}
+
+void WorkerServer::release_confirmed(std::uint64_t confirmed) {
+  while (!unconfirmed_.empty() && unconfirmed_.front().reply <= confirmed)
+    unconfirmed_.pop_front();
 }
 
 void WorkerServer::handle_hello(Conn& conn, const Message& req) {
@@ -280,16 +310,21 @@ void WorkerServer::handle_hello(Conn& conn, const Message& req) {
   HelloAck ack;
   ack.num_slots = static_cast<std::uint32_t>(cfg_.num_slots);
   ack.engine = static_cast<std::uint8_t>(proto_.active_engine());
+  ack.incarnation = incarnation_;
   reply(conn, MsgType::kHelloAck, encode_hello_ack(ack));
 }
 
-void WorkerServer::handle_ingest(Conn& conn, const Message& req) {
-  const IngestBatch batch =
-      decode_ingest_batch(req.payload.data(), req.payload.size());
+bool WorkerServer::handle_ingest(Conn& conn, const Message& req) {
+  const IngestBatchView batch =
+      view_ingest_batch(req.payload.data(), req.payload.size());
   IngestAck ack;
+  ack.seqs.reserve(batch.frames.size());
+  ack.statuses.reserve(batch.frames.size());
+  std::vector<std::uint8_t> payload;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (const FrameRecord& f : batch.frames) {
+    release_confirmed(batch.confirmed);
+    for (const FrameView& f : batch.frames) {
       ack.seqs.push_back(f.seq);
       if (f.slot >= applied_seq_.size()) {
         ack.statuses.push_back(FrameStatus::kRejectBadValue);
@@ -306,8 +341,7 @@ void WorkerServer::handle_ingest(Conn& conn, const Message& req) {
         // settle and the egress watermark would stall forever.  Parsing is
         // deterministic and stateless on identical bytes, so re-parsing
         // reconstructs the original verdict exactly.
-        const wire::ParseResult pr =
-            rx_->parse_exact(f.bytes.data(), f.bytes.size(), scratch_);
+        const wire::ParseResult pr = rx_->parse_exact(f.data, f.len, scratch_);
         if (!pr.ok()) {
           ack.statuses.push_back(reject_status(pr.status));
           ++stats_.frames_rejected;
@@ -317,7 +351,7 @@ void WorkerServer::handle_ingest(Conn& conn, const Message& req) {
         }
         continue;
       }
-      const auto res = svc_->ingest_frame(f.bytes.data(), f.bytes.size());
+      const auto res = svc_->ingest_frame(f.data, f.len);
       if (res.accepted) {
         applied_seq_[f.slot] = f.seq;
         pending_seq_.push_back(f.seq);
@@ -328,9 +362,19 @@ void WorkerServer::handle_ingest(Conn& conn, const Message& req) {
         ++stats_.frames_rejected;
       }
     }
-    harvest_egress();
-    ack.egress = take_egress(out_egress_.size());
     ++ingest_count_;
+    // Chaos knob: the frames above are APPLIED but their ack is never sent —
+    // the front loses it with the connection and must see kDuplicate on the
+    // re-send.
+    if (cfg_.drop_every != 0 && ingest_count_ % cfg_.drop_every == 0)
+      return false;
+    // A stopping worker settles what it applied before it answers, so its
+    // last acks carry all of that egress.
+    if (stopping_.load(std::memory_order_acquire)) svc_->flush();
+    harvest_egress();
+    ack.egress = take_egress();
+    payload = encode_ingest_ack(ack);
+    hold(std::move(ack.egress));
   }
   if (cfg_.stall_every != 0 && ingest_count_ % cfg_.stall_every == 0) {
     // Chaos knob: the frames above are APPLIED but the ack is late — the
@@ -338,7 +382,8 @@ void WorkerServer::handle_ingest(Conn& conn, const Message& req) {
     // outside mu_ keeps kill()/stats() responsive.
     std::this_thread::sleep_for(cfg_.stall_for);
   }
-  reply(conn, MsgType::kIngestAck, encode_ingest_ack(ack));
+  reply(conn, MsgType::kIngestAck, payload);
+  return true;
 }
 
 void WorkerServer::handle_heartbeat(Conn& conn, const Message& req) {
@@ -348,8 +393,10 @@ void WorkerServer::handle_heartbeat(Conn& conn, const Message& req) {
   std::lock_guard<std::mutex> lock(mu_);
   harvest_egress();
   ack.delivered = svc_->stats().delivered;
-  ack.egress = take_egress(out_egress_.size());
-  reply(conn, MsgType::kHeartbeatAck, encode_heartbeat_ack(ack));
+  ack.egress = take_egress();
+  const std::vector<std::uint8_t> payload = encode_heartbeat_ack(ack);
+  hold(std::move(ack.egress));
+  reply(conn, MsgType::kHeartbeatAck, payload);
 }
 
 void WorkerServer::handle_flush(Conn& conn) {
@@ -357,39 +404,42 @@ void WorkerServer::handle_flush(Conn& conn) {
   std::lock_guard<std::mutex> lock(mu_);
   svc_->flush();
   harvest_egress();
-  ack.egress = take_egress(out_egress_.size());
-  reply(conn, MsgType::kFlushAck, encode_flush_ack(ack));
+  ack.egress = take_egress();
+  const std::vector<std::uint8_t> payload = encode_flush_ack(ack);
+  hold(std::move(ack.egress));
+  reply(conn, MsgType::kFlushAck, payload);
 }
 
 void WorkerServer::handle_snapshot(Conn& conn, const Message& req) {
   const SnapshotReq snap_req =
       decode_snapshot_req(req.payload.data(), req.payload.size());
-  SnapshotResp resp;
   std::lock_guard<std::mutex> lock(mu_);
-  // Checkpoint barrier: settle everything accepted so far, so the snapshot
-  // plus the returned egress together account for every applied frame —
-  // applied_seq_[slot] is exact for the state in the blob.
-  svc_->flush();
-  harvest_egress();
-  svc_->stop();
-  const banzai::ServiceSnapshot snap = svc_->snapshot();
-  svc_->start();
-  std::vector<std::uint32_t> slots = snap_req.slots;
-  if (slots.empty())
-    for (std::uint32_t s = 0; s < snap.num_slots; ++s) slots.push_back(s);
-  for (std::uint32_t s : slots) {
-    if (s >= snap.num_slots) {
+  std::vector<std::uint32_t> ids = snap_req.slots;
+  if (ids.empty())
+    for (std::uint32_t s = 0; s < svc_cfg_.num_slots; ++s) ids.push_back(s);
+  for (std::uint32_t s : ids) {
+    if (s >= svc_cfg_.num_slots) {
       reply_error(conn, "snapshot: slot out of range");
       return;
     }
-    SlotState st;
-    st.slot = s;
-    st.applied_seq = applied_seq_[s];
-    st.state = serialize_state_store(snap.slot_state[s]);
-    resp.slots.push_back(std::move(st));
   }
-  resp.egress = take_egress(out_egress_.size());
-  reply(conn, MsgType::kSnapshotResp, encode_snapshot_resp(resp));
+  // Checkpoint barrier: settle everything accepted so far, so the snapshot
+  // plus the returned egress together account for every applied frame —
+  // applied_seq_[slot] is exact for the state in the blob.  Each slot's blob
+  // is serialized straight from its live store (the service is stopped)
+  // into the reply payload: no ServiceSnapshot, no per-slot blob copies.
+  svc_->flush();
+  harvest_egress();
+  svc_->stop();
+  std::vector<SlotStateRef> slots;
+  slots.reserve(ids.size());
+  for (std::uint32_t s : ids)
+    slots.push_back({s, applied_seq_[s], &svc_->slot_machine(s).state()});
+  std::vector<EgressRecord> egress = take_egress();
+  const std::vector<std::uint8_t> payload = encode_snapshot_resp(slots, egress);
+  svc_->start();
+  hold(std::move(egress));
+  reply(conn, MsgType::kSnapshotResp, payload);
 }
 
 void WorkerServer::handle_restore(Conn& conn, const Message& req) {

@@ -1,7 +1,8 @@
 // Seeded fault injection against the distributed fleet (src/dist/): a worker
 // killed mid-burst with organic failure detection (no harness hints), a
 // stalling worker driving the timeout -> retry -> duplicate-ack path, a
-// reconnect storm with kill/restart/readmit cycles, duplicated batches —
+// connection dropped with a full window of batches in flight, a reconnect
+// storm with kill/restart/readmit cycles, duplicated batches —
 // every schedule seeded and count-driven so a failure replays exactly.  The
 // acceptance bar throughout: cluster egress bit-exact against ONE sequential
 // per-slot reference, with exact delivered + dropped + retried accounting,
@@ -55,6 +56,7 @@ struct ChaosKnobs {
   std::uint32_t dup_every = 0;
   std::uint32_t stall_every = 0;
   dist::Millis stall_for{0};
+  std::uint32_t drop_every = 0;
   dist::Millis rpc_timeout{2000};
   std::uint32_t dead_after = 2;
 };
@@ -86,6 +88,7 @@ struct ChaosCluster {
       wc.flow_key = {"sport", "dport"};
       wc.stall_every = k.stall_every;
       wc.stall_for = k.stall_for;
+      wc.drop_every = k.drop_every;
       workers.push_back(std::make_unique<WorkerServer>(compiled.machine(), rx,
                                                        tx, wc));
       workers.back()->start();
@@ -278,6 +281,51 @@ TEST(DistChaosTest, StalledBatchWithRejectsStillSettles) {
   EXPECT_EQ(st.rejects, dropped);
   EXPECT_EQ(st.egress_frames + st.rejects, st.frames_offered);
   EXPECT_EQ(st.migrations, 0u);
+  EXPECT_TRUE(c.front->settled());
+}
+
+// The connection, not the worker, dies with a full window: every 9th ingest
+// request a worker applies, then closes instead of answering.  At that
+// moment the front has several batches in flight: the acks before the
+// dropped one were sent (it has read some of them and not others), the
+// dropped one and those after it never get one.  The front must reconnect
+// and re-send every unacked batch (the applied ones dedup to kDuplicate),
+// and lose nothing.  The worker, for its part, re-queues the egress of every
+// reply no request confirmed; the ones the front did read come back as the
+// window's duplicates — and nothing else may.
+TEST(DistChaosTest, ConnectionDropWithFullWindowStaysBitExact) {
+  ChaosKnobs k;
+  k.n_workers = 2;
+  k.seed = 23;
+  k.drop_every = 9;
+  k.dead_after = 1000;  // drops must never escalate to migration
+  ChaosCluster c(k);
+
+  auto frames = c.make_frames(2400, 113);
+  const std::vector<std::uint8_t> runt = {0xD0};
+  std::size_t dropped = 0;
+  for (std::size_t i = 0; i < frames.size(); i += 150) {
+    frames.insert(frames.begin() + static_cast<std::ptrdiff_t>(i), runt);
+    ++dropped;
+  }
+  const auto expected = c.sequential_reference(frames);
+  for (const auto& f : frames) c.front->offer(f);
+  c.front->flush();
+  expect_bit_exact(c.front->drain_egress(), expected);
+
+  const auto st = c.front->stats();
+  EXPECT_EQ(st.rejects, dropped);
+  EXPECT_EQ(st.egress_frames + st.rejects, st.frames_offered);
+  EXPECT_GT(st.retries, 0u) << "the drop schedule never fired";
+  EXPECT_GT(st.dup_acks, 0u)
+      << "re-sent batches must hit the worker-side seq dedup";
+  EXPECT_GT(st.reconnects, c.front->num_workers());
+  EXPECT_EQ(st.migrations, 0u);
+  std::uint64_t redelivered = 0;
+  for (const auto& w : c.workers) redelivered += w->stats().egress_redelivered;
+  EXPECT_GT(st.egress_duplicates, 0u)
+      << "no drop caught an ack that was read but not yet confirmed";
+  EXPECT_LE(st.egress_duplicates, redelivered);
   EXPECT_TRUE(c.front->settled());
 }
 

@@ -9,6 +9,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
+#include <future>
 #include <map>
 #include <memory>
 #include <random>
@@ -60,6 +62,7 @@ TEST(DistFramingTest, HelloRoundTrips) {
 
 TEST(DistFramingTest, IngestBatchAndAckRoundTrip) {
   dist::IngestBatch b;
+  b.confirmed = 0x0102030405060708ull;  // v3: every byte of it must survive
   for (std::uint64_t i = 1; i <= 3; ++i) {
     dist::FrameRecord f;
     f.seq = i;
@@ -69,6 +72,7 @@ TEST(DistFramingTest, IngestBatchAndAckRoundTrip) {
   }
   const auto eb = dist::encode_ingest_batch(b);
   const dist::IngestBatch bb = dist::decode_ingest_batch(eb.data(), eb.size());
+  EXPECT_EQ(bb.confirmed, b.confirmed);
   ASSERT_EQ(bb.frames.size(), 3u);
   EXPECT_EQ(bb.frames[2].seq, 3u);
   EXPECT_EQ(bb.frames[2].bytes, (std::vector<std::uint8_t>{3, 0xAB}));
@@ -97,6 +101,103 @@ TEST(DistFramingTest, TruncatedAndTrailingBytesThrow) {
   trailing.push_back(0);
   EXPECT_THROW(dist::decode_hello(trailing.data(), trailing.size()),
                FramingError);
+
+  // The v3 fields: an IngestBatch cut anywhere — inside `confirmed`
+  // included — or with a byte too many throws, through both decoders; so
+  // does a HelloAck cut inside its incarnation.
+  dist::IngestBatch b;
+  b.confirmed = 42;
+  b.frames.push_back({7, 1, {0xAA, 0xBB}});
+  const auto batch = dist::encode_ingest_batch(b);
+  for (std::size_t cut = 0; cut < batch.size(); ++cut) {
+    EXPECT_THROW(dist::decode_ingest_batch(batch.data(), cut), FramingError)
+        << "cut at " << cut;
+    EXPECT_THROW(dist::view_ingest_batch(batch.data(), cut), FramingError)
+        << "cut at " << cut;
+  }
+  auto long_batch = batch;
+  long_batch.push_back(0);
+  EXPECT_THROW(dist::decode_ingest_batch(long_batch.data(), long_batch.size()),
+               FramingError);
+  dist::HelloAck ack;
+  ack.incarnation = 99;
+  const auto ack_bytes = dist::encode_hello_ack(ack);
+  for (std::size_t cut = 0; cut < ack_bytes.size(); ++cut)
+    EXPECT_THROW(dist::decode_hello_ack(ack_bytes.data(), cut), FramingError)
+        << "cut at " << cut;
+  EXPECT_EQ(dist::decode_hello_ack(ack_bytes.data(), ack_bytes.size())
+                .incarnation,
+            99u);
+}
+
+// The worker reads batches in place and the front encodes them straight
+// from its outbox: both must agree byte for byte with the struct codec.
+TEST(DistFramingTest, InPlaceBatchCodecsMatchTheStructCodec) {
+  std::deque<dist::FrameRecord> outbox;
+  for (std::uint64_t i = 1; i <= 5; ++i) {
+    const auto fill = static_cast<std::uint8_t>(i);
+    outbox.push_back({i, static_cast<std::uint32_t>(i % 3),
+                      std::vector<std::uint8_t>(i, fill)});
+  }
+  dist::IngestBatch b;
+  b.confirmed = 17;
+  b.frames.assign(outbox.begin() + 1, outbox.begin() + 4);
+  const auto from_struct = dist::encode_ingest_batch(b);
+  EXPECT_EQ(dist::encode_ingest_batch(17, outbox, 1, 3), from_struct);
+  EXPECT_EQ(from_struct.size(),
+            dist::kIngestHeadBytes + dist::ingest_record_bytes(2) +
+                dist::ingest_record_bytes(3) + dist::ingest_record_bytes(4));
+
+  const dist::IngestBatchView view =
+      dist::view_ingest_batch(from_struct.data(), from_struct.size());
+  EXPECT_EQ(view.confirmed, 17u);
+  ASSERT_EQ(view.frames.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    const dist::FrameRecord& want = b.frames[i];
+    EXPECT_EQ(view.frames[i].seq, want.seq);
+    EXPECT_EQ(view.frames[i].slot, want.slot);
+    EXPECT_EQ(std::vector<std::uint8_t>(view.frames[i].data,
+                                        view.frames[i].data +
+                                            view.frames[i].len),
+              want.bytes);
+  }
+
+  // A frame count the payload cannot hold is refused before any reserve.
+  std::vector<std::uint8_t> liar;
+  dist::Writer w(liar);
+  w.u64(0);
+  w.u32(0xFFFFFFFFu);
+  EXPECT_THROW(dist::view_ingest_batch(liar.data(), liar.size()),
+               FramingError);
+}
+
+// A checkpoint reply serialized straight from live stores is the same bytes
+// as one built from per-slot blobs: the canonical format did not move.
+TEST(DistFramingTest, SnapshotFromLiveStoresMatchesBlobEncoding) {
+  banzai::StateStore a;
+  a.declare("zeta", 5, false);
+  a.declare("alpha", 1, true);
+  a.var("alpha").store(0, -3);
+  a.var("zeta").store(4, 0x7FFFFFFF);
+  banzai::StateStore b;
+  b.declare("only", 3, false);
+  b.var("only").store(1, -1);
+
+  const std::vector<dist::EgressRecord> egress = {{5, {1, 2, 3}}, {9, {}}};
+  dist::SnapshotResp resp;
+  resp.slots.push_back({3, 40, dist::serialize_state_store(a)});
+  resp.slots.push_back({6, 41, dist::serialize_state_store(b)});
+  resp.egress = egress;
+  const std::vector<dist::SlotStateRef> refs = {{3, 40, &a}, {6, 41, &b}};
+  const auto live = dist::encode_snapshot_resp(refs, egress);
+  EXPECT_EQ(live, dist::encode_snapshot_resp(resp));
+
+  const auto back = dist::decode_snapshot_resp(live.data(), live.size());
+  ASSERT_EQ(back.slots.size(), 2u);
+  const banzai::StateStore a2 = dist::deserialize_state_store(
+      back.slots[0].state.data(), back.slots[0].state.size());
+  EXPECT_EQ(a2, a);
+  EXPECT_EQ(back.slots[1].applied_seq, 41u);
 }
 
 TEST(DistFramingTest, StateStoreSerializationIsCanonicalAndValidated) {
@@ -1017,6 +1118,163 @@ TEST(DistFrontGuardTest, MigrationSurvivesTargetDyingMidRestore) {
   EXPECT_EQ(front.worker_view(2).health, HealthState::kDead);
   for (std::size_t s = 0; s < kSlots; ++s) EXPECT_EQ(front.owner_of(s), 0u);
   for (auto& w : workers) w->stop();
+}
+
+// ---- batch byte bound ------------------------------------------------------
+
+// Two flowlets workers on the rig's codecs, and a front with the default
+// max_batch (64 frames) in front of them.
+struct RigCluster {
+  CodecRig rig;
+  std::vector<std::unique_ptr<WorkerServer>> workers;
+  std::unique_ptr<FrontTier> front;
+
+  RigCluster() {
+    for (int i = 0; i < 2; ++i) {
+      WorkerConfig wc;
+      wc.algorithm = "flowlets";
+      wc.num_slots = kSlots;
+      wc.num_shards = 1;
+      wc.flow_key = {"sport", "dport"};
+      workers.push_back(std::make_unique<WorkerServer>(rig.compiled.machine(),
+                                                       rig.rx, rig.tx, wc));
+      workers.back()->start();
+    }
+    FrontConfig fc;
+    fc.algorithm = "flowlets";
+    fc.num_slots = kSlots;
+    fc.flow_key = rig.flow_key;
+    front = std::make_unique<FrontTier>(rig.rx, fc);
+    for (auto& w : workers) front->add_worker(w->port());
+    front->connect();
+  }
+  ~RigCluster() {
+    for (auto& w : workers) w->stop();
+  }
+};
+
+// max_batch counts frames, not bytes: 64 frames of 1.1 MB would make one
+// ~70 MB IngestBatch, past kMaxMessageBytes, and a front that treated the
+// refused send as a transport failure killed every worker in turn.  Batches
+// are cut by encoded size instead, so each frame reaches a worker and comes
+// back its typed kOversized reject.
+TEST(DistBatchBoundTest, OversizedFramesSettleWithoutKillingTheFleet) {
+  RigCluster c;
+  const std::vector<std::uint8_t> big((11u << 20) / 10, 0xAB);
+  for (int i = 0; i < 64; ++i) c.front->offer(big);
+  c.front->flush();
+  EXPECT_TRUE(c.front->drain_egress().empty());
+  EXPECT_TRUE(c.front->settled());
+  const auto st = c.front->stats();
+  EXPECT_EQ(st.rejects, 64u);
+  EXPECT_EQ(st.retries, 0u);
+  EXPECT_EQ(st.migrations, 0u);
+  for (std::size_t w = 0; w < c.front->num_workers(); ++w)
+    EXPECT_EQ(c.front->worker_view(w).health, HealthState::kHealthy) << w;
+  std::uint64_t rejected = 0;
+  for (auto& w : c.workers) rejected += w->stats().frames_rejected;
+  EXPECT_EQ(rejected, 64u);
+
+  // The fleet still serves well-formed traffic afterwards.
+  const auto frames = c.rig.make_frames(100, 149);
+  for (const auto& f : frames) c.front->offer(f);
+  c.front->flush();
+  EXPECT_EQ(c.front->drain_egress().size(), frames.size());
+}
+
+// A frame too large for any message settles as a reject on the spot — the
+// verdict a worker would give it — without an RPC.
+TEST(DistBatchBoundTest, FrameThatFitsNoMessageSettlesWithoutAnRpc) {
+  RigCluster c;
+  const std::uint64_t requests_before = c.workers[0]->stats().requests +
+                                        c.workers[1]->stats().requests;
+  // Never read: offer() refuses it on its length alone.
+  const std::size_t len = dist::kMaxMessageBytes;
+  const std::unique_ptr<std::uint8_t[]> huge(new std::uint8_t[len]);
+  c.front->offer(huge.get(), len);
+  EXPECT_TRUE(c.front->settled());
+  c.front->flush();
+  EXPECT_EQ(c.front->stats().rejects, 1u);
+  EXPECT_EQ(c.workers[0]->stats().requests + c.workers[1]->stats().requests,
+            requests_before);
+}
+
+// ---- worker lifecycle ------------------------------------------------------
+
+// An idle worker blocks in poll() with no timer; stop() and kill() must end
+// that wait through its eventfd at once, not by outlasting a timeout (the
+// io_timeout here is 2 s).  A wait nobody wakes fails this test instead of
+// hanging the suite: closing the front's connection ends it either way.
+TEST(DistWorkerLifecycleTest, StopAndKillWakeAnIdleWorker) {
+  CodecRig rig;
+  for (const bool kill : {false, true}) {
+    WorkerConfig wc;
+    wc.algorithm = "flowlets";
+    wc.num_slots = kSlots;
+    wc.flow_key = {"sport", "dport"};
+    WorkerServer worker(rig.compiled.machine(), rig.rx, rig.tx, wc);
+    worker.start();
+    FrontConfig fc;
+    fc.algorithm = "flowlets";
+    fc.num_slots = kSlots;
+    fc.flow_key = rig.flow_key;
+    auto front = std::make_unique<FrontTier>(rig.rx, fc);
+    front->add_worker(worker.port());
+    front->connect();
+    front->heartbeat();  // connected, answered, now idle
+
+    auto done = std::async(std::launch::async, [&] {
+      if (kill)
+        worker.kill();
+      else
+        worker.stop();
+    });
+    EXPECT_EQ(done.wait_for(dist::Millis(500)), std::future_status::ready)
+        << (kill ? "kill()" : "stop()") << " did not wake the idle worker";
+    front.reset();
+    done.get();
+    EXPECT_FALSE(worker.running());
+  }
+}
+
+// serve_forever() (a worker process's main thread) still returns when the
+// front sends kStop.
+TEST(DistWorkerLifecycleTest, ServeForeverExitsOnStopMessage) {
+  CodecRig rig;
+  WorkerConfig wc;
+  wc.algorithm = "flowlets";
+  wc.num_slots = kSlots;
+  wc.flow_key = {"sport", "dport"};
+  WorkerServer worker(rig.compiled.machine(), rig.rx, rig.tx, wc);
+  worker.start();  // binds the port; then hand the listener to serve_forever
+  const std::uint16_t port = worker.port();
+  worker.stop();
+  std::thread server([&] { worker.serve_forever(); });
+
+  dist::Conn conn;
+  for (int tries = 0; !conn.valid() && tries < 200; ++tries) {
+    try {
+      conn = dist::connect_local(port, dist::Millis(500));
+    } catch (const dist::RpcError&) {
+      std::this_thread::sleep_for(dist::Millis(5));
+    }
+  }
+  ASSERT_TRUE(conn.valid());
+  const auto deadline = dist::Clock::now() + dist::Millis(2000);
+  dist::Hello h;
+  h.algorithm = "flowlets";
+  h.num_slots = kSlots;
+  h.header_bytes = static_cast<std::uint32_t>(rig.rx->header_bytes());
+  conn.send_msg(MsgType::kHello, dist::encode_hello(h), deadline);
+  EXPECT_EQ(conn.recv_msg(deadline).type, MsgType::kHelloAck);
+  conn.send_msg(MsgType::kStop, {}, deadline);
+
+  const auto t0 = dist::Clock::now();
+  while (worker.running() && dist::Clock::now() - t0 < dist::Millis(2000))
+    std::this_thread::sleep_for(dist::Millis(1));
+  EXPECT_FALSE(worker.running()) << "kStop did not end serve_forever()";
+  if (worker.running()) worker.stop();  // fail, don't hang
+  server.join();
 }
 
 }  // namespace
