@@ -156,8 +156,7 @@ void write_state(Writer& w, const SortedVars& vars) {
 }
 
 template <typename Frames>
-std::vector<std::uint8_t> encode_frames(std::uint64_t confirmed,
-                                        const Frames& frames,
+std::vector<std::uint8_t> encode_frames(const Frames& frames,
                                         std::size_t begin, std::size_t count) {
   std::size_t size = kIngestHeadBytes;
   for (std::size_t i = begin; i < begin + count; ++i)
@@ -165,7 +164,6 @@ std::vector<std::uint8_t> encode_frames(std::uint64_t confirmed,
   std::vector<std::uint8_t> out;
   Writer w(out);
   w.reserve(size);
-  w.u64(confirmed);
   w.u32(static_cast<std::uint32_t>(count));
   for (std::size_t i = begin; i < begin + count; ++i) {
     const FrameRecord& f = frames[i];
@@ -265,19 +263,18 @@ HelloAck decode_hello_ack(const std::uint8_t* p, std::size_t n) {
 }
 
 std::vector<std::uint8_t> encode_ingest_batch(const IngestBatch& m) {
-  return encode_frames(m.confirmed, m.frames, 0, m.frames.size());
+  return encode_frames(m.frames, 0, m.frames.size());
 }
 
 std::vector<std::uint8_t> encode_ingest_batch(
-    std::uint64_t confirmed, const std::deque<FrameRecord>& frames,
-    std::size_t begin, std::size_t count) {
-  return encode_frames(confirmed, frames, begin, count);
+    const std::deque<FrameRecord>& frames, std::size_t begin,
+    std::size_t count) {
+  return encode_frames(frames, begin, count);
 }
 
 IngestBatchView view_ingest_batch(const std::uint8_t* p, std::size_t n) {
   Reader r(p, n);
   IngestBatchView m;
-  m.confirmed = r.u64();
   const std::uint32_t count = r.u32();
   if (count > kMaxMessageBytes / 8)
     throw FramingError("frame count exceeds bound");
@@ -300,7 +297,6 @@ IngestBatchView view_ingest_batch(const std::uint8_t* p, std::size_t n) {
 IngestBatch decode_ingest_batch(const std::uint8_t* p, std::size_t n) {
   const IngestBatchView view = view_ingest_batch(p, n);
   IngestBatch m;
-  m.confirmed = view.confirmed;
   m.frames.reserve(view.frames.size());
   for (const FrameView& f : view.frames)
     m.frames.push_back({f.seq, f.slot, {f.data, f.data + f.len}});

@@ -31,11 +31,8 @@ namespace dist {
 
 // Protocol version, checked in the HELLO exchange; bump on any change to the
 // message encodings below or their semantics (v2: an empty RestoreReq state
-// blob means "reset the slot to pristine initial state"; v3: an IngestBatch
-// carries `confirmed`, the count of replies the front has received on the
-// connection, and only that count releases a reply's egress at the worker —
-// with several batches in flight, request k+1 no longer proves that reply k
-// arrived; and HelloAck carries the worker's incarnation).
+// blob means "reset the slot to pristine initial state"; v3: HelloAck
+// carries the worker's incarnation).
 constexpr std::uint32_t kProtocolVersion = 3;
 
 // Upper bound on one message's payload: a full-fleet snapshot of corpus-sized
@@ -155,10 +152,6 @@ struct FrameRecord {
 };
 
 struct IngestBatch {
-  // Replies the sender has received on this connection (the HelloAck is
-  // reply 1).  The worker holds each reply's egress until a batch confirms
-  // it, and re-queues everything unconfirmed on a reconnect.
-  std::uint64_t confirmed = 0;
   std::vector<FrameRecord> frames;
 };
 
@@ -172,13 +165,12 @@ struct FrameView {
 };
 
 struct IngestBatchView {
-  std::uint64_t confirmed = 0;
   std::vector<FrameView> frames;
 };
 
 // Encoded sizes of an IngestBatch: the fixed head, plus one record per
 // frame.  The front cuts batches by these so no request outgrows a message.
-constexpr std::size_t kIngestHeadBytes = 8 + 4;
+constexpr std::size_t kIngestHeadBytes = 4;
 constexpr std::size_t ingest_record_bytes(std::size_t frame_len) {
   return 8 + 4 + 4 + frame_len;
 }
@@ -272,8 +264,8 @@ std::vector<std::uint8_t> encode_ingest_batch(const IngestBatch& m);
 // The same bytes, encoded straight from frames [begin, begin + count) of the
 // front's outbox, with no FrameRecord copies.
 std::vector<std::uint8_t> encode_ingest_batch(
-    std::uint64_t confirmed, const std::deque<FrameRecord>& frames,
-    std::size_t begin, std::size_t count);
+    const std::deque<FrameRecord>& frames, std::size_t begin,
+    std::size_t count);
 IngestBatch decode_ingest_batch(const std::uint8_t* p, std::size_t n);
 // Validates the whole batch (same checks as decode_ingest_batch) before
 // returning views into `p`.

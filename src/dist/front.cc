@@ -10,18 +10,11 @@ namespace dist {
 
 namespace {
 
-// IngestBatch requests kept in flight per worker.  With one, the link idles
-// through every scheduling delay on either side of each round trip; a few
-// in flight hide those delays behind the next batches.
-constexpr std::size_t kIngestWindow = 4;
-
-// Encoded record bytes at which a batch is cut short of max_batch.  The
-// window then holds at most kIngestWindow * kBatchBytes unread request
-// bytes, well under a loopback socket buffer, so a pipelined send never
-// blocks on a worker that is itself blocked writing a reply the front has
-// not read yet.  A lone frame larger than this travels in a batch of its
-// own, sent only into an empty window.
-constexpr std::size_t kBatchBytes = 16u << 10;
+// Encoded record bytes at which a batch is cut short of max_batch.  It keeps
+// every IngestBatch far under kMaxMessageBytes whatever max_batch is, and
+// bounds what one round trip holds in memory on either side.  A lone frame
+// larger than this travels in a batch of its own.
+constexpr std::size_t kBatchBytes = 1u << 20;
 
 }  // namespace
 
@@ -117,7 +110,7 @@ std::size_t FrontTier::slot_of_frame(const std::uint8_t* data,
 
 void FrontTier::route(FrameRecord rec) {
   WorkerLink& w = workers_[owner_[rec.slot]];
-  w.unsent_bytes += ingest_record_bytes(rec.bytes.size());
+  w.outbox_bytes += ingest_record_bytes(rec.bytes.size());
   w.outbox.push_back(std::move(rec));
 }
 
@@ -138,7 +131,9 @@ void FrontTier::offer(const std::uint8_t* data, std::size_t len) {
   const std::size_t wi = owner_[rec.slot];
   route(std::move(rec));
   if (resend_total_ >= cfg_.resend_limit) checkpoint();
-  if (has_full_batch(workers_[wi])) pump(wi, false);
+  const WorkerLink& w = workers_[wi];
+  if (w.outbox.size() >= cfg_.max_batch || w.outbox_bytes >= kBatchBytes)
+    flush_worker(wi);
 }
 
 bool FrontTier::ensure_connected(WorkerLink& w) {
@@ -148,7 +143,6 @@ bool FrontTier::ensure_connected(WorkerLink& w) {
   std::uint64_t incarnation = 0;
   try {
     w.conn = connect_local(w.port, cfg_.connect_timeout);
-    w.replies = 0;
     incarnation = hello(w);
   } catch (const RpcTimeout&) {
     w.conn.close();
@@ -167,17 +161,19 @@ bool FrontTier::ensure_connected(WorkerLink& w) {
     return false;
   }
   w.attempt = 0;
-  const bool restarted = w.incarnation != 0 && incarnation != w.incarnation;
-  w.incarnation = incarnation;
   const auto wi = static_cast<std::size_t>(&w - workers_.data());
-  if (restarted && !owned_slots(wi).empty()) {
+  if (w.incarnation != 0 && incarnation != w.incarnation &&
+      !owned_slots(wi).empty()) {
     // The worker died and came back empty since we last spoke: the state of
     // every slot it owns is gone, and only a migration (last checkpoint +
-    // replay) can rebuild it.
+    // replay) can rebuild it.  The old incarnation stays on record until
+    // then, so no later reconnect can mistake this worker for the one that
+    // held those slots.
     w.conn.close();
     if (w.detector.alive()) w.detector.mark_dead(Clock::now());
     return false;
   }
+  w.incarnation = incarnation;
   // A dead worker only re-enters the fleet through this handshake: the
   // detector moves to recovering, and the first successful RPC completes the
   // arc to healthy.
@@ -205,28 +201,22 @@ std::uint64_t FrontTier::hello(WorkerLink& w) {
 
 Message FrontTier::call(WorkerLink& w, MsgType type,
                         const std::vector<std::uint8_t>& payload) {
-  while (!w.window.empty()) read_ack(w, Clock::now() + cfg_.rpc_timeout);
-  w.conn.send_msg(type, payload, Clock::now() + cfg_.rpc_timeout);
-  return recv_reply(w, Clock::now() + cfg_.rpc_timeout);
+  const TimePoint deadline = Clock::now() + cfg_.rpc_timeout;
+  w.conn.send_msg(type, payload, deadline);
+  return w.conn.recv_msg(deadline);
 }
 
-Message FrontTier::recv_reply(WorkerLink& w, TimePoint deadline) {
-  Message m = w.conn.recv_msg(deadline);
-  ++w.replies;
-  return m;
-}
-
-void FrontTier::drop_connection(WorkerLink& w) {
-  w.conn.close();
-  for (const InFlight& b : w.window)
-    if (!b.dup) w.unsent_bytes += b.bytes;
-  w.window.clear();
-  w.sent = 0;
+IngestAck FrontTier::ingest(WorkerLink& w,
+                            const std::vector<std::uint8_t>& batch) {
+  const Message resp = call(w, MsgType::kIngestBatch, batch);
+  if (resp.type != MsgType::kIngestAck)
+    throw FramingError("unexpected reply to ingest");
+  return decode_ingest_ack(resp.payload.data(), resp.payload.size());
 }
 
 void FrontTier::on_rpc_failure(WorkerLink& w, bool timeout) {
   // The stream may be mid-message: only a fresh connection is safe.
-  drop_connection(w);
+  w.conn.close();
   if (timeout)
     w.detector.on_timeout(Clock::now());
   else
@@ -279,9 +269,8 @@ std::pair<std::size_t, std::size_t> FrontTier::next_batch(
     const WorkerLink& w) const {
   std::size_t n = 0;
   std::size_t bytes = 0;
-  while (w.sent + n < w.outbox.size() && n < cfg_.max_batch) {
-    const std::size_t b =
-        ingest_record_bytes(w.outbox[w.sent + n].bytes.size());
+  while (n < w.outbox.size() && n < cfg_.max_batch) {
+    const std::size_t b = ingest_record_bytes(w.outbox[n].bytes.size());
     if (n > 0 && bytes + b > kBatchBytes) break;
     bytes += b;
     ++n;
@@ -289,93 +278,68 @@ std::pair<std::size_t, std::size_t> FrontTier::next_batch(
   return {n, bytes};
 }
 
-bool FrontTier::has_full_batch(const WorkerLink& w) const {
-  return w.outbox.size() - w.sent >= cfg_.max_batch ||
-         w.unsent_bytes >= kBatchBytes;
-}
-
-void FrontTier::send_batch(WorkerLink& w) {
-  const auto [n, bytes] = next_batch(w);
-  w.conn.send_msg(MsgType::kIngestBatch,
-                  encode_ingest_batch(w.replies, w.outbox, w.sent, n),
-                  Clock::now() + cfg_.rpc_timeout);
-  w.window.push_back(InFlight{n, bytes, false});
-  w.sent += n;
-  w.unsent_bytes -= bytes;
-}
-
-void FrontTier::read_ack(WorkerLink& w, TimePoint deadline) {
-  const Message resp = recv_reply(w, deadline);
-  if (resp.type != MsgType::kIngestAck)
-    throw FramingError("unexpected reply to ingest");
-  IngestAck ack = decode_ingest_ack(resp.payload.data(), resp.payload.size());
-  const InFlight batch = w.window.front();
-  w.window.pop_front();
-  w.detector.on_success(Clock::now());
-  stats_.frames_sent += batch.frames;
-  process_ack_frames(ack.seqs, ack.statuses);
-  process_egress(std::move(ack.egress));
-  if (batch.dup) return;
-  std::vector<std::uint8_t> dup;
-  ++batches_sent_;
-  if (cfg_.dup_every != 0 && batches_sent_ % cfg_.dup_every == 0)
-    dup = encode_ingest_batch(w.replies, w.outbox, 0, batch.frames);
-  w.outbox.erase(w.outbox.begin(),
-                 w.outbox.begin() + static_cast<std::ptrdiff_t>(batch.frames));
-  w.sent -= batch.frames;
-  if (!dup.empty()) {
-    // Chaos knob: re-send the batch just acknowledged.  The worker's seq
-    // dedup must answer kDuplicate for every frame, and the egress window
-    // must not emit anything twice.
-    w.conn.send_msg(MsgType::kIngestBatch, dup,
-                    Clock::now() + cfg_.rpc_timeout);
-    w.window.push_back(InFlight{batch.frames, 0, true});
-  }
-}
-
-bool FrontTier::pump(std::size_t wi, bool drain) {
+bool FrontTier::flush_worker(std::size_t wi) {
   WorkerLink& w = workers_[wi];
-  std::uint32_t failures = 0;
-  for (;;) {
-    const bool unsent = drain ? w.sent < w.outbox.size() : has_full_batch(w);
-    if (!unsent && (!drain || w.window.empty())) return true;
+  std::uint32_t attempts = 0;
+  while (!w.outbox.empty()) {
     if (!w.detector.alive()) {
       migrate(wi);
       return false;
     }
-    if (failures >= cfg_.max_attempts) {
+    if (attempts++ >= cfg_.max_attempts) {
       w.detector.mark_dead(Clock::now());
       migrate(wi);
       return false;
     }
-    if (!ensure_connected(w)) {
-      ++failures;
-      continue;
-    }
+    if (!ensure_connected(w)) continue;
+    const auto [n, bytes] = next_batch(w);
+    const std::vector<std::uint8_t> wire_batch =
+        encode_ingest_batch(w.outbox, 0, n);
+    IngestAck ack;
     try {
-      // Send while the window has room (a batch past kBatchBytes only into
-      // an empty one); otherwise read the oldest ack.
-      if (unsent && w.window.size() < kIngestWindow &&
-          (w.window.empty() || next_batch(w).second <= kBatchBytes)) {
-        send_batch(w);
-      } else {
-        read_ack(w, Clock::now() + cfg_.rpc_timeout);
-        failures = 0;
-      }
+      ack = ingest(w, wire_batch);
     } catch (const RpcTimeout&) {
-      ++failures;
       ++stats_.retries;
       on_rpc_failure(w, true);
+      continue;
     } catch (const RpcError&) {
-      ++failures;
       ++stats_.retries;
       on_rpc_failure(w, false);
+      continue;
     } catch (const FramingError&) {
-      ++failures;
       ++stats_.retries;
       on_rpc_failure(w, false);
+      continue;
+    }
+    w.detector.on_success(Clock::now());
+    stats_.frames_sent += n;
+    process_ack_frames(ack.seqs, ack.statuses);
+    process_egress(std::move(ack.egress));
+    w.outbox.erase(w.outbox.begin(),
+                   w.outbox.begin() + static_cast<std::ptrdiff_t>(n));
+    w.outbox_bytes -= bytes;
+    attempts = 0;
+    ++batches_sent_;
+    if (cfg_.dup_every != 0 && batches_sent_ % cfg_.dup_every == 0) {
+      // Chaos knob: replay the batch we just had acknowledged.  The worker's
+      // seq dedup must answer kDuplicate for every frame, and the egress
+      // window must not emit anything twice.
+      try {
+        IngestAck again = ingest(w, wire_batch);
+        stats_.frames_sent += n;
+        process_ack_frames(again.seqs, again.statuses);
+        process_egress(std::move(again.egress));
+        w.detector.on_success(Clock::now());
+      } catch (const RpcTimeout&) {
+        on_rpc_failure(w, true);
+      } catch (const RpcError&) {
+        on_rpc_failure(w, false);
+      } catch (const FramingError&) {
+        on_rpc_failure(w, false);
+      }
     }
   }
+  return true;
 }
 
 void FrontTier::flush_all_outboxes() {
@@ -384,9 +348,9 @@ void FrontTier::flush_all_outboxes() {
       throw RpcError("flush: outboxes did not converge");
     bool any = false;
     for (std::size_t wi = 0; wi < workers_.size(); ++wi) {
-      if (workers_[wi].outbox.empty() && workers_[wi].window.empty()) continue;
+      if (workers_[wi].outbox.empty()) continue;
       any = true;
-      pump(wi, true);  // false = migrated; frames moved to other outboxes
+      flush_worker(wi);  // false = migrated; frames moved to other outboxes
     }
     if (!any) return;
   }
@@ -525,12 +489,10 @@ void FrontTier::migrate(std::size_t dead) {
   if (w.detector.alive()) w.detector.mark_dead(Clock::now());
   std::deque<std::size_t> pending;
   for (std::size_t s : owned_slots(dead)) pending.push_back(s);
-  // Unacked frames in the dead worker's outbox are all in the resend buffers
+  // Unsent frames in the dead worker's outbox are all in the resend buffers
   // (offer() stores before routing), so the replay below re-creates them.
   w.outbox.clear();
-  w.sent = 0;
-  w.unsent_bytes = 0;
-  w.window.clear();
+  w.outbox_bytes = 0;
   if (pending.empty()) return;
   ++stats_.migrations;
   std::size_t salt = 0;
@@ -616,7 +578,7 @@ void FrontTier::move_slot(std::size_t slot, std::size_t to_worker) {
   if (from == to_worker) return;
   // Drain in-flight frames for the slot first; this may itself migrate the
   // owner if it turns out to be dead.
-  pump(from, true);
+  flush_worker(from);
   from = owner_[slot];
   if (from == to_worker) return;
   WorkerLink& src = workers_[from];
@@ -671,7 +633,7 @@ void FrontTier::move_slot(std::size_t slot, std::size_t to_worker) {
   owner_[slot] = to_worker;
   ++stats_.slot_moves;
   replay_slot(slot);
-  pump(to_worker, true);
+  flush_worker(to_worker);
 }
 
 void FrontTier::swap_engine(std::uint8_t engine) {
@@ -681,8 +643,10 @@ void FrontTier::swap_engine(std::uint8_t engine) {
     if (!w.detector.alive()) continue;
     SwapEngine msg;
     msg.engine = engine;
-    for (std::uint32_t attempts = 0; attempts < cfg_.max_attempts;
-         ++attempts) {
+    // A worker found dead mid-swap is not retried: it keeps its slots only
+    // until the next flush migrates them onto survivors that did swap.
+    for (std::uint32_t attempts = 0;
+         attempts < cfg_.max_attempts && w.detector.alive(); ++attempts) {
       if (!ensure_connected(w)) continue;
       try {
         const Message resp =
@@ -704,15 +668,7 @@ void FrontTier::swap_engine(std::uint8_t engine) {
 
 void FrontTier::evict(std::size_t worker) {
   if (worker >= workers_.size()) return;
-  WorkerLink& w = workers_[worker];
-  // Acks the worker sent before it went are valid answers: take the ones
-  // already here, waiting for none, before its slots move.
-  try {
-    while (!w.window.empty() && w.conn.valid()) read_ack(w, Clock::now());
-  } catch (const RpcError&) {
-  } catch (const FramingError&) {
-  }
-  w.detector.mark_dead(Clock::now());
+  workers_[worker].detector.mark_dead(Clock::now());
   migrate(worker);
   flush_all_outboxes();
 }
@@ -722,7 +678,7 @@ bool FrontTier::readmit(std::size_t worker) {
   WorkerLink& w = workers_[worker];
   // Always a fresh connection: the open one may lead to a process that has
   // died and come back since.
-  drop_connection(w);
+  w.conn.close();
   w.attempt = 0;
   if (ensure_connected(w)) return true;
   if (w.detector.alive()) return false;

@@ -8,23 +8,20 @@
 // The machinery, end to end:
 //
 //   offer(bytes) ──hash──► slot ──owner table──► per-worker outbox
-//        │                                             │ (batched RPC,
-//        └── per-slot resend buffer (at-least-once) ───┤  a window of
-//                                                      ▼  batches in flight)
+//        │                                             │ (batched RPC)
+//        └── per-slot resend buffer (at-least-once) ───┤
+//                                                      ▼
 //   EgressWindow ◄── seq-tagged egress piggybacked on every ack
 //   (dedup + global order + tombstones for rejects)
 //
-// Ingest is pipelined: up to kIngestWindow IngestBatch requests are in
-// flight per worker, their acks read in order; every other RPC (flush,
-// checkpoint, heartbeat, restore, swap, move_slot's barrier) first drains
-// the window.  Batches are cut at max_batch frames or kBatchBytes encoded
-// bytes, whichever comes first; a frame too large for any message is
-// settled as a reject on the spot, without an RPC.
+// Batches are cut at max_batch frames or kBatchBytes encoded bytes,
+// whichever comes first; a frame too large for any message is settled as a
+// reject on the spot, without an RPC.
 //
 // Fault model and the invariant it preserves: any RPC may time out or the
-// connection may die at any point.  The front then re-sends every unacked
-// batch after bounded-exponential backoff (the worker's per-slot seq dedup
-// makes the resend idempotent), and the per-worker FailureDetector escalates
+// connection may die at any point.  The front then retries the same frames
+// after bounded-exponential backoff (the worker's per-slot seq dedup makes
+// the resend idempotent), and the per-worker FailureDetector escalates
 // healthy -> suspect -> dead.  On death, the dead worker's slots are
 // restored onto survivors from the last checkpoint (RestoreReq carrying the
 // snapshot blobs + applied seqs) and every buffered frame newer than the
@@ -76,7 +73,7 @@ struct FrontConfig {
   Millis backoff_max{200};
   std::uint64_t seed = 1;         // backoff jitter + chaos schedules
   std::uint32_t dead_after = 3;   // consecutive failures before migration
-  std::size_t max_batch = 64;     // frames per IngestBatch RPC (at most)
+  std::size_t max_batch = 64;     // frames per IngestBatch RPC
   // Resend-buffer bound: when this many frames are buffered fleet-wide, the
   // front forces a checkpoint (which trims every buffer to the unapplied
   // tail).  At-least-once replay needs the buffer; the bound keeps it from
@@ -85,18 +82,15 @@ struct FrontConfig {
   // Chaos knob: re-send every Nth ingest batch verbatim after its ack — the
   // workers must answer all-kDuplicate and the egress stream must not care.
   std::uint32_t dup_every = 0;
-  // Max consecutive failed tries at moving a worker's outbox before the
-  // worker is declared dead regardless of the detector (prevents an
-  // unbounded retry loop when dead_after is large and the worker is truly
-  // gone).
+  // Max reconnect attempts per flush_worker pass before the detector's
+  // verdict is accepted (prevents an unbounded retry loop when dead_after
+  // is large and the worker is truly gone).
   std::uint32_t max_attempts = 10;
 };
 
 struct FrontStats {
   std::uint64_t frames_offered = 0;
-  // Frames in batches the workers acknowledged, including retries, replays
-  // and dup_every copies: a clean run sends each offered frame once.
-  std::uint64_t frames_sent = 0;
+  std::uint64_t frames_sent = 0;      // including retries and replays
   std::uint64_t frames_acked = 0;     // kAccepted acks
   std::uint64_t dup_acks = 0;         // kDuplicate acks (dedup at the worker)
   std::uint64_t rejects = 0;          // typed parse rejects -> tombstones
@@ -174,11 +168,11 @@ class FrontTier {
   void connect();
 
   // Offers one ingress frame: assigns the next global seq, buffers it for
-  // resend, routes it to its slot's owner, and sends the owner a batch once
-  // its outbox holds a full one (reading an ack first if the window is
-  // full).  Malformed frames still get a seq (the worker rejects them with a
-  // typed status and the window tombstones the seq); one too large for any
-  // message is tombstoned here, as the worker would reject it kOversized.
+  // resend, routes it to its slot's owner, and flushes any outbox that
+  // reached a full batch.  Malformed frames still get a seq (the worker
+  // rejects them with a typed status and the window tombstones the seq); one
+  // too large for any message is tombstoned here, as the worker would reject
+  // it kOversized.
   void offer(const std::uint8_t* data, std::size_t len);
   void offer(const std::vector<std::uint8_t>& frame) {
     offer(frame.data(), frame.size());
@@ -231,25 +225,13 @@ class FrontTier {
   WorkerView worker_view(std::size_t w) const;
 
  private:
-  // One IngestBatch request awaiting its ack.
-  struct InFlight {
-    std::size_t frames = 0;  // outbox frames it carries (oldest unacked)
-    std::size_t bytes = 0;   // their encoded record bytes
-    bool dup = false;        // a dup_every copy: owns no outbox frames
-  };
-
   struct WorkerLink {
     std::uint16_t port = 0;
     Conn conn;
     FailureDetector detector;
     std::uint32_t attempt = 0;           // reconnect backoff exponent
-    // Frames routed here and not yet acknowledged, in seq order.  The first
-    // `sent` are on the wire, in the batches of `window`.
-    std::deque<FrameRecord> outbox;
-    std::size_t sent = 0;
-    std::size_t unsent_bytes = 0;        // record bytes of outbox[sent..]
-    std::deque<InFlight> window;         // oldest first
-    std::uint64_t replies = 0;           // received on the current connection
+    std::deque<FrameRecord> outbox;      // routed here, not yet acked
+    std::size_t outbox_bytes = 0;        // their encoded record bytes
     std::uint64_t incarnation = 0;       // the worker's, at the last HELLO
     std::uint64_t hb_nonce = 0;
   };
@@ -257,37 +239,27 @@ class FrontTier {
   std::size_t slot_of_frame(const std::uint8_t* data, std::size_t len);
   void route(FrameRecord rec);  // outbox only, no resend append
   // Reconnects + HELLOs when the connection is closed.  A worker found to
-  // have restarted (new incarnation) while it still owned slots lost their
-  // state unseen: it is marked dead, and false returned, so the caller's
-  // usual dead-worker path migrates them.
+  // have restarted (new incarnation) while it still owns slots lost their
+  // state unseen: it is marked dead and false returned, every time, until
+  // migrate() has moved those slots away; only then is the new incarnation
+  // adopted.
   bool ensure_connected(WorkerLink& w);
   // Returns the worker's incarnation.
   std::uint64_t hello(WorkerLink& w);
-  // One request/response exchange, after draining the ingest window (so the
-  // next reply is this request's); throws RpcTimeout/RpcError/FramingError.
+  // One request/response exchange; throws RpcTimeout/RpcError.
   Message call(WorkerLink& w, MsgType type,
                const std::vector<std::uint8_t>& payload);
-  Message recv_reply(WorkerLink& w, TimePoint deadline);
-  // Closes the connection; every batch still in flight goes back to unsent,
-  // to be re-sent on the next one.
-  void drop_connection(WorkerLink& w);
+  // One IngestBatch exchange; also throws FramingError on a bad reply.
+  IngestAck ingest(WorkerLink& w, const std::vector<std::uint8_t>& batch);
   void on_rpc_failure(WorkerLink& w, bool timeout);
   void process_ack_frames(const std::vector<std::uint64_t>& seqs,
                           const std::vector<FrameStatus>& statuses);
   void process_egress(std::vector<EgressRecord>&& egress);
-  // The next batch from the outbox's unsent frames: {frames, record bytes}.
+  // The outbox's next batch: {frames, record bytes}.
   std::pair<std::size_t, std::size_t> next_batch(const WorkerLink& w) const;
-  bool has_full_batch(const WorkerLink& w) const;
-  void send_batch(WorkerLink& w);
-  // Reads the oldest in-flight ack (waiting until `deadline`) and retires
-  // its batch.
-  void read_ack(WorkerLink& w, TimePoint deadline);
-  // Moves one worker's outbox through the window, with retry/backoff:
-  // sends full batches while the window has room and reads the oldest ack
-  // when it does not.  With `drain`, also sends the trailing partial batch
-  // and reads every ack, leaving the outbox empty.  Migrates and re-routes
-  // if the worker dies; returns false then.
-  bool pump(std::size_t wi, bool drain);
+  // Drains one worker's outbox (batched, with retry/backoff); migrates and
+  // re-routes if the worker dies.  Returns false if the worker died.
+  bool flush_worker(std::size_t wi);
   void flush_all_outboxes();
   void migrate(std::size_t dead);
   // Installs slot blobs on `target`, retrying through connection failures

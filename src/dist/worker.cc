@@ -56,7 +56,6 @@ void WorkerServer::rebuild_service() {
   pending_seq_.clear();
   out_egress_.clear();
   unconfirmed_.clear();
-  replies_ = 0;
   // Distinct across processes (pid, clock) and across rebuilds in one
   // process (the counter); never 0, which a front reads as "not seen yet".
   static std::atomic<std::uint64_t> rebuilds{0};
@@ -159,33 +158,23 @@ void WorkerServer::serve_loop() {
 
 void WorkerServer::serve_connection(Conn& conn) {
   {
-    // A fresh connection means the previous one died, and the replies no
-    // request confirmed may have died with it: re-queue their egress, oldest
-    // first, so the next ack redelivers it (the front tier dedups whatever
-    // did arrive).  Reply numbering restarts with the connection.
+    // A fresh connection means the previous one died, and its last reply may
+    // have died with it: re-queue that reply's egress so the next ack
+    // redelivers it (the front tier dedups if it did arrive).
     std::lock_guard<std::mutex> lock(mu_);
-    while (!unconfirmed_.empty()) {
-      std::vector<EgressRecord>& held = unconfirmed_.back().egress;
-      stats_.egress_redelivered += held.size();
-      out_egress_.insert(out_egress_.begin(),
-                         std::make_move_iterator(held.begin()),
-                         std::make_move_iterator(held.end()));
-      unconfirmed_.pop_back();
-    }
-    replies_ = 0;
+    stats_.egress_redelivered += unconfirmed_.size();
+    out_egress_.insert(out_egress_.begin(),
+                       std::make_move_iterator(unconfirmed_.begin()),
+                       std::make_move_iterator(unconfirmed_.end()));
+    unconfirmed_.clear();
   }
-  for (;;) {
+  while (!stopping_.load(std::memory_order_acquire)) {
     Message req;
     try {
       // Block until the next request's first bytes arrive, or until stop()
       // or kill() raises the waker.  No timer: an idle worker costs nothing.
-      // Once stopping, answer only the requests already here in full (an
-      // expired deadline makes the read non-blocking), then close: the
-      // front's in-flight batches end answered or unanswered, never torn.
-      const bool stopping = stopping_.load(std::memory_order_acquire) ||
-                            !conn.wait_readable(waker_);
-      req = conn.recv_msg(stopping ? Clock::now()
-                                   : Clock::now() + cfg_.io_timeout);
+      if (!conn.wait_readable(waker_)) return;
+      req = conn.recv_msg(Clock::now() + cfg_.io_timeout);
     } catch (const RpcError&) {
       // Disconnect (or a mid-message stall, which leaves the stream in an
       // undefined position — same remedy): drop the connection and go back
@@ -196,6 +185,9 @@ void WorkerServer::serve_connection(Conn& conn) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.requests;
+      // Lockstep: a new request on this connection proves the previous
+      // reply was received — its egress is now safely the front's problem.
+      unconfirmed_.clear();
     }
     try {
       if (!handle(conn, req)) return;
@@ -213,7 +205,8 @@ bool WorkerServer::handle(Conn& conn, const Message& req) {
       handle_hello(conn, req);
       return true;
     case MsgType::kIngestBatch:
-      return handle_ingest(conn, req);
+      handle_ingest(conn, req);
+      return true;
     case MsgType::kHeartbeat:
       handle_heartbeat(conn, req);
       return true;
@@ -241,7 +234,6 @@ bool WorkerServer::handle(Conn& conn, const Message& req) {
 
 void WorkerServer::reply(Conn& conn, MsgType type,
                          const std::vector<std::uint8_t>& payload) {
-  ++replies_;
   conn.send_msg(type, payload, Clock::now() + cfg_.io_timeout);
 }
 
@@ -278,14 +270,8 @@ std::vector<EgressRecord> WorkerServer::take_egress() {
 }
 
 void WorkerServer::hold(std::vector<EgressRecord>&& egress) {
-  if (egress.empty()) return;
-  // The reply carrying it is the next one reply() numbers.
-  unconfirmed_.push_back(HeldReply{replies_ + 1, std::move(egress)});
-}
-
-void WorkerServer::release_confirmed(std::uint64_t confirmed) {
-  while (!unconfirmed_.empty() && unconfirmed_.front().reply <= confirmed)
-    unconfirmed_.pop_front();
+  // Every request clears unconfirmed_ before its one reply is built.
+  unconfirmed_ = std::move(egress);
 }
 
 void WorkerServer::handle_hello(Conn& conn, const Message& req) {
@@ -314,7 +300,7 @@ void WorkerServer::handle_hello(Conn& conn, const Message& req) {
   reply(conn, MsgType::kHelloAck, encode_hello_ack(ack));
 }
 
-bool WorkerServer::handle_ingest(Conn& conn, const Message& req) {
+void WorkerServer::handle_ingest(Conn& conn, const Message& req) {
   const IngestBatchView batch =
       view_ingest_batch(req.payload.data(), req.payload.size());
   IngestAck ack;
@@ -323,7 +309,6 @@ bool WorkerServer::handle_ingest(Conn& conn, const Message& req) {
   std::vector<std::uint8_t> payload;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    release_confirmed(batch.confirmed);
     for (const FrameView& f : batch.frames) {
       ack.seqs.push_back(f.seq);
       if (f.slot >= applied_seq_.size()) {
@@ -362,19 +347,11 @@ bool WorkerServer::handle_ingest(Conn& conn, const Message& req) {
         ++stats_.frames_rejected;
       }
     }
-    ++ingest_count_;
-    // Chaos knob: the frames above are APPLIED but their ack is never sent —
-    // the front loses it with the connection and must see kDuplicate on the
-    // re-send.
-    if (cfg_.drop_every != 0 && ingest_count_ % cfg_.drop_every == 0)
-      return false;
-    // A stopping worker settles what it applied before it answers, so its
-    // last acks carry all of that egress.
-    if (stopping_.load(std::memory_order_acquire)) svc_->flush();
     harvest_egress();
     ack.egress = take_egress();
     payload = encode_ingest_ack(ack);
     hold(std::move(ack.egress));
+    ++ingest_count_;
   }
   if (cfg_.stall_every != 0 && ingest_count_ % cfg_.stall_every == 0) {
     // Chaos knob: the frames above are APPLIED but the ack is late — the
@@ -383,7 +360,6 @@ bool WorkerServer::handle_ingest(Conn& conn, const Message& req) {
     std::this_thread::sleep_for(cfg_.stall_for);
   }
   reply(conn, MsgType::kIngestAck, payload);
-  return true;
 }
 
 void WorkerServer::handle_heartbeat(Conn& conn, const Message& req) {

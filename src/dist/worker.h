@@ -32,18 +32,17 @@
 //     so a front tier that reconnects (with a fresh HELLO) resumes against
 //     the same state and the same dedup table.
 //   * A reply lost in flight cannot lose egress: the egress a reply carries
-//     stays held until a later IngestBatch confirms that reply (protocol
-//     v3), and a new connection re-queues everything still held.
+//     stays held until the next request on the same connection proves the
+//     reply arrived, and a new connection re-queues it.
 //
 // The serve thread never sleeps to wait: between requests it blocks in
 // poll() on the connection and an eventfd (Waker), and between connections
 // in accept() on the same eventfd; stop() and kill() raise it.
 //
 // kill() simulates a process crash for in-process chaos tests: connections
-// drop (with whatever the front still had in flight unanswered) and ALL
-// service state is discarded (a SIGKILL'd process loses its memory) —
-// recovery must come from the front tier's checkpoint + replay, which is
-// exactly what the chaos suite verifies.
+// drop mid-request and ALL service state is discarded (a SIGKILL'd process
+// loses its memory) — recovery must come from the front tier's checkpoint +
+// replay, which is exactly what the chaos suite verifies.
 #pragma once
 
 #include <atomic>
@@ -79,10 +78,6 @@ struct WorkerConfig {
   // timeout -> retry -> duplicate-ack path deterministically.  0 = off.
   std::uint32_t stall_every = 0;
   Millis stall_for{0};
-  // Chaos knob: apply every Nth ingest request, then close the connection
-  // instead of answering it — the front loses that ack and every later one
-  // in its window, reconnects, and re-sends them all.  0 = off.
-  std::uint32_t drop_every = 0;
 };
 
 struct WorkerStats {
@@ -91,8 +86,8 @@ struct WorkerStats {
   std::uint64_t frames_duplicate = 0;  // deduped by the per-slot seq guard
   std::uint64_t frames_rejected = 0;   // parse rejections (typed, counted)
   std::uint64_t egress_returned = 0;
-  // Egress re-queued by a new connection because no request had confirmed
-  // the reply that carried it; the front drops the ones that did arrive.
+  // Egress re-queued by a new connection because no request had proved
+  // that the reply carrying it arrived; the front drops the ones that did.
   std::uint64_t egress_redelivered = 0;
   std::uint64_t restores = 0;          // slots installed via RestoreReq
   std::uint64_t restore_rejects = 0;   // corrupt payloads refused
@@ -116,15 +111,15 @@ class WorkerServer {
   // failure.
   void start();
 
-  // Graceful shutdown: wakes the serve thread, which answers the requests
-  // it has already received in full (settling the service first) and
-  // exits; then stops the service and joins.  Idempotent.
+  // Graceful shutdown: wakes the serve thread, which exits after the
+  // request it is handling, if any; then stops the service and joins.
+  // Idempotent.
   void stop();
 
-  // Crash simulation: the serve thread winds down as in stop(), then the
-  // connection drops and ALL service state is DISCARDED (fresh slots,
-  // zeroed dedup table), as a killed process would lose it.  The listener
-  // stays closed until restart().
+  // Crash simulation: the serve thread exits as in stop(), the connection
+  // drops with no further answer, and ALL service state is DISCARDED (fresh
+  // slots, zeroed dedup table, unreturned egress), as a killed process would
+  // lose it.  The listener stays closed until restart().
   void kill();
 
   // Brings a killed worker back on the same port with fresh state — the
@@ -144,8 +139,6 @@ class WorkerServer {
   void serve_connection(Conn& conn);
   // Handles one request; returns false when the connection should close.
   bool handle(Conn& conn, const Message& req);
-  // Every message to the front goes through here: it numbers the replies
-  // on the connection, the count an IngestBatch confirms.
   void reply(Conn& conn, MsgType type,
              const std::vector<std::uint8_t>& payload);
   void reply_error(Conn& conn, const std::string& what);
@@ -155,14 +148,11 @@ class WorkerServer {
   void harvest_egress();
   // Moves every harvested egress record into a response.
   std::vector<EgressRecord> take_egress();
-  // Takes back the egress of the reply about to be sent (encoded already),
-  // until a request confirms that reply.
+  // Takes back the egress of the reply about to be sent (encoded already)
+  // as unconfirmed_, until the next request proves that reply arrived.
   void hold(std::vector<EgressRecord>&& egress);
-  // Drops held egress of replies 1..confirmed on this connection.
-  void release_confirmed(std::uint64_t confirmed);
 
-  // Returns false when the drop_every knob closes the connection.
-  bool handle_ingest(Conn& conn, const Message& req);
+  void handle_ingest(Conn& conn, const Message& req);
   void handle_snapshot(Conn& conn, const Message& req);
   void handle_restore(Conn& conn, const Message& req);
   void handle_swap(Conn& conn, const Message& req);
@@ -190,20 +180,13 @@ class WorkerServer {
   std::vector<std::uint64_t> applied_seq_;  // per slot, 0 = nothing applied
   std::deque<std::uint64_t> pending_seq_;   // global seqs of accepted frames
   std::deque<EgressRecord> out_egress_;     // harvested, not yet returned
-  // Egress sent in replies the front has not confirmed yet, tagged with the
-  // reply's number on the connection — the one copy of each record.  Several
-  // requests may be in flight, so only an IngestBatch's explicit `confirmed`
-  // count proves a reply arrived (dropped then); a NEW connection instead
-  // means those replies may have died with the old one, so the records
-  // re-queue onto out_egress_.  The front tier's window dedups the ones
-  // that did arrive.
-  struct HeldReply {
-    std::uint64_t reply = 0;
-    std::vector<EgressRecord> egress;
-  };
-  std::deque<HeldReply> unconfirmed_;
-  // Replies sent on the current connection (serve thread only).
-  std::uint64_t replies_ = 0;
+  // Egress included in the most recent reply — the one copy of each record,
+  // moved here once the reply is encoded.  Request/response lockstep means
+  // the next request on the same connection proves the reply arrived
+  // (confirmed -> dropped); a NEW connection instead means the reply may
+  // have died with the old one, so these re-queue onto out_egress_.  The
+  // front tier's window dedups the case where the reply did arrive.
+  std::vector<EgressRecord> unconfirmed_;
   WorkerStats stats_;
   std::uint64_t conns_seen_ = 0;
   std::uint32_t ingest_count_ = 0;          // for the stall_every knob

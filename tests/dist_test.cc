@@ -62,7 +62,6 @@ TEST(DistFramingTest, HelloRoundTrips) {
 
 TEST(DistFramingTest, IngestBatchAndAckRoundTrip) {
   dist::IngestBatch b;
-  b.confirmed = 0x0102030405060708ull;  // v3: every byte of it must survive
   for (std::uint64_t i = 1; i <= 3; ++i) {
     dist::FrameRecord f;
     f.seq = i;
@@ -72,7 +71,6 @@ TEST(DistFramingTest, IngestBatchAndAckRoundTrip) {
   }
   const auto eb = dist::encode_ingest_batch(b);
   const dist::IngestBatch bb = dist::decode_ingest_batch(eb.data(), eb.size());
-  EXPECT_EQ(bb.confirmed, b.confirmed);
   ASSERT_EQ(bb.frames.size(), 3u);
   EXPECT_EQ(bb.frames[2].seq, 3u);
   EXPECT_EQ(bb.frames[2].bytes, (std::vector<std::uint8_t>{3, 0xAB}));
@@ -102,11 +100,9 @@ TEST(DistFramingTest, TruncatedAndTrailingBytesThrow) {
   EXPECT_THROW(dist::decode_hello(trailing.data(), trailing.size()),
                FramingError);
 
-  // The v3 fields: an IngestBatch cut anywhere — inside `confirmed`
-  // included — or with a byte too many throws, through both decoders; so
-  // does a HelloAck cut inside its incarnation.
+  // An IngestBatch cut anywhere or with a byte too many throws, through
+  // both decoders; so does a HelloAck cut inside its incarnation (v3).
   dist::IngestBatch b;
-  b.confirmed = 42;
   b.frames.push_back({7, 1, {0xAA, 0xBB}});
   const auto batch = dist::encode_ingest_batch(b);
   for (std::size_t cut = 0; cut < batch.size(); ++cut) {
@@ -140,17 +136,15 @@ TEST(DistFramingTest, InPlaceBatchCodecsMatchTheStructCodec) {
                       std::vector<std::uint8_t>(i, fill)});
   }
   dist::IngestBatch b;
-  b.confirmed = 17;
   b.frames.assign(outbox.begin() + 1, outbox.begin() + 4);
   const auto from_struct = dist::encode_ingest_batch(b);
-  EXPECT_EQ(dist::encode_ingest_batch(17, outbox, 1, 3), from_struct);
+  EXPECT_EQ(dist::encode_ingest_batch(outbox, 1, 3), from_struct);
   EXPECT_EQ(from_struct.size(),
             dist::kIngestHeadBytes + dist::ingest_record_bytes(2) +
                 dist::ingest_record_bytes(3) + dist::ingest_record_bytes(4));
 
   const dist::IngestBatchView view =
       dist::view_ingest_batch(from_struct.data(), from_struct.size());
-  EXPECT_EQ(view.confirmed, 17u);
   ASSERT_EQ(view.frames.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
     const dist::FrameRecord& want = b.frames[i];
@@ -162,13 +156,17 @@ TEST(DistFramingTest, InPlaceBatchCodecsMatchTheStructCodec) {
               want.bytes);
   }
 
-  // A frame count the payload cannot hold is refused before any reserve.
+  // A frame count the payload cannot hold is refused before any reserve:
+  // this one is under the count bound, and the payload holds no record.
   std::vector<std::uint8_t> liar;
   dist::Writer w(liar);
-  w.u64(0);
-  w.u32(0xFFFFFFFFu);
-  EXPECT_THROW(dist::view_ingest_batch(liar.data(), liar.size()),
-               FramingError);
+  w.u32(1u << 20);
+  try {
+    dist::view_ingest_batch(liar.data(), liar.size());
+    ADD_FAILURE() << "a lying frame count was accepted";
+  } catch (const FramingError& e) {
+    EXPECT_EQ(std::string(e.what()), "frame count exceeds payload");
+  }
 }
 
 // A checkpoint reply serialized straight from live stores is the same bytes
@@ -570,6 +568,64 @@ TEST(DistClusterTest, KillWithoutAnyCheckpointReplaysFromScratch) {
   ASSERT_EQ(got.size(), expected.size());
   for (std::size_t i = 0; i < got.size(); ++i)
     ASSERT_EQ(got[i], expected[i]) << "frame " << i;
+}
+
+// A worker killed and restarted while idle answers on its port again, with
+// none of the state of the slots it still owns.  Whichever RPC first finds
+// the new incarnation, no later reconnect may take it for the worker that
+// held those slots: they must migrate before it carries traffic again.
+// Here heartbeats find the restart, and readmit() follows.
+TEST(DistClusterTest, RestartFoundByHeartbeatMigratesBeforeReadmit) {
+  Cluster c(2);
+  const auto frames = c.make_frames(600, 71);
+  const auto expected = c.sequential_reference(frames);
+  for (std::size_t i = 0; i < 300; ++i) {
+    if (i == 150) c.front->checkpoint();
+    c.front->offer(frames[i]);
+  }
+  c.front->flush();
+  c.workers[1]->kill();
+  c.workers[1]->restart();
+  // The first heartbeat fails on the old socket; the next one reconnects
+  // and reads the new incarnation.
+  for (int i = 0;
+       i < 4 && c.front->worker_view(1).health != HealthState::kDead; ++i)
+    c.front->heartbeat();
+  ASSERT_EQ(c.front->worker_view(1).health, HealthState::kDead);
+  ASSERT_GT(c.front->worker_view(1).slots_owned, 0u);
+
+  ASSERT_TRUE(c.front->readmit(1));
+  EXPECT_EQ(c.front->worker_view(1).slots_owned, 0u);
+  for (std::size_t i = 300; i < frames.size(); ++i) c.front->offer(frames[i]);
+  c.front->flush();
+  const auto got = c.front->drain_egress();
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < got.size(); ++i)
+    ASSERT_EQ(got[i], expected[i]) << "frame " << i;
+  EXPECT_EQ(c.front->stats().migrations, 1u);
+}
+
+// The same restart, found by swap_engine()'s retries instead: the swap
+// gives up on the worker, and its slots migrate on the next flush.
+TEST(DistClusterTest, RestartFoundBySwapEngineMigratesItsSlots) {
+  Cluster c(2);
+  const auto frames = c.make_frames(600, 73);
+  const auto expected = c.sequential_reference(frames);
+  for (std::size_t i = 0; i < 300; ++i) c.front->offer(frames[i]);
+  c.front->flush();
+  c.workers[1]->kill();
+  c.workers[1]->restart();
+  c.front->swap_engine(static_cast<std::uint8_t>(banzai::ExecEngine::kKernel));
+  EXPECT_EQ(c.front->worker_view(1).health, HealthState::kDead);
+
+  for (std::size_t i = 300; i < frames.size(); ++i) c.front->offer(frames[i]);
+  c.front->flush();
+  const auto got = c.front->drain_egress();
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < got.size(); ++i)
+    ASSERT_EQ(got[i], expected[i]) << "frame " << i;
+  EXPECT_EQ(c.front->stats().migrations, 1u);
+  EXPECT_EQ(c.front->worker_view(1).slots_owned, 0u);
 }
 
 // ---- the corrupt-restore guard (raw protocol) ------------------------------
