@@ -2,7 +2,12 @@
 // (a) be a valid Domino program,
 // (b) map to exactly the paper's least expressive atom,
 // (c) stay within sane LOC bounds relative to the paper's counts.
+// It also pins every synthesis result of the corpus in a golden ledger.
 #include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
 
 #include "core/compiler.h"
 #include "test_util.h"
@@ -88,6 +93,76 @@ TEST(CorpusGlobalTest, CodelCompilesOnlyOnLutTarget) {
   const auto& codel = algorithms::algorithm("codel");
   EXPECT_FALSE(test_util::least_target(codel.source).has_value());
   EXPECT_NO_THROW(domino::compile(codel.source, atoms::lut_extended_target()));
+}
+
+// ---- the synthesis ledger -------------------------------------------------
+//
+// Every corpus() and rank_corpus() program compiled on each paper target and
+// on banzai-pairs-lut: the accept/reject outcome (with the CompileError text)
+// and, for each stateful codelet of an accepted compile, the configuration
+// and the search's own counts.  A change to the synthesis search that claims
+// to visit the same candidates in the same order must leave it unchanged.
+// To regenerate after an intended change, run the test with
+// DOMINO_UPDATE_GOLDEN=1 and review the diff.
+
+std::string one_line(std::string s) {
+  for (char& c : s)
+    if (c == '\n') c = ' ';
+  return s;
+}
+
+std::string synthesis_ledger() {
+  std::vector<const algorithms::AlgorithmInfo*> programs;
+  for (const auto& a : algorithms::corpus()) programs.push_back(&a);
+  for (const auto& a : algorithms::rank_corpus()) programs.push_back(&a);
+  std::vector<atoms::BanzaiTarget> targets = atoms::paper_targets();
+  targets.push_back(atoms::lut_extended_target());
+
+  std::ostringstream os;
+  for (const auto* a : programs) {
+    for (const auto& t : targets) {
+      os << a->name << ' ' << t.name;
+      try {
+        const auto r = domino::compile(a->source, t);
+        os << " accept\n";
+        for (const auto& rep : r.codegen.reports) {
+          if (!rep.stateful) continue;
+          const auto& st = rep.synth_stats;
+          os << "  stage " << rep.stage << ": " << one_line(rep.config)
+             << " | candidates " << st.candidates_tried << " iterations "
+             << st.cegis_iterations << " predicates " << st.unique_predicates
+             << '\n';
+        }
+      } catch (const domino::CompileError& e) {
+        os << " reject: " << one_line(e.what()) << '\n';
+      }
+    }
+  }
+  return os.str();
+}
+
+TEST(SynthesisLedgerTest, CorpusSynthesisMatchesGolden) {
+  const std::string path =
+      std::string(DOMINO_TESTS_DIR) + "/golden/synthesis_ledger.txt";
+  const std::string got = synthesis_ledger();
+  if (std::getenv("DOMINO_UPDATE_GOLDEN")) {
+    std::ofstream(path) << got;
+    GTEST_SKIP() << "rewrote " << path;
+  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in) << "cannot read " << path;
+  std::stringstream want;
+  want << in.rdbuf();
+
+  std::istringstream g(got), w(want.str());
+  std::string gl, wl;
+  for (int line = 1;; ++line) {
+    const bool more_g = static_cast<bool>(std::getline(g, gl));
+    const bool more_w = static_cast<bool>(std::getline(w, wl));
+    if (!more_g && !more_w) break;
+    ASSERT_EQ(more_g, more_w) << "ledger length differs at line " << line;
+    ASSERT_EQ(gl, wl) << "first difference at line " << line;
+  }
 }
 
 // Semantic spot-checks of individual reference behaviours.

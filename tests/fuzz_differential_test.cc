@@ -194,28 +194,54 @@ TEST_P(FuzzDifferentialTest, PipelineSerializable) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzDifferentialTest,
                          ::testing::Range(0u, 60u));
 
+std::uint64_t fnv1a(const std::string& s, std::uint64_t h) {
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
 // The generator must keep producing both outcomes: mappable programs (or
 // the differential property above is never exercised) and unmappable ones
 // (or all-or-nothing rejection is never exercised).  Runs its own sweep so
 // it holds under per-test process isolation.
+//
+// The sweep also folds the outcome of every target it tries into one FNV-1a
+// digest: the CompileError text of a rejection, or each stateful codelet's
+// configuration and search counts of an acceptance.  A change to the
+// synthesis search that claims to visit the same candidates in the same
+// order must leave the digest unchanged.
 TEST(FuzzGeneratorHealth, GeneratorExercisesBothOutcomes) {
   int compiled = 0, rejected = 0;
+  std::uint64_t digest = 0xcbf29ce484222325ull;
   for (unsigned seed = 0; seed < 60; ++seed) {
     ProgramGen gen(seed);
     const std::string source = gen.generate();
     bool ok = false;
     for (const auto& target : atoms::paper_targets()) {
+      std::ostringstream outcome;
+      outcome << seed << ' ' << target.name;
       try {
-        domino::compile(source, target);
+        const auto r = domino::compile(source, target);
+        for (const auto& rep : r.codegen.reports)
+          if (rep.stateful)
+            outcome << " | " << rep.config << ' '
+                    << rep.synth_stats.candidates_tried << ' '
+                    << rep.synth_stats.cegis_iterations << ' '
+                    << rep.synth_stats.unique_predicates;
         ok = true;
-        break;
-      } catch (const domino::CompileError&) {
+      } catch (const domino::CompileError& e) {
+        outcome << " reject: " << e.what();
       }
+      digest = fnv1a(outcome.str() + "\n", digest);
+      if (ok) break;
     }
     (ok ? compiled : rejected)++;
   }
   EXPECT_GT(compiled, 20);
   EXPECT_GT(rejected, 0);
+  EXPECT_EQ(digest, 0x866d6d9ba377dc29ull) << std::hex << "digest 0x" << digest;
 }
 
 }  // namespace
