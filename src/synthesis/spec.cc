@@ -80,13 +80,15 @@ bool CodeletSpec::has_unmappable_op(std::string* reason,
 void CodeletSpec::eval(util::Span<const Value> states_in,
                        util::Span<const Value> fields,
                        util::Span<Value> states_out,
-                       util::Span<Value> liveouts) const {
+                       util::Span<Value> liveouts, Scratch& scratch) const {
   // Scalar state view: valid because all accesses to an array within one
   // transaction use the same index (enforced by sema).
-  std::vector<Value> state_val(states_in.begin(), states_in.end());
+  std::vector<Value>& state_val = scratch.state_val;
+  state_val.assign(states_in.begin(), states_in.end());
   // Dense field environment indexed by CompiledTac's interned ids; fields the
   // codelet never writes read as zero, like the by-name evaluator.
-  std::vector<Value> env(compiled_.num_fields(), 0);
+  std::vector<Value>& env = scratch.env;
+  env.assign(compiled_.num_fields(), 0);
   for (std::size_t i = 0; i < input_fields_.size(); ++i)
     if (input_index_[i]) env[*input_index_[i]] = fields[i];
 

@@ -53,10 +53,18 @@ class CodeletSpec {
   bool has_unmappable_op(std::string* reason = nullptr,
                          bool allow_lut_intrinsics = false) const;
 
+  // Caller-owned working storage for eval(), so that evaluating many
+  // vectors (the CEGIS loop, verification) allocates nothing per vector.
+  struct Scratch {
+    std::vector<Value> state_val;
+    std::vector<Value> env;
+  };
+
   // Evaluates the codelet.  states_in/states_out are indexed like
   // state_vars(); fields like input_fields(); liveouts like liveout_fields().
   void eval(util::Span<const Value> states_in, util::Span<const Value> fields,
-            util::Span<Value> states_out, util::Span<Value> liveouts) const;
+            util::Span<Value> states_out, util::Span<Value> liveouts,
+            Scratch& scratch) const;
 
  private:
   domino::Codelet codelet_;

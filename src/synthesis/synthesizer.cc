@@ -1,8 +1,10 @@
 #include "synthesis/synthesizer.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
-#include <map>
+#include <cstdint>
+#include <functional>
 #include <optional>
 #include <random>
 #include <set>
@@ -31,7 +33,110 @@ struct SpecOut {
   std::vector<Value> liveouts;
 };
 
-using Subset = std::vector<int>;  // indices into the vector set
+// A set of test vectors is a bitset over the search's vector list: bit v % 64
+// of word v / 64 stands for vector v.  All sets of one CEGIS iteration have
+// the same number of words, and bits at or past the vector count are zero.
+using Word = std::uint64_t;
+
+// True if every vector of S is in `row` (S & ~row is empty).
+bool covers(const Word* row, const Word* S, std::size_t words) {
+  for (std::size_t w = 0; w < words; ++w)
+    if (S[w] & ~row[w]) return false;
+  return true;
+}
+
+// Splits S by a predicate's truth bitset into its true and false parts.
+void split(const Word* S, const Word* truth, Word* t, Word* f,
+           std::size_t words) {
+  for (std::size_t w = 0; w < words; ++w) {
+    t[w] = S[w] & truth[w];
+    f[w] = S[w] & ~truth[w];
+  }
+}
+
+// Bit v of `out` is rel(a[v], b[v]) for v < n; later bits are zero.
+template <class Rel>
+void truth_bits(const Value* a, const Value* b, std::size_t n, Word* out,
+                Rel rel) {
+  for (std::size_t w = 0; w * 64 < n; ++w) {
+    const std::size_t end = std::min(n, w * 64 + 64);
+    Word word = 0;
+    for (std::size_t v = w * 64; v < end; ++v)
+      word |= static_cast<Word>(rel(a[v], b[v])) << (v % 64);
+    out[w] = word;
+  }
+}
+
+void truth_bits(RelKind rel, const Value* a, const Value* b, std::size_t n,
+                Word* out) {
+  switch (rel) {
+    case RelKind::kLt: return truth_bits(a, b, n, out, std::less<Value>());
+    case RelKind::kLe: return truth_bits(a, b, n, out, std::less_equal<Value>());
+    case RelKind::kGt: return truth_bits(a, b, n, out, std::greater<Value>());
+    case RelKind::kGe:
+      return truth_bits(a, b, n, out, std::greater_equal<Value>());
+    case RelKind::kEq: return truth_bits(a, b, n, out, std::equal_to<Value>());
+    case RelKind::kNe:
+      return truth_bits(a, b, n, out, std::not_equal_to<Value>());
+    case RelKind::kAlways: break;
+  }
+}
+
+// An open-addressing hash set of equal-width bitsets.  Keys are stored back
+// to back in insertion order, so an entry's id is its insertion index.
+class BitsetSet {
+ public:
+  // Empties the set and sets the key width; keeps the slot table's size.
+  void reset(std::size_t words) {
+    words_ = words;
+    keys_.clear();
+    slots_.assign(std::max<std::size_t>(slots_.size(), 64), kEmpty);
+  }
+
+  std::size_t size() const { return keys_.size() / words_; }
+  const Word* key(std::size_t id) const { return &keys_[id * words_]; }
+
+  // Inserts a copy of `key` unless an equal key is present.  Returns the
+  // entry's id and whether it was inserted.
+  std::pair<std::size_t, bool> insert(const Word* key) {
+    if (2 * (size() + 1) > slots_.size()) grow();
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = hash(key) & mask;; i = (i + 1) & mask) {
+      if (slots_[i] == kEmpty) {
+        slots_[i] = static_cast<std::uint32_t>(size());
+        keys_.insert(keys_.end(), key, key + words_);
+        return {slots_[i], true};
+      }
+      if (std::equal(key, key + words_, this->key(slots_[i])))
+        return {slots_[i], false};
+    }
+  }
+
+ private:
+  static constexpr std::uint32_t kEmpty = UINT32_MAX;
+
+  std::size_t hash(const Word* key) const {
+    Word h = 0;
+    for (std::size_t w = 0; w < words_; ++w)
+      h = (h ^ key[w]) * 0x9e3779b97f4a7c15ull;
+    h ^= h >> 31;  // the mask keeps low bits; fold the high ones in
+    return static_cast<std::size_t>(h ^ (h >> 17));
+  }
+
+  void grow() {
+    slots_.assign(slots_.size() * 2, kEmpty);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t id = 0; id < size(); ++id) {
+      std::size_t i = hash(key(id)) & mask;
+      while (slots_[i] != kEmpty) i = (i + 1) & mask;
+      slots_[i] = static_cast<std::uint32_t>(id);
+    }
+  }
+
+  std::size_t words_ = 1;
+  std::vector<Word> keys_;
+  std::vector<std::uint32_t> slots_;
+};
 
 class Search {
  public:
@@ -65,7 +170,11 @@ class Search {
     }
 
     build_constant_pools();
+    build_arm_candidates();
     build_initial_vectors();
+    check_.states.assign(spec_.num_states(), 0);
+    check_.liveouts.assign(spec_.liveout_fields().size(), 0);
+    got_.assign(spec_.num_states(), 0);
 
     for (int iter = 0; iter < opts_.max_cegis_iters; ++iter) {
       stats_.cegis_iterations = iter + 1;
@@ -175,17 +284,44 @@ class Search {
     return i < v.states.size() ? v.states[i] : v.fields[i - v.states.size()];
   }
 
+  // Brings outs_, keeps_, all_ and every built fit row up to date with
+  // vectors_, which only grows, and clears the arm memo.
   void evaluate_spec() {
-    outs_.clear();
-    outs_.reserve(vectors_.size());
-    for (const Vec& v : vectors_) {
+    const std::size_t nv = vectors_.size();
+    const std::size_t words = (nv + 63) / 64;
+    if (words != words_) widen(words);
+    for (std::size_t vi = outs_.size(); vi < nv; ++vi) {
+      const Vec& v = vectors_[vi];
       SpecOut o;
       o.states.assign(spec_.num_states(), 0);
       o.liveouts.assign(spec_.liveout_fields().size(), 0);
-      spec_.eval(v.states, v.fields, o.states, o.liveouts);
+      spec_.eval(v.states, v.fields, o.states, o.liveouts, spec_scratch_);
+      const Word bit = Word{1} << (vi % 64);
+      if (o.states == v.states) keeps_[vi / 64] |= bit;
       outs_.push_back(std::move(o));
+      for (std::size_t k = 0; k < rows_.size(); ++k) {
+        const std::size_t built = num_rows(k);
+        for (std::size_t c = 0; c < built; ++c)
+          if (arm_matches(arm_cands_[c], k, vi))
+            rows_[k][c * words_ + vi / 64] |= bit;
+      }
     }
-    arm_memo_.clear();
+    all_.assign(words_, ~Word{0});
+    if (nv % 64) all_.back() = (Word{1} << (nv % 64)) - 1;
+    for (auto& m : arm_memo_) m.reset(words_);
+    for (auto& f : arm_found_) f.clear();
+  }
+
+  // Re-lays every bitset that outlives an iteration at `words` words.
+  void widen(std::size_t words) {
+    for (std::size_t k = 0; k < rows_.size(); ++k) {
+      std::vector<Word> wide(num_rows(k) * words, 0);
+      for (std::size_t c = 0; c < num_rows(k); ++c)
+        std::copy_n(&rows_[k][c * words_], words_, &wide[c * words]);
+      rows_[k] = std::move(wide);
+    }
+    keeps_.resize(words, 0);
+    words_ = words;
   }
 
   bool bind_liveouts(std::vector<LiveOutBinding>* bindings) {
@@ -216,11 +352,6 @@ class Search {
 
   // --- Predicate enumeration -----------------------------------------------
 
-  struct PredCand {
-    PredConfig cfg;
-    std::vector<char> truth;  // over all vectors_
-  };
-
   std::vector<OperandSel> pred_operands() const {
     std::vector<OperandSel> ops;
     for (std::size_t k = 0; k < spec_.num_states(); ++k)
@@ -231,21 +362,25 @@ class Search {
     return ops;
   }
 
-  std::vector<PredCand> enumerate_preds() {
-    std::vector<PredCand> cands;
-    std::set<std::vector<char>> seen;
+  // Fills pred_cfgs_ with the predicates whose truth bitsets over vectors_
+  // are distinct, in enumeration order; preds_ holds those bitsets under the
+  // same ids.
+  void enumerate_preds() {
+    const auto ops = pred_operands();
+    const std::size_t nv = vectors_.size();
+    // Each operand's value on every vector, evaluated once.
+    std::vector<Value> cols(ops.size() * nv);
+    for (std::size_t j = 0; j < ops.size(); ++j)
+      for (std::size_t vi = 0; vi < nv; ++vi)
+        cols[j * nv + vi] = ops[j].eval(vectors_[vi].states, vectors_[vi].fields);
 
     // The degenerate predicate first: gives simpler configurations priority
     // and realizes hierarchy containment (e.g. PRAW with pred=true == RAW).
-    {
-      PredCand always;
-      always.cfg.rel = RelKind::kAlways;
-      always.truth.assign(vectors_.size(), 1);
-      seen.insert(always.truth);
-      cands.push_back(std::move(always));
-    }
+    preds_.reset(words_);
+    pred_cfgs_.assign(1, PredConfig{});
+    preds_.insert(all_.data());
 
-    const auto ops = pred_operands();
+    std::vector<Word> truth(words_);
     const RelKind rels[] = {RelKind::kLt, RelKind::kLe, RelKind::kGt,
                             RelKind::kGe, RelKind::kEq, RelKind::kNe};
     for (RelKind rel : rels) {
@@ -257,27 +392,18 @@ class Search {
               ops[ib].kind == OperandSel::Kind::kConst)
             continue;
           ++stats_.candidates_tried;
-          PredCand pc;
-          pc.cfg.rel = rel;
-          pc.cfg.a = ops[ia];
-          pc.cfg.b = ops[ib];
-          pc.truth.resize(vectors_.size());
-          bool all_same = true;
-          for (std::size_t vi = 0; vi < vectors_.size(); ++vi) {
-            pc.truth[vi] = pc.cfg.eval(vectors_[vi].states,
-                                       vectors_[vi].fields)
-                               ? 1
-                               : 0;
-            if (vi > 0 && pc.truth[vi] != pc.truth[0]) all_same = false;
-          }
-          // Constant-truth predicates are subsumed by kAlways / leaf swap.
-          if (all_same && pc.truth[0] == 1) continue;
-          if (seen.insert(pc.truth).second) cands.push_back(std::move(pc));
+          truth_bits(rel, &cols[ia * nv], &cols[ib * nv], nv, truth.data());
+          // A constant-true predicate is a duplicate of kAlways.
+          if (!preds_.insert(truth.data()).second) continue;
+          PredConfig cfg;
+          cfg.rel = rel;
+          cfg.a = ops[ia];
+          cfg.b = ops[ib];
+          pred_cfgs_.push_back(cfg);
         }
       }
     }
-    stats_.unique_predicates = cands.size();
-    return cands;
+    stats_.unique_predicates = pred_cfgs_.size();
   }
 
   // --- Arm synthesis --------------------------------------------------------
@@ -305,163 +431,162 @@ class Search {
            m == ArmMode::kAddSub || m == ArmMode::kLutAdd;
   }
 
-  bool arm_fits(const ArmConfig& arm, std::size_t k, const Subset& S) {
-    for (int vi : S) {
-      const auto ui = static_cast<std::size_t>(vi);
-      const Value got = arm.eval(vectors_[ui].states[k], vectors_[ui].states,
-                                 vectors_[ui].fields);
-      if (got != outs_[ui].states[k]) return false;
-    }
-    return true;
-  }
-
-  std::optional<ArmConfig> find_arm(std::size_t k, const Subset& S) {
-    auto key = std::make_pair(k, S);
-    if (auto it = arm_memo_.find(key); it != arm_memo_.end())
-      return it->second;
-
-    std::optional<ArmConfig> found;
+  // Every update-arm candidate, in search order: mode, then src1, then src2.
+  void build_arm_candidates() {
     const auto ops = arm_operands();
     for (ArmMode mode : tmpl_.allowed_modes) {
       ArmConfig arm;
       arm.mode = mode;
       if (!mode_uses_src1(mode)) {
-        ++stats_.candidates_tried;
-        if (arm_fits(arm, k, S)) {
-          found = arm;
-          break;
-        }
+        arm_cands_.push_back(arm);
         continue;
       }
       for (const auto& s1 : ops) {
         arm.src1 = s1;
         if (!mode_uses_src2(mode)) {
-          ++stats_.candidates_tried;
-          if (arm_fits(arm, k, S)) {
-            found = arm;
-            break;
-          }
+          arm_cands_.push_back(arm);
           continue;
         }
         for (const auto& s2 : ops) {
           arm.src2 = s2;
-          ++stats_.candidates_tried;
-          if (arm_fits(arm, k, S)) {
-            found = arm;
-            break;
-          }
+          arm_cands_.push_back(arm);
         }
-        if (found) break;
       }
-      if (found) break;
     }
-    arm_memo_.emplace(std::move(key), found);
+    rows_.resize(spec_.num_states());
+    arm_memo_.resize(spec_.num_states());
+    arm_found_.resize(spec_.num_states());
+  }
+
+  bool arm_matches(const ArmConfig& arm, std::size_t k, std::size_t vi) const {
+    const Vec& v = vectors_[vi];
+    return arm.eval(v.states[k], v.states, v.fields) == outs_[vi].states[k];
+  }
+
+  std::size_t num_rows(std::size_t k) const {
+    return words_ ? rows_[k].size() / words_ : 0;
+  }
+
+  // Appends the fit row of the next arm candidate for state k: bit v is set
+  // when the candidate yields the spec's next value of state k on vector v.
+  // Rows are built on first visit.  Scans always start at candidate 0, so
+  // the built rows are a prefix of the candidate list.
+  const Word* build_row(std::size_t k) {
+    std::vector<Word>& rows = rows_[k];
+    const ArmConfig& arm = arm_cands_[num_rows(k)];
+    rows.resize(rows.size() + words_, 0);
+    Word* row = &rows[rows.size() - words_];
+    for (std::size_t vi = 0; vi < vectors_.size(); ++vi)
+      if (arm_matches(arm, k, vi)) row[vi / 64] |= Word{1} << (vi % 64);
+    return row;
+  }
+
+  // Index into arm_cands_ of the first arm for state k that fits every
+  // vector of S, or -1.  A scan counts the candidates it visits: index + 1
+  // on a hit, all of them on a miss; a memo hit counts none.
+  int find_arm(std::size_t k, const Word* S) {
+    const auto [id, fresh] = arm_memo_[k].insert(S);
+    if (!fresh) return arm_found_[k][id];
+    int found = -1;
+    const std::size_t built = num_rows(k);
+    const Word* row = rows_[k].data();
+    for (std::size_t c = 0; c < built; ++c, row += words_) {
+      if (covers(row, S, words_)) {
+        found = static_cast<int>(c);
+        break;
+      }
+    }
+    for (std::size_t c = built; found < 0 && c < arm_cands_.size(); ++c)
+      if (covers(build_row(k), S, words_)) found = static_cast<int>(c);
+    stats_.candidates_tried +=
+        found < 0 ? arm_cands_.size() : static_cast<std::size_t>(found) + 1;
+    arm_found_[k].push_back(found);
     return found;
   }
 
-  std::optional<std::vector<ArmConfig>> solve_leaf(const Subset& S) {
-    std::vector<ArmConfig> arms;
-    for (std::size_t k = 0; k < spec_.num_states(); ++k) {
-      auto arm = find_arm(k, S);
-      if (!arm.has_value()) return std::nullopt;
-      arms.push_back(*arm);
-    }
-    return arms;
-  }
+  // One arm candidate index per state variable (templates own at most two).
+  using Leaf = std::array<int, 2>;
 
-  bool spec_keeps_state(const Subset& S) const {
-    for (int vi : S) {
-      const auto ui = static_cast<std::size_t>(vi);
-      for (std::size_t k = 0; k < spec_.num_states(); ++k)
-        if (outs_[ui].states[k] != vectors_[ui].states[k]) return false;
-    }
+  bool solve_leaf(const Word* S, Leaf& leaf) {
+    for (std::size_t k = 0; k < spec_.num_states(); ++k)
+      if ((leaf[k] = find_arm(k, S)) < 0) return false;
     return true;
   }
 
-  static std::pair<Subset, Subset> split(const Subset& S,
-                                         const std::vector<char>& truth) {
-    Subset t, f;
-    for (int vi : S)
-      (truth[static_cast<std::size_t>(vi)] ? t : f).push_back(vi);
-    return {std::move(t), std::move(f)};
+  std::vector<ArmConfig> arms(const Leaf& leaf) const {
+    std::vector<ArmConfig> out;
+    for (std::size_t k = 0; k < spec_.num_states(); ++k)
+      out.push_back(arm_cands_[static_cast<std::size_t>(leaf[k])]);
+    return out;
   }
 
   struct Side {
-    PredConfig pred;
-    std::vector<ArmConfig> leaf_true, leaf_false;
+    std::size_t pred = 0;
+    Leaf leaf_true{}, leaf_false{};
   };
 
-  // Finds (pred, leaf_true, leaf_false) covering subset S, deduplicating
-  // predicates by their truth signature restricted to S.
-  std::optional<Side> solve_side(const Subset& S,
-                                 const std::vector<PredCand>& preds) {
-    std::set<std::vector<char>> seen;
-    for (const auto& pc : preds) {
-      std::vector<char> restricted;
-      restricted.reserve(S.size());
-      for (int vi : S)
-        restricted.push_back(pc.truth[static_cast<std::size_t>(vi)]);
-      if (!seen.insert(restricted).second) continue;
-      auto [st, sf] = split(S, pc.truth);
-      auto lt = solve_leaf(st);
-      if (!lt.has_value()) continue;
-      auto lf = solve_leaf(sf);
-      if (!lf.has_value()) continue;
-      return Side{pc.cfg, std::move(*lt), std::move(*lf)};
+  // Finds (pred, leaf_true, leaf_false) covering S, deduplicating
+  // predicates by their truth restricted to S.
+  bool solve_side(const Word* S, Side& side) {
+    side_seen_.reset(words_);
+    Word* t = side_t_.data();
+    Word* f = side_f_.data();
+    for (std::size_t p = 0; p < pred_cfgs_.size(); ++p) {
+      split(S, preds_.key(p), t, f, words_);
+      if (!side_seen_.insert(t).second) continue;  // t == truth & S
+      if (!solve_leaf(t, side.leaf_true)) continue;
+      if (!solve_leaf(f, side.leaf_false)) continue;
+      side.pred = p;
+      return true;
     }
-    return std::nullopt;
+    return false;
   }
 
   std::optional<StatefulConfig> search_tree() {
     StatefulConfig config;
     config.kind = tmpl_.kind;
 
-    Subset all(vectors_.size());
-    for (std::size_t i = 0; i < vectors_.size(); ++i)
-      all[i] = static_cast<int>(i);
-
+    Leaf lt{}, lf{};
     if (tmpl_.pred_levels == 0) {
-      auto arms = solve_leaf(all);
-      if (!arms.has_value()) return std::nullopt;
-      config.leaves = {std::move(*arms)};
+      if (!solve_leaf(all_.data(), lt)) return std::nullopt;
+      config.leaves = {arms(lt)};
       return config;
     }
 
-    const auto preds = enumerate_preds();
+    enumerate_preds();
+    std::vector<Word> st(words_), sf(words_);
 
     if (tmpl_.pred_levels == 1) {
-      for (const auto& pc : preds) {
-        auto [st, sf] = split(all, pc.truth);
-        auto lt = solve_leaf(st);
-        if (!lt.has_value()) continue;
+      for (std::size_t p = 0; p < pred_cfgs_.size(); ++p) {
+        split(all_.data(), preds_.key(p), st.data(), sf.data(), words_);
+        if (!solve_leaf(st.data(), lt)) continue;
         std::vector<ArmConfig> lf_arms;
         if (tmpl_.false_leaf_keep) {
-          if (!spec_keeps_state(sf)) continue;
+          if (!covers(keeps_.data(), sf.data(), words_)) continue;
           lf_arms.assign(spec_.num_states(), ArmConfig{});
         } else {
-          auto lf = solve_leaf(sf);
-          if (!lf.has_value()) continue;
-          lf_arms = std::move(*lf);
+          if (!solve_leaf(sf.data(), lf)) continue;
+          lf_arms = arms(lf);
         }
-        config.preds = {pc.cfg};
-        config.leaves = {std::move(*lt), std::move(lf_arms)};
+        config.preds = {pred_cfgs_[p]};
+        config.leaves = {arms(lt), std::move(lf_arms)};
         return config;
       }
       return std::nullopt;
     }
 
     // Two predicate levels (Nested / Pairs / LutPairs).
-    for (const auto& pc : preds) {
-      auto [st, sf] = split(all, pc.truth);
-      auto side_t = solve_side(st, preds);
-      if (!side_t.has_value()) continue;
-      auto side_f = solve_side(sf, preds);
-      if (!side_f.has_value()) continue;
-      config.preds = {pc.cfg, side_t->pred, side_f->pred};
-      config.leaves = {std::move(side_t->leaf_true),
-                       std::move(side_t->leaf_false),
-                       std::move(side_f->leaf_true),
-                       std::move(side_f->leaf_false)};
+    side_t_.assign(words_, 0);
+    side_f_.assign(words_, 0);
+    Side side_t, side_f;
+    for (std::size_t p = 0; p < pred_cfgs_.size(); ++p) {
+      split(all_.data(), preds_.key(p), st.data(), sf.data(), words_);
+      if (!solve_side(st.data(), side_t)) continue;
+      if (!solve_side(sf.data(), side_f)) continue;
+      config.preds = {pred_cfgs_[p], pred_cfgs_[side_t.pred],
+                      pred_cfgs_[side_f.pred]};
+      config.leaves = {arms(side_t.leaf_true), arms(side_t.leaf_false),
+                       arms(side_f.leaf_true), arms(side_f.leaf_false)};
       return config;
     }
     return std::nullopt;
@@ -472,12 +597,10 @@ class Search {
   bool check_vector(const StatefulConfig& config,
                     const std::vector<LiveOutBinding>& bindings,
                     const Vec& v) {
-    SpecOut o;
-    o.states.assign(spec_.num_states(), 0);
-    o.liveouts.assign(spec_.liveout_fields().size(), 0);
-    spec_.eval(v.states, v.fields, o.states, o.liveouts);
+    SpecOut& o = check_;
+    spec_.eval(v.states, v.fields, o.states, o.liveouts, spec_scratch_);
 
-    std::vector<Value> got(spec_.num_states(), 0);
+    std::vector<Value>& got = got_;
     config.eval(v.states, v.fields, got);
     for (std::size_t k = 0; k < spec_.num_states(); ++k)
       if (got[k] != o.states[k]) return false;
@@ -560,8 +683,28 @@ class Search {
 
   std::vector<Value> const_pool_;
   std::vector<Vec> vectors_;
-  std::vector<SpecOut> outs_;
-  std::map<std::pair<std::size_t, Subset>, std::optional<ArmConfig>> arm_memo_;
+  std::vector<SpecOut> outs_;  // the spec on each vector
+
+  // Bitsets over vectors_, all words_ wide.
+  std::size_t words_ = 0;
+  std::vector<Word> all_;    // every vector
+  std::vector<Word> keeps_;  // vectors on which the spec changes no state
+
+  std::vector<ArmConfig> arm_cands_;
+  std::vector<std::vector<Word>> rows_;  // per state: the built fit rows
+  // Per state, per CEGIS iteration: the find_arm result of each subset.
+  std::vector<BitsetSet> arm_memo_;
+  std::vector<std::vector<int>> arm_found_;  // by arm_memo_ id
+
+  BitsetSet preds_;  // the truth bitset of each of pred_cfgs_
+  std::vector<PredConfig> pred_cfgs_;
+  BitsetSet side_seen_;
+  std::vector<Word> side_t_, side_f_;
+
+  CodeletSpec::Scratch spec_scratch_;
+  SpecOut check_;
+  std::vector<Value> got_;
+
   std::string unbindable_liveout_;
   SynthStats stats_;
 };
@@ -587,14 +730,21 @@ bool check_equivalent(const CodeletSpec& spec,
   std::uniform_int_distribution<Value> mid(-65536, 65536);
   std::uniform_int_distribution<Value> wide(INT32_MIN, INT32_MAX);
 
+  auto draw = [&]() -> Value {
+    switch (scale(rng)) {
+      case 0: return small(rng);
+      case 1: return mid(rng);
+      default: return wide(rng);
+    }
+  };
+
   std::vector<Value> states(ns), fields(nf), s_out(ns), got(ns);
   std::vector<Value> liveout_vals(spec.liveout_fields().size());
+  CodeletSpec::Scratch scratch;
   for (std::size_t t = 0; t < num_vectors; ++t) {
-    for (auto& s : states)
-      s = scale(rng) == 0 ? small(rng) : (scale(rng) == 1 ? mid(rng) : wide(rng));
-    for (auto& f : fields)
-      f = scale(rng) == 0 ? small(rng) : (scale(rng) == 1 ? mid(rng) : wide(rng));
-    spec.eval(states, fields, s_out, liveout_vals);
+    for (auto& s : states) s = draw();
+    for (auto& f : fields) f = draw();
+    spec.eval(states, fields, s_out, liveout_vals, scratch);
     config.eval(states, fields, got);
     for (std::size_t k = 0; k < ns; ++k) {
       if (got[k] != s_out[k]) {
