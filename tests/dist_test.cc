@@ -531,6 +531,12 @@ TEST(DistClusterTest, WorkerKillMidBurstRecoversViaMigrationAndReplay) {
   for (std::size_t i = 0; i < frames.size(); ++i) {
     if (i == 300) c.front->checkpoint();
     if (i == 450) {
+      // Collect the egress of every frame offered so far, so worker 1's
+      // egress for frames after the checkpoint has surely reached the front
+      // before it dies.  flush() keeps the resend buffers (only checkpoints
+      // trim them), so those frames are still replayed after the kill, and
+      // their egress comes back as duplicates.
+      c.front->flush();
       c.workers[1]->kill();  // SIGKILL stand-in: all state gone
       c.front->evict(1);     // the harness knows; detectors would too, slower
     }

@@ -195,6 +195,7 @@ struct HierarchyCase {
   const char* name;
   const char* src;
   StatefulKind least;
+  int min_cegis_iterations = 1;
 };
 
 class HierarchyContainmentTest
@@ -257,6 +258,7 @@ TEST_P(SoundnessTest, AcceptedConfigsAreEquivalentOnFreshVectors) {
   CodeletSpec spec(c, {});
   SynthResult r = synthesize(spec, tc.least);
   ASSERT_TRUE(r.success) << r.failure_reason;
+  EXPECT_GE(r.stats.cegis_iterations, tc.min_cegis_iterations);
   // Fresh seed never used during search.
   std::string why;
   EXPECT_TRUE(
@@ -283,7 +285,45 @@ INSTANTIATE_TEST_SUITE_P(
                       "  if (x == 0) { x = pkt.now + pkt.len; }\n"
                       "  else if (x > pkt.now) { x = x + pkt.len; }\n"
                       "  else { x = pkt.now + pkt.len; }\n}\n",
-                      StatefulKind::kNested}),
+                      StatefulKind::kNested},
+        // The search keeps its vector sets as bitsets of 64-bit words.  The
+        // initial set holds 1 + n*|base| + 40 vectors, where n counts the
+        // state variables and input fields, and |base| is 13 values plus
+        // up to 3 per distinct constant of the codelet (c-1, c, c+1).  The
+        // next cases sit on both sides of the word boundaries.
+        HierarchyCase{"vectors_63",  // n = 1, |base| = 22
+                      "struct Packet { int a; };\nint x = 0;\n"
+                      "void t(struct Packet pkt) { if (x == 200) { x = 300; } "
+                      "else { x = x + 400; } }\n",
+                      StatefulKind::kIfElseRAW},
+        HierarchyCase{"vectors_64",  // n = 1, |base| = 23
+                      "struct Packet { int a; };\nint x = 0;\n"
+                      "void t(struct Packet pkt) { if (x > 64) { if (x < -50) "
+                      "{ x = x + 65536; } } else { x = 65535; } }\n",
+                      StatefulKind::kNested},
+        HierarchyCase{"vectors_65",  // n = 1, |base| = 24
+                      "struct Packet { int a; };\nint x = 0;\n"
+                      "void t(struct Packet pkt) { if (x > 8) { if (x < -5) "
+                      "{ x = x + 100; } } else { x = -1000; } }\n",
+                      StatefulKind::kNested},
+        HierarchyCase{"vectors_129_pairs",  // n = 4, |base| = 22
+                      "struct Packet { int util; int path; };\n"
+                      "int bu = 0;\nint bp = 0;\n"
+                      "void t(struct Packet pkt) {\n"
+                      "  if (pkt.util < bu) { bu = pkt.util; bp = pkt.path; }\n"
+                      "  else if (pkt.path == bp) { bu = bu + 300; }\n"
+                      "  else { bp = 7000; bu = 9000; }\n}\n",
+                      StatefulKind::kPairs},
+        // n = 3, |base| = 28: 125 vectors to start, and four
+        // counterexamples take the set from two words to three.
+        HierarchyCase{"counterexample_crosses_128",
+                      "struct Packet { int a; int c; };\nint x = 0;\n"
+                      "void t(struct Packet pkt) {\n"
+                      "  if (pkt.c != 0) { if (x < -300) { x = x + pkt.a; }\n"
+                      "                    else { x = -500; } }\n"
+                      "  else { if (x > 2000) { x = x - 500; }\n"
+                      "         else { x = 100000; } }\n}\n",
+                      StatefulKind::kNested, 5}),
     [](const ::testing::TestParamInfo<HierarchyCase>& info) {
       return info.param.name;
     });
