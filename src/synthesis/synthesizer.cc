@@ -10,6 +10,8 @@
 #include <set>
 #include <sstream>
 
+#include "sim/partition.h"
+
 namespace synthesis {
 
 using atoms::ArmConfig;
@@ -71,7 +73,8 @@ void truth_bits(RelKind rel, const Value* a, const Value* b, std::size_t n,
                 Word* out) {
   switch (rel) {
     case RelKind::kLt: return truth_bits(a, b, n, out, std::less<Value>());
-    case RelKind::kLe: return truth_bits(a, b, n, out, std::less_equal<Value>());
+    case RelKind::kLe:
+      return truth_bits(a, b, n, out, std::less_equal<Value>());
     case RelKind::kGt: return truth_bits(a, b, n, out, std::greater<Value>());
     case RelKind::kGe:
       return truth_bits(a, b, n, out, std::greater_equal<Value>());
@@ -117,10 +120,8 @@ class BitsetSet {
 
   std::size_t hash(const Word* key) const {
     Word h = 0;
-    for (std::size_t w = 0; w < words_; ++w)
-      h = (h ^ key[w]) * 0x9e3779b97f4a7c15ull;
-    h ^= h >> 31;  // the mask keeps low bits; fold the high ones in
-    return static_cast<std::size_t>(h ^ (h >> 17));
+    for (std::size_t w = 0; w < words_; ++w) h = netsim::mix64(h ^ key[w]);
+    return static_cast<std::size_t>(h);
   }
 
   void grow() {
@@ -372,7 +373,8 @@ class Search {
     std::vector<Value> cols(ops.size() * nv);
     for (std::size_t j = 0; j < ops.size(); ++j)
       for (std::size_t vi = 0; vi < nv; ++vi)
-        cols[j * nv + vi] = ops[j].eval(vectors_[vi].states, vectors_[vi].fields);
+        cols[j * nv + vi] =
+            ops[j].eval(vectors_[vi].states, vectors_[vi].fields);
 
     // The degenerate predicate first: gives simpler configurations priority
     // and realizes hierarchy containment (e.g. PRAW with pred=true == RAW).
@@ -529,8 +531,8 @@ class Search {
   // predicates by their truth restricted to S.
   bool solve_side(const Word* S, Side& side) {
     side_seen_.reset(words_);
-    Word* t = side_t_.data();
-    Word* f = side_f_.data();
+    Word* t = split_t_.data();
+    Word* f = split_f_.data();
     for (std::size_t p = 0; p < pred_cfgs_.size(); ++p) {
       split(S, preds_.key(p), t, f, words_);
       if (!side_seen_.insert(t).second) continue;  // t == truth & S
@@ -576,8 +578,8 @@ class Search {
     }
 
     // Two predicate levels (Nested / Pairs / LutPairs).
-    side_t_.assign(words_, 0);
-    side_f_.assign(words_, 0);
+    split_t_.assign(words_, 0);
+    split_f_.assign(words_, 0);
     Side side_t, side_f;
     for (std::size_t p = 0; p < pred_cfgs_.size(); ++p) {
       split(all_.data(), preds_.key(p), st.data(), sf.data(), words_);
@@ -699,7 +701,7 @@ class Search {
   BitsetSet preds_;  // the truth bitset of each of pred_cfgs_
   std::vector<PredConfig> pred_cfgs_;
   BitsetSet side_seen_;
-  std::vector<Word> side_t_, side_f_;
+  std::vector<Word> split_t_, split_f_;
 
   CodeletSpec::Scratch spec_scratch_;
   SpecOut check_;

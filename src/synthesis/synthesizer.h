@@ -10,6 +10,11 @@
 //   2. Enumerate predicate holes, deduplicated by their truth vector on V,
 //      and update-arm holes per decision-tree leaf, memoized per vector
 //      subset; assemble a candidate configuration consistent with V.
+//      Subsets of V are bitsets (a predicate splits one with AND and
+//      AND-NOT).  Each update arm has, per state variable, a fit row: the
+//      bitset of vectors on which it yields the spec's next value, built
+//      when a scan first reaches the arm and extended by one bit per
+//      counterexample.  An arm fits a subset when its row covers it.
 //   3. Verify the candidate against a bounded oracle (an exhaustive small
 //      domain plus thousands of seeded random 32-bit vectors).  A mismatch
 //      becomes a counterexample added to V, and the search repeats.

@@ -241,7 +241,8 @@ TEST(FuzzGeneratorHealth, GeneratorExercisesBothOutcomes) {
   }
   EXPECT_GT(compiled, 20);
   EXPECT_GT(rejected, 0);
-  EXPECT_EQ(digest, 0x866d6d9ba377dc29ull) << std::hex << "digest 0x" << digest;
+  EXPECT_EQ(digest, 0x866d6d9ba377dc29ull)
+      << std::hex << "digest 0x" << digest;
 }
 
 }  // namespace
