@@ -24,9 +24,9 @@ namespace {
 
 domino::CompileResult compile_alg(const std::string& name,
                                   const std::string& target) {
-  // Request the native engine so the machine carries all three paths; the
+  // Request the native engine so the machine carries both paths; the
   // set_engine call in each benchmark picks the one under test.  Falls back
-  // (closure/kernel only) when the host has no toolchain.
+  // (kernel only) when the host has no toolchain.
   domino::CompileOptions opts;
   opts.engine = banzai::ExecEngine::kNative;
   return domino::compile(algorithms::algorithm(name).source,
@@ -183,17 +183,15 @@ void BM_Compile(benchmark::State& state, const std::string& name,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Engine triples on the same compiled machines: the closure path
-  // (reference semantics), the fused micro-op kernel VM (banzai/kernel.h),
-  // and the AOT-compiled native function (banzai/native.h).  Acceptance
-  // bars: kernel >= 2x closure, native >= kernel, median packets/sec —
-  // measured numbers are recorded in EXPERIMENTS.md.
+  // Engine pairs on the same compiled machines: the fused micro-op kernel
+  // VM (banzai/kernel.h) and the AOT-compiled native function
+  // (banzai/native.h).  Acceptance bar: native >= kernel, median
+  // packets/sec — measured numbers are recorded in EXPERIMENTS.md.
   struct EngineCase {
     const char* label;
     banzai::ExecEngine engine;
   };
   std::vector<EngineCase> engines = {
-      {"closure", banzai::ExecEngine::kClosure},
       {"kernel", banzai::ExecEngine::kKernel},
   };
   bool have_native = false;
@@ -236,10 +234,8 @@ int main(int argc, char** argv) {
             BM_MachineProcess(s, name, target, ec.engine);
           });
       // One BatchSim row per batch shape: rows (in-place, row-major — what
-      // kAuto dispatches) and — on the compiled engines, where the column
-      // loops exist — columnar (SoA transpose through banzai/column.h).
-      // The closure engine would pay the transpose twice for identical
-      // execution, so it keeps only the rows shape.
+      // kAuto dispatches) and columnar (SoA transpose through
+      // banzai/column.h).
       benchmark::RegisterBenchmark(
           (std::string("BM_BatchSim/") + name + "/" + ec.label + "/rows")
               .c_str(),
@@ -247,14 +243,13 @@ int main(int argc, char** argv) {
             BM_BatchSim(s, name, target, ec.engine,
                         banzai::BatchDispatch::kRows);
           });
-      if (ec.engine != banzai::ExecEngine::kClosure)
-        benchmark::RegisterBenchmark(
-            (std::string("BM_BatchSim/") + name + "/" + ec.label + "/cols")
-                .c_str(),
-            [name, target, ec](benchmark::State& s) {
-              BM_BatchSim(s, name, target, ec.engine,
-                          banzai::BatchDispatch::kColumnar);
-            });
+      benchmark::RegisterBenchmark(
+          (std::string("BM_BatchSim/") + name + "/" + ec.label + "/cols")
+              .c_str(),
+          [name, target, ec](benchmark::State& s) {
+            BM_BatchSim(s, name, target, ec.engine,
+                        banzai::BatchDispatch::kColumnar);
+          });
     }
     benchmark::RegisterBenchmark(
         (std::string("BM_Interpreter/") + name).c_str(),

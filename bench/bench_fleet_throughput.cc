@@ -62,8 +62,8 @@ int main(int argc, char** argv) {
 
   const auto& alg = algorithms::algorithm("flowlets");
   auto target = *atoms::find_target("banzai-praw");
-  // Request all three engines; machines fall back to closure/kernel rows
-  // when the host has no toolchain for the native path.
+  // Request both engines; machines fall back to kernel rows when the host
+  // has no toolchain for the native path.
   domino::CompileOptions copts;
   copts.engine = banzai::ExecEngine::kNative;
   domino::CompileResult compiled = domino::compile(alg.source, target, copts);
@@ -93,28 +93,18 @@ int main(int argc, char** argv) {
                         {"engine", "shards", "pkts/sec", "speedup"});
   bench_util::print_rule(widths);
 
-  // Baseline 1: sequential per-packet engine — closure path (the reference
-  // semantics), the fused micro-op kernel, and the AOT native function on
-  // the same machine.
-  double seq_pps = 0, kernel_seq_pps = 0, native_seq_pps = 0;
-  {
-    banzai::Machine m = compiled.machine().clone();
-    m.set_engine(banzai::ExecEngine::kClosure);
-    auto t0 = std::chrono::steady_clock::now();
-    for (const auto& p : trace) m.process(p);
-    seq_pps = static_cast<double>(trace.size()) / seconds_since(t0);
-    bench_util::print_row(widths, {"Machine::process [closure]", "-",
-                                   bench_util::fmt(seq_pps, 0), "1.00"});
-  }
+  // Baseline 1: sequential per-packet engine — the fused micro-op kernel
+  // (the speedup baseline), and the AOT native function on the same
+  // machine.
+  double seq_pps = 0, native_seq_pps = 0;
   {
     banzai::Machine m = compiled.machine().clone();
     m.set_engine(banzai::ExecEngine::kKernel);
     auto t0 = std::chrono::steady_clock::now();
     for (const auto& p : trace) m.process(p);
-    kernel_seq_pps = static_cast<double>(trace.size()) / seconds_since(t0);
+    seq_pps = static_cast<double>(trace.size()) / seconds_since(t0);
     bench_util::print_row(widths, {"Machine::process [kernel]", "-",
-                                   bench_util::fmt(kernel_seq_pps, 0),
-                                   bench_util::fmt(kernel_seq_pps / seq_pps, 2)});
+                                   bench_util::fmt(seq_pps, 0), "1.00"});
   }
   if (have_native) {
     banzai::Machine m = compiled.machine().clone();
@@ -141,15 +131,14 @@ int main(int argc, char** argv) {
                            bench_util::fmt(pps / seq_pps, 2)});
   }
 
-  // The engine under test: batched shards on worker threads — closure,
-  // fused kernel and AOT native on identical fleets.
+  // The engine under test: batched shards on worker threads — fused kernel
+  // and AOT native on identical fleets.
   double one_shard_pps = 0, four_shard_pps = 0;
   struct EngineCase {
     const char* label;
     banzai::ExecEngine engine;
   };
   std::vector<EngineCase> engines = {
-      {"Fleet [closure]", banzai::ExecEngine::kClosure},
       {"Fleet [kernel]", banzai::ExecEngine::kKernel},
   };
   if (have_native)
@@ -182,16 +171,15 @@ int main(int argc, char** argv) {
   }
   bench_util::print_rule(widths);
 
-  std::printf("\nkernel vs closure, sequential per-packet: %.2fx\n",
-              kernel_seq_pps / seq_pps);
+  std::printf("\n");
   if (have_native)
     std::printf("native vs kernel, sequential per-packet: %.2fx\n",
-                native_seq_pps / kernel_seq_pps);
+                native_seq_pps / seq_pps);
   std::printf("4-shard vs 1-shard aggregate (kernel): %.2fx\n",
               four_shard_pps / one_shard_pps);
   // Engine-matched ratio: kernel fleet over kernel sequential, so this
   // isolates the batching/partitioning effect from the engine speedup.
   std::printf("1-shard batched vs sequential per-packet (both kernel): %.2fx\n",
-              one_shard_pps / kernel_seq_pps);
+              one_shard_pps / seq_pps);
   return 0;
 }

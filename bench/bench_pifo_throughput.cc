@@ -12,9 +12,9 @@
 // arrival, so the deltas separate data-structure cost from machine cost.
 //
 // Part 2 isolates the rank machines: ranks/sec of each rank_corpus() program
-// on each execution engine (closure walk, kernel VM, native AOT when the
-// host toolchain allows — otherwise the native row reports the kernel
-// fallback, which is what a PifoQueue on that host would actually run).
+// on each execution engine (kernel VM, native AOT when the host toolchain
+// allows — otherwise the native column reports the kernel fallback, which is
+// what a PifoQueue on that host would actually run).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -129,16 +129,15 @@ int main(int argc, char** argv) {
   bench_util::print_rule(w);
 
   bench_util::header("Rank-machine overhead per engine (ranks/sec)");
-  const std::vector<int> w2 = {14, 14, 14, 14};
+  const std::vector<int> w2 = {14, 14, 14};
   bench_util::print_rule(w2);
-  bench_util::print_row(w2, {"program", "closure", "kernel", "native"});
+  bench_util::print_row(w2, {"program", "kernel", "native"});
   bench_util::print_rule(w2);
   const long rank_calls = std::max(10000L, requested);
   for (const auto& alg : algorithms::rank_corpus()) {
     std::vector<std::string> cells = {alg.name};
     for (const auto engine :
-         {banzai::ExecEngine::kClosure, banzai::ExecEngine::kKernel,
-          banzai::ExecEngine::kNative}) {
+         {banzai::ExecEngine::kKernel, banzai::ExecEngine::kNative}) {
       netsim::RankMachine rm = netsim::compile_rank_machine(alg.name, engine);
       const auto t0 = std::chrono::steady_clock::now();
       banzai::Value sink = 0;

@@ -213,20 +213,13 @@ int main(int argc, char** argv) {
     std::printf("\n--- SSA ---\n%s", compiled->normalized.ssa.str().c_str());
     std::printf("\n--- three-address code ---\n%s",
                 compiled->normalized.tac.str().c_str());
-    if (compiled->machine().kernel() != nullptr)
-      std::printf("\n--- micro-op kernel ---\n%s",
-                  compiled->machine().kernel()->str().c_str());
+    std::printf("\n--- micro-op kernel ---\n%s",
+                compiled->machine().require_kernel().str().c_str());
   }
-  if (emit_cc) {
-    const auto* kernel = compiled->machine().kernel();
-    if (kernel == nullptr) {
-      std::fprintf(stderr,
-                   "--emit-cc: this machine carries no lowered micro-op "
-                   "program (closure-only)\n");
-      return 1;
-    }
-    std::printf("\n%s", domino::emit_native_cc(*kernel).c_str());
-  }
+  if (emit_cc)
+    std::printf("\n%s",
+                domino::emit_native_cc(compiled->machine().require_kernel())
+                    .c_str());
   if (dot) {
     std::printf("\n%s", domino::dep_graph_dot(compiled->normalized.tac).c_str());
     std::printf("\n%s",

@@ -7,7 +7,8 @@
 // The same configuration object is used three ways:
 //   1. during synthesis, to test a candidate against the codelet spec,
 //   2. during final verification, on a much larger input sample,
-//   3. at "run time", wrapped into a banzai::ConfiguredAtom closure.
+//   3. at code generation, lowered into one fused banzai::StatefulOp of the
+//      machine's CompiledPipeline (core/codegen.cc, banzai/kernel.h).
 #pragma once
 
 #include <array>

@@ -1,13 +1,13 @@
 // Batched Banzai execution: the throughput engine.
 //
 // PipelineSim is the cycle-accurate reference — one packet per stage slot,
-// one clock per tick — and pays a packet allocation per stage hand-off.
-// BatchSim advances a whole batch of packets through each stage before moving
-// to the next ("stage-major" order): the stage's atom closures and the state
-// they touch stay hot in cache across the batch, per-packet atom dispatch is
-// amortized through ConfiguredAtom::exec_batch, and on the compiled engines
-// the whole batch runs in place — leaving one allocation per packet (the
-// retained egress copy) instead of one per packet per stage.
+// one clock per tick.  BatchSim hands a whole batch of packets to the
+// machine at once, and the compiled pipeline advances it through each stage
+// before moving to the next ("stage-major" order, op-major within a stage):
+// each op's configuration and the state it touches stay hot in cache across
+// the batch, per-op dispatch is paid once per batch, and the whole batch
+// runs in place — leaving one allocation per packet (the retained egress
+// copy).
 //
 // Stage-major order is observationally identical to packet-major order
 // because every state variable is local to exactly one atom in one stage
@@ -115,21 +115,15 @@ class BatchSim {
   void run_batch(std::size_t start, std::size_t n) {
     Packet* slice = &ingress_[start];
     if (use_columns()) {
-      const CompiledPipeline* k = machine_.kernel();
-      if (k != nullptr) {
-        // Liveness-guided transpose: populate only the columns the program
-        // reads before writing, copy back only the columns it stores to.
-        // Every other field passes through untouched in the row packets.
-        const auto& in = k->live_in_fields();
-        const auto& out = k->written_fields();
-        cols_.gather_fields(slice, n, k->num_fields(), in.data(), in.size());
-        machine_.run_batch(BatchView::columns(cols_));
-        cols_.scatter_fields(slice, out.data(), out.size());
-      } else {
-        cols_.gather(slice, n, machine_.fields().size());
-        machine_.run_batch(BatchView::columns(cols_));
-        cols_.scatter(slice);
-      }
+      // Liveness-guided transpose: populate only the columns the program
+      // reads before writing, copy back only the columns it stores to.
+      // Every other field passes through untouched in the row packets.
+      const CompiledPipeline& k = machine_.require_kernel();
+      const auto& in = k.live_in_fields();
+      const auto& out = k.written_fields();
+      cols_.gather_fields(slice, n, k.num_fields(), in.data(), in.size());
+      machine_.run_batch(BatchView::columns(cols_));
+      cols_.scatter_fields(slice, out.data(), out.size());
       ++stats_.columnar_batches;
     } else {
       machine_.run_batch(BatchView::rows(slice, n));

@@ -156,8 +156,8 @@ class ColumnBatch {
 // The typed batch currency of Machine::run_batch: a borrowed view of either
 // row-major packets (processed in place) or a column-major ColumnBatch.
 // Replaces the old bool-returning Machine::run_compiled_batch success
-// protocol — every engine, closures included, executes behind the one entry
-// point, and the caller picks the storage shape, not the engine.
+// protocol — both engines execute behind the one entry point, and the
+// caller picks the storage shape, not the engine.
 class BatchView {
  public:
   static BatchView rows(Packet* pkts, std::size_t n) {

@@ -319,12 +319,13 @@ void CompiledPipeline::compute_liveness() {
   }
 }
 
-// In-place execution is only equivalent to the closure engine's
-// copy-in/copy-out stage semantics when, within each stage, (a) no two ops
-// write the same field and (b) no op reads a field an earlier op of the same
-// stage writes.  The pipeliner guarantees both (same-stage codelets are
-// mutually independent with disjoint outputs); this check turns a violated
-// assumption into a loud compile-time failure instead of silent divergence.
+// In-place execution is only equivalent to Banzai's copy-in/copy-out stage
+// semantics (every atom reads the stage-entry packet) when, within each
+// stage, (a) no two ops write the same field and (b) no op reads a field an
+// earlier op of the same stage writes.  The pipeliner guarantees both
+// (same-stage codelets are mutually independent with disjoint outputs); this
+// check turns a violated assumption into a loud compile-time failure instead
+// of silent divergence.
 void CompiledPipeline::verify_in_place_safe() const {
   auto op_reads = [&](const MicroOp& op, std::vector<std::uint32_t>& out) {
     out.clear();

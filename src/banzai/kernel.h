@@ -1,43 +1,39 @@
 // Fused stage kernels: a compiled Banzai pipeline as one flat micro-op
-// program.
+// program — the single artifact a Machine executes.
 //
-// The closure engine (banzai/atom.h + core/codegen.cc) executes each atom as
-// a std::function over heap-allocated configuration objects: per packet it
-// pays indirect dispatch per atom, by-name StateStore lookups, a scratch
-// vector for the stateful input-field gather, and a full packet copy per
-// stage.  CompiledPipeline removes all of that ahead of time.  The lowering
-// pass in core/codegen.cc flattens every stage's atoms — stateless ALU
-// statements, the synthesized stateful templates of §5.2 (predicates plus
-// update arms, including the §5.3 LUT extension), and intrinsics — into one
-// contiguous MicroOp array in which packet fields are dense FieldIds, owned
-// state variables are dense slots into a per-program state table, intrinsics
-// and LUTs are raw function pointers, and stateful operand selectors address
-// the packet directly (no input-field gather).  A branch-light switch
-// dispatches opcodes; the batch form resolves state variables once per batch
-// and iterates packets innermost, so a stage's whole configuration stays in
-// registers across the batch.  This mirrors how the paper's Banzai emits
-// straight-line C++ per atom, and how fixed-function P4 targets assume
-// index-addressed, fixed-layout metadata.
+// The lowering pass in core/codegen.cc flattens every stage's atoms —
+// stateless ALU statements, the synthesized stateful templates of §5.2
+// (predicates plus update arms, including the §5.3 LUT extension), and
+// intrinsics — into one contiguous MicroOp array in which packet fields are
+// dense FieldIds, owned state variables are dense slots into a per-program
+// state table, intrinsics and LUTs are raw function pointers, and stateful
+// operand selectors address the packet directly (no input-field gather).  A
+// branch-light switch dispatches opcodes; the batch form resolves state
+// variables once per batch and iterates packets innermost, so a stage's
+// whole configuration stays in registers across the batch.  This mirrors how
+// the paper's Banzai emits straight-line C++ per atom, and how
+// fixed-function P4 targets assume index-addressed, fixed-layout metadata.
 //
-// Engine-equivalence contract: for every program the lowering accepts,
-// CompiledPipeline::run / run_batch are bit-exact with the closure engine
-// (Stage::execute_into per stage, atoms in order) on every packet field and
-// every state cell, for any input — including wrap-around arithmetic,
-// division by zero, and hostile array indices.  tests/kernel_test.cc holds
-// this contract over the whole algorithm corpus across all four runtimes
-// (per-packet, batched, sharded, fabric).
+// Semantic contract: sequential execution of the packet transaction
+// (core/interp, §3.1) is the ground truth.  For every program the lowering
+// accepts, CompiledPipeline::run / run_batch / run_columns — and the native
+// AOT form of the same program (banzai/native.h) — agree with it on every
+// output field and every state cell, for any input, including wrap-around
+// arithmetic, division by zero, and hostile array indices.
+// tests/kernel_test.cc holds this contract over the whole algorithm corpus
+// across all four runtimes (per-packet, batched, sharded, fabric).
 //
-// Why in-place execution is legal: within a stage, the closure engine gives
-// every atom the packet as it *entered* the stage.  Codelets scheduled into
-// one stage are mutually independent (no codelet reads another's output —
-// that dependency would have forced a later stage) and write disjoint
-// fields, so executing a stage's ops in order on a single buffer observes
-// the same values; seal() verifies both properties and rejects the program
-// otherwise.  Across stages, program order is exactly dataflow order.
-// Op-major batching (all packets through op k, then op k+1) additionally
-// relies on every state variable being local to exactly one atom (§2.3), so
-// per-atom state sequences see packets in arrival order — the same argument
-// that makes BatchSim's stage-major order legal.
+// Why in-place execution is legal: a Banzai stage gives every atom the
+// packet as it *entered* the stage.  Codelets scheduled into one stage are
+// mutually independent (no codelet reads another's output — that dependency
+// would have forced a later stage) and write disjoint fields, so executing a
+// stage's ops in order on a single buffer observes the same values; seal()
+// verifies both properties and rejects the program otherwise.  Across
+// stages, program order is exactly dataflow order.  Op-major batching (all
+// packets through op k, then op k+1) additionally relies on every state
+// variable being local to exactly one atom (§2.3), so per-atom state
+// sequences see packets in arrival order — the same argument that makes
+// BatchSim's stage-major order legal.
 #pragma once
 
 #include <cstddef>
@@ -58,18 +54,19 @@ namespace banzai {
 class StageCounters;  // banzai/stats.h — per-stage observability accumulators
 
 // Which execution path a Machine uses for process()/BatchSim and everything
-// layered on them (ShardCore, Fleet, FleetService, NetFabric nodes).
-//   kClosure — walk the per-atom std::function closures: the reference
-//              semantics, always available.
-//   kKernel  — run the lowered micro-op program; falls back to closures on
-//              machines that carry no kernel (e.g. hand-assembled ones).
-//   kNative  — run the AOT-emitted C++ of the same micro-op program,
-//              compiled by the host toolchain and loaded via dlopen
-//              (core/emit.* + banzai/native.*): no dispatch loop at all.
-//              Falls back to kKernel (then closures) on machines that carry
-//              no native pipeline — no toolchain on the host, emission
-//              failure — with the reason recorded on the Machine.
-enum class ExecEngine { kClosure, kKernel, kNative };
+// layered on them (ShardCore, Fleet, FleetService, NetFabric nodes).  Both
+// run the machine's one sealed CompiledPipeline.
+//   kKernel — run the lowered micro-op program on the VM below.
+//   kNative — run the AOT-emitted C++ of the same micro-op program, compiled
+//             by the host toolchain and loaded via dlopen (core/emit.* +
+//             banzai/native.*): no dispatch loop at all.  Falls back to
+//             kKernel on machines that carry no native pipeline — no
+//             toolchain on the host, emission failure — with the reason
+//             recorded on the Machine.
+// The explicit values are wire bytes: the dist tier (dist/framing.h) sends
+// them in its HELLO ack, SwapEngine and SwapAck messages.
+enum class ExecEngine { kKernel = 1, kNative = 2 };
+
 
 // An intrinsic body: args are already evaluated, in call order.  The lowering
 // supplies pointers to the canned implementations in ir/intrinsics.cc so the
@@ -232,8 +229,9 @@ class CompiledPipeline {
   std::uint32_t intern_state(const std::string& name);
   // Freezes the program: records the packet width and verifies the in-place
   // execution preconditions (disjoint writes per stage, no intra-stage
-  // read-after-write).  Throws std::logic_error on violation — such a program
-  // would need the copy-based closure engine.
+  // read-after-write, one owner per state variable).  Throws
+  // std::logic_error on violation: the lowering never emits such a program,
+  // so a throw here is a compiler bug.
   void seal(std::size_t num_fields);
 
   // --- Execution ----------------------------------------------------------
@@ -251,8 +249,7 @@ class CompiledPipeline {
   // Runs exactly one stage's ops over one packet, in place — the per-stage
   // entry point the cycle-accurate PipelineSim uses to execute the same
   // micro-op program the whole-pipeline paths run (there is one StageRange
-  // per Machine stage; the lowering pass emits them in lockstep).  Bound
-  // form as above.
+  // per pipeline stage, empty stages included).  Bound form as above.
   void run_stage(std::size_t stage, Packet& pkt, StateStore& state) const;
   void run_stage_bound(std::size_t stage, Packet& pkt,
                        StateVar* const* vars) const;

@@ -2,12 +2,13 @@
 // in parallel on every clock cycle (Figure 1, bottom half).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "banzai/atom.h"
 #include "banzai/column.h"
 #include "banzai/kernel.h"
 #include "banzai/native.h"
@@ -26,77 +27,31 @@ struct MachineSpec {
   std::size_t stateful_per_stage = 10;   // stateful atom slots per stage
 };
 
-// One pipeline stage: atoms that execute in parallel each cycle.
-//
-// Stage-parallel read/write semantics: every atom of the stage observes the
-// packet exactly as it entered the stage, and the atoms' writes — disjoint
-// packet fields, disjoint state, a property code generation guarantees and
-// CompiledPipeline::seal re-verifies — merge into the packet the next stage
-// sees.  Any execution order of a stage's atoms is therefore equivalent, and
-// every engine below exploits that freedom differently.
-struct Stage {
-  std::vector<ConfiguredAtom> atoms;
-
-  // The stage-execution core shared by every engine (Machine::process, the
-  // cycle-accurate PipelineSim, the batched BatchSim): all atoms observe the
-  // packet as it entered the stage (`in`) and apply their writes to `out`.
-  // `out` is assigned from `in` first, so callers can reuse its storage
-  // across invocations without reallocating.
-  void execute_into(const Packet& in, Packet& out, StateStore& state) const {
-    out = in;
-    for (const ConfiguredAtom& a : atoms) a.exec(in, out, state);
-  }
-
-  // Convenience form returning a fresh packet.
-  Packet execute(const Packet& in, StateStore& state) const {
-    Packet out;
-    execute_into(in, out, state);
-    return out;
-  }
-
-  // Batched form: runs the stage over n packets, atom-major so each atom's
-  // configuration (and its batched fast path, when present) stays hot across
-  // the whole batch.  Equivalent to execute_into on each packet in order:
-  // atoms write disjoint fields and own disjoint state, so the atom loop and
-  // the packet loop commute.
-  void execute_batch(const Packet* in, Packet* out, std::size_t n,
-                     StateStore& state) const {
-    for (std::size_t i = 0; i < n; ++i) out[i] = in[i];
-    for (const ConfiguredAtom& a : atoms) {
-      if (a.exec_batch) {
-        a.exec_batch(in, out, n, state);
-      } else {
-        for (std::size_t i = 0; i < n; ++i) a.exec(in[i], out[i], state);
-      }
-    }
-  }
-};
-
 // A fully configured machine: the output of Domino code generation.
 //
-// A compiled machine carries up to three interchangeable execution paths:
-//   * the closure path — per-atom std::function closures walked stage by
-//     stage (the reference semantics, always present),
-//   * the kernel path — the flat micro-op program the lowering pass emits
-//     (banzai/kernel.h), shared read-only across clones, and
+// A compiled machine executes exactly one program: the sealed
+// CompiledPipeline the lowering pass emits (banzai/kernel.h), one StageRange
+// per Banzai stage, shared read-only across clones.  Two engines run it:
+//   * the kernel VM — CompiledPipeline's own op-major interpreter, and
 //   * the native path — the same program AOT-emitted as C++ (core/emit.*),
 //     compiled by the host toolchain and dlopen'd (banzai/native.h); absent
 //     when no toolchain exists, with the reason recorded.
 // The ExecEngine toggle (CompileOptions::engine, or set_engine) selects
-// which one process() and the engines layered on it use.  All paths are
-// bit-exact on every packet field and state cell for every input — the
-// engine-equivalence contract tests/kernel_test.cc enforces corpus-wide —
-// so flipping the toggle mid-stream is legal: every path reads and writes
-// the same FieldTable ids and the same StateStore.
+// which one process() and the engines layered on it use.  Both are
+// bit-exact with each other and with the sequential interpreter
+// (core/interp) on every output field and state cell for every input — the
+// contract tests/kernel_test.cc enforces corpus-wide — so flipping the
+// toggle mid-stream is legal: both read and write the same FieldTable ids
+// and the same StateStore.
 //
-// State binding cache: the kernel and native paths address state through
-// pre-resolved StateVar pointers.  Resolving them costs one by-name hash
-// lookup per state variable; the cache below keys the resolved bindings on
-// the StateStore's generation counter (state.h), so the steady-state
-// per-packet path (Machine::process in NetFabric nodes, single-packet
-// service drains) does zero name lookups.  restore_state() and clone() bump
-// or re-key the generation, so stale pointers into a replaced map can never
-// be dereferenced.
+// State binding cache: both engines address state through pre-resolved
+// StateVar pointers.  Resolving them costs one by-name hash lookup per state
+// variable; the cache below keys the resolved bindings on the StateStore's
+// generation counter (state.h), so the steady-state per-packet path
+// (Machine::process in NetFabric nodes, single-packet service drains) does
+// zero name lookups.  restore_state() and clone() bump or re-key the
+// generation, so stale pointers into a replaced map can never be
+// dereferenced.
 class Machine {
  public:
   Machine() = default;
@@ -109,62 +64,56 @@ class Machine {
   FieldTable& fields() { return fields_; }
   const FieldTable& fields() const { return fields_; }
 
-  std::vector<Stage>& stages() { return stages_; }
-  const std::vector<Stage>& stages() const { return stages_; }
-
   StateStore& state() { return state_; }
   const StateStore& state() const { return state_; }
 
-  std::size_t num_stages() const { return stages_.size(); }
-
-  std::size_t num_atoms() const {
-    std::size_t n = 0;
-    for (const Stage& s : stages_) n += s.atoms.size();
-    return n;
+  // Shape of the attached pipeline: one op per atom, one StageRange per
+  // stage.  A machine with no pipeline attached has no stages.
+  std::size_t num_stages() const {
+    return kernel_ != nullptr ? kernel_->num_stages() : 0;
   }
-
+  std::size_t num_atoms() const {
+    return kernel_ != nullptr ? kernel_->num_ops() : 0;
+  }
   std::size_t max_atoms_per_stage() const {
     std::size_t m = 0;
-    for (const Stage& s : stages_) m = std::max(m, s.atoms.size());
+    if (kernel_ != nullptr)
+      for (const auto& r : kernel_->stage_ranges())
+        m = std::max<std::size_t>(m, r.end - r.begin);
     return m;
   }
 
   // Engine selection.  Each value is a request; the dispatch is the truth:
-  // a machine without a lowered kernel (hand-assembled, or pre-dating the
-  // lowering pass) executes on closures whatever the toggle says, and
   // kNative without a loaded native pipeline runs the kernel VM — the
-  // graceful-degradation ladder native > kernel > closure.  active_engine()
-  // makes the resolved rung observable; flipping away from the closure
-  // engine releases its ping-pong scratch so a kernel/native machine does
-  // not retain closure-sized buffers.
+  // graceful-degradation ladder native > kernel.  active_engine() makes the
+  // resolved rung observable.
   ExecEngine engine() const { return engine_; }
-  void set_engine(ExecEngine engine) {
-    engine_ = engine;
-    if (active_engine() != ExecEngine::kClosure) release_closure_scratch();
-  }
-  // The rung of the ladder run_batch()/process() will actually execute on —
-  // the old bool success-protocol of run_compiled_batch, made a first-class
-  // query: callers pick batch shapes (and tests assert dispatch) against
-  // this, never by probing a return value.
+  void set_engine(ExecEngine engine) { engine_ = engine; }
+  // The rung run_batch()/process() will actually execute on: callers pick
+  // batch shapes (and tests assert dispatch) against this, never by probing
+  // a return value.
   ExecEngine active_engine() const {
-    if (kernel_ == nullptr) return ExecEngine::kClosure;
-    if (engine_ == ExecEngine::kNative)
-      return native_ != nullptr ? ExecEngine::kNative : ExecEngine::kKernel;
-    return engine_;
+    return active_native() != nullptr ? ExecEngine::kNative
+                                      : ExecEngine::kKernel;
   }
   void set_kernel(std::shared_ptr<const CompiledPipeline> kernel) {
     kernel_ = std::move(kernel);
   }
   const CompiledPipeline* kernel() const { return kernel_.get(); }
+  // The attached pipeline, for callers that cannot run without one.  Throws
+  // std::logic_error on a machine that carries none (default-constructed,
+  // or assembled by hand without set_kernel): it has nothing to execute, and
+  // passing packets through untouched would hide the mistake.
+  const CompiledPipeline& require_kernel() const {
+    if (kernel_ == nullptr)
+      throw std::logic_error("Machine: no compiled pipeline attached");
+    return *kernel_;
+  }
   // The kernel execution actually dispatches to: non-null only when a
-  // lowered program is attached AND the engine toggle resolves to it —
-  // including a kNative request degrading to the VM.
+  // pipeline is attached AND the engine toggle resolves to the VM —
+  // including a kNative request degrading to it.
   const CompiledPipeline* active_kernel() const {
-    if (kernel_ == nullptr) return nullptr;
-    if (engine_ == ExecEngine::kKernel) return kernel_.get();
-    if (engine_ == ExecEngine::kNative && native_ == nullptr)
-      return kernel_.get();
-    return nullptr;
+    return active_engine() == ExecEngine::kKernel ? kernel_.get() : nullptr;
   }
 
   // The native (AOT-compiled, dlopen'd) pipeline.  Attached by the compiler
@@ -203,11 +152,10 @@ class Machine {
   // The single typed batch entry point: runs the view's packets through the
   // whole pipeline, in place, on whichever engine active_engine() resolves
   // to — every engine × every batch shape, no success protocol.  Row views
-  // execute directly on every engine.  Columnar views run the native
+  // execute directly on both engines.  Columnar views run the native
   // columnar entry point when the loaded .so exports it, the kernel VM's
-  // columnar loops otherwise, and on the closure engine scatter into row
-  // scratch, execute the reference semantics, and gather back — correct
-  // everywhere, fast where the engine can use the shape.
+  // columnar loops otherwise.  Throws std::logic_error (require_kernel) on a
+  // machine with no pipeline attached.
   void run_batch(BatchView batch);
 
   // Checkpoint and restore of the mutable half of the machine.  The pipeline
@@ -239,22 +187,22 @@ class Machine {
   void reset_stage_counters() { stage_counters_.reset(); }
 
   // An independent replica of this machine: same pipeline configuration, its
-  // own StateStore snapshot.  Atom closures capture their configuration by
-  // value and reach state only through the StateStore& they are handed at
-  // execution time, so replicas never share mutable state — this is what the
-  // Fleet relies on to scale one compiled program across shards.  The lowered
-  // kernel and the native pipeline, immutable after sealing/loading and
-  // stateless at execution time, are shared between replicas rather than
-  // copied.  The copied StateStore takes a fresh generation, so the replica's
-  // binding cache can never dereference pointers into the source's store.
+  // own StateStore snapshot.  The sealed kernel and the native pipeline are
+  // immutable after sealing/loading and reach state only through the
+  // bindings each replica resolves against its own store, so they are shared
+  // between replicas rather than copied, and replicas never share mutable
+  // state — this is what the Fleet relies on to scale one compiled program
+  // across shards.  The copied StateStore takes a fresh generation, so the
+  // replica's binding cache can never dereference pointers into the source's
+  // store.
   Machine clone() const { return *this; }
 
  private:
-  // Resolved state bindings for the kernel/native paths, keyed on the
-  // StateStore generation.  Copying a Machine copies the store (fresh
-  // generation) but the cache too — the generation mismatch forces a rebind
-  // before first use, so the copied pointers are never dereferenced.  Moves
-  // keep both valid: unordered_map moves preserve node addresses.
+  // Resolved state bindings for both engines, keyed on the StateStore
+  // generation.  Copying a Machine copies the store (fresh generation) but
+  // the cache too — the generation mismatch forces a rebind before first
+  // use, so the copied pointers are never dereferenced.  Moves keep both
+  // valid: unordered_map moves preserve node addresses.
   struct BindingCache {
     std::uint64_t gen = 0;
     const CompiledPipeline* prog = nullptr;
@@ -281,27 +229,14 @@ class Machine {
     bind_.gen = state_.generation();
   }
 
-  // The closure engine's batch path (machine.cc): stage-major ping-pong over
-  // cur_/next_, plus row scratch for columnar views.  Released when the
-  // engine toggle leaves the closure rung.
-  void run_closure_rows(Packet* pkts, std::size_t n);
-  void release_closure_scratch() {
-    std::vector<Packet>().swap(cur_);
-    std::vector<Packet>().swap(next_);
-    std::vector<Packet>().swap(col_rows_);
-  }
-
   MachineSpec spec_;
   FieldTable fields_;
-  std::vector<Stage> stages_;
   StateStore state_;
-  ExecEngine engine_ = ExecEngine::kClosure;
+  ExecEngine engine_ = ExecEngine::kKernel;
   std::shared_ptr<const CompiledPipeline> kernel_;
   std::shared_ptr<const NativePipeline> native_;
   std::string native_fallback_;
   BindingCache bind_;
-  std::vector<Packet> cur_, next_;  // closure ping-pong stage buffers
-  std::vector<Packet> col_rows_;    // closure row scratch for columnar views
   StageCounters stage_counters_;    // per-stage packets/ops/ns (stats.h)
   // Scratch rows the native ABI fills per batch before folding into
   // stage_counters_ (the .so writes plain uint64s, not atomics).

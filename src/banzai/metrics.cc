@@ -84,7 +84,7 @@ void render_service_metrics(std::ostream& os, const ServiceStats& st) {
       os << "domino_stage_packets_total{stage=\"" << i << "\"} "
          << st.stage_counters[i].packets << '\n';
     help_line(os, "domino_stage_ops_total", "counter",
-              "Micro-ops (atom executions on the closure engine) per stage");
+              "Micro-ops retired per stage");
     for (std::size_t i = 0; i < st.stage_counters.size(); ++i)
       os << "domino_stage_ops_total{stage=\"" << i << "\"} "
          << st.stage_counters[i].ops << '\n';

@@ -21,8 +21,8 @@
 // Fallback contract: loading is best-effort.  No host toolchain, a disabled
 // engine (DOMINO_NATIVE_DISABLE), an emission or compile or dlopen failure —
 // each returns a NativeLoadResult carrying the reason instead of a pipeline,
-// and the Machine keeps executing on the kernel VM (then closures), with the
-// reason recorded via Machine::native_fallback_reason().
+// and the Machine keeps executing on the kernel VM, with the reason recorded
+// via Machine::native_fallback_reason().
 #pragma once
 
 #include <cstddef>

@@ -6,15 +6,15 @@
 // Differential tests compare the result of this execution against the
 // sequential one-packet-at-a-time interpreter.
 //
-// Engine dispatch: when the machine's engine toggle is off the closure rung
-// and a lowered micro-op program is attached, each stage executes its
-// StageRange of the CompiledPipeline in place (kernel.h) — the same program
-// the whole-pipeline kernel and native paths run, so cycle-accurate
-// simulation is no longer closure-only.  Per-stage in-place execution is
-// legal because seal() verifies each stage's writes are disjoint with no
+// Engine dispatch: each stage executes its StageRange of the machine's
+// CompiledPipeline in place (kernel.h) — the same program the
+// whole-pipeline kernel and native paths run.  Per-stage in-place execution
+// is legal because seal() verifies each stage's writes are disjoint with no
 // intra-stage read-after-write.  A kNative machine also runs the micro-op
 // program here: the dlopen'd pipeline exports whole-pipeline entry points
-// only, and the engines are bit-exact, so the VM is the per-stage truth.
+// only, and the engines are bit-exact, so the VM is the per-stage truth.  A
+// machine with no pipeline attached is refused at construction
+// (Machine::require_kernel throws std::logic_error).
 #pragma once
 
 #include <cstdint>
@@ -36,7 +36,8 @@ struct SimStats {
 class PipelineSim {
  public:
   explicit PipelineSim(Machine& machine)
-      : machine_(machine), in_flight_(machine.num_stages()) {}
+      : machine_(machine),
+        in_flight_(machine.require_kernel().num_stages()) {}
 
   // Offers one packet to the pipeline for the upcoming cycle.  Line-rate
   // switches accept one packet per clock; calling enqueue more than once per
@@ -51,7 +52,8 @@ class PipelineSim {
   // stage 0.
   void tick() {
     ++stats_.cycles;
-    const std::size_t n = machine_.num_stages();
+    const CompiledPipeline& k = machine_.require_kernel();
+    const std::size_t n = in_flight_.size();
     // Move from the last stage outwards so each packet advances exactly one
     // stage per cycle.
     if (n == 0) {
@@ -67,29 +69,18 @@ class PipelineSim {
       in_flight_[n - 1].reset();
       ++stats_.packets_out;
     }
-    const CompiledPipeline* k = stage_kernel();
     for (std::size_t s = n - 1; s > 0; --s) {
       if (in_flight_[s - 1].has_value()) {
-        if (k != nullptr) {
-          Packet p = std::move(*in_flight_[s - 1]);
-          k->run_stage_bound(s, p, bound_vars(*k));
-          in_flight_[s] = std::move(p);
-        } else {
-          in_flight_[s] = machine_.stages()[s].execute(*in_flight_[s - 1],
-                                                       machine_.state());
-        }
+        Packet p = std::move(*in_flight_[s - 1]);
+        k.run_stage_bound(s, p, bound_vars(k));
+        in_flight_[s] = std::move(p);
         in_flight_[s - 1].reset();
       }
     }
     if (!ingress_.empty()) {
-      if (k != nullptr) {
-        Packet p = std::move(ingress_.front());
-        k->run_stage_bound(0, p, bound_vars(*k));
-        in_flight_[0] = std::move(p);
-      } else {
-        in_flight_[0] =
-            machine_.stages()[0].execute(ingress_.front(), machine_.state());
-      }
+      Packet p = std::move(ingress_.front());
+      k.run_stage_bound(0, p, bound_vars(k));
+      in_flight_[0] = std::move(p);
       ingress_.pop_front();
     }
   }
@@ -109,17 +100,6 @@ class PipelineSim {
   const SimStats& stats() const { return stats_; }
 
  private:
-  // The micro-op program per-stage execution runs on, or nullptr for the
-  // closure reference path.  The lowering pass emits one StageRange per
-  // Machine stage, so the index spaces agree whenever a kernel is attached.
-  const CompiledPipeline* stage_kernel() const {
-    if (machine_.engine() == ExecEngine::kClosure) return nullptr;
-    const CompiledPipeline* k = machine_.kernel();
-    if (k != nullptr && k->num_stages() != machine_.num_stages())
-      return nullptr;  // hand-assembled mismatch: fall back to closures
-    return k;
-  }
-
   // Resolved state bindings, keyed on the StateStore generation exactly like
   // Machine's cache: restore_state()/declare() bump the generation, forcing
   // a rebind before the next stale pointer could be dereferenced.

@@ -29,7 +29,7 @@ namespace banzai {
 // One stage's totals, as plain data (the snapshot/aggregation currency).
 struct StageCounterRow {
   std::uint64_t packets = 0;  // packets that executed this stage
-  std::uint64_t ops = 0;      // micro-ops retired (atoms on the closure engine)
+  std::uint64_t ops = 0;      // micro-ops retired
   std::uint64_t ns = 0;       // wall time attributed to this stage
 };
 

@@ -1,11 +1,7 @@
 #include "core/codegen.h"
 
-#include <algorithm>
-#include <array>
 #include <memory>
-#include <optional>
 #include <set>
-#include <stdexcept>
 
 #include "atoms/stateless.h"
 #include "banzai/kernel.h"
@@ -13,170 +9,23 @@
 
 namespace domino {
 
-using banzai::AtomKind;
-using banzai::ConfiguredAtom;
 using banzai::FieldId;
 using banzai::FieldTable;
-using banzai::Packet;
-using banzai::StateStore;
-using banzai::Value;
 
 namespace {
 
-// An operand with the field name pre-resolved to a FieldId.
-struct ROp {
-  bool is_const = true;
-  Value cst = 0;
-  FieldId id = 0;
+// ---- Lowering to the micro-op program (banzai/kernel.h) --------------------
+// Each atom is lowered straight into the machine's CompiledPipeline:
+// operators map to dense opcodes, intrinsics to raw function pointers, and
+// stateful operand selectors resolve from codelet-relative field positions
+// to packet FieldIds.  Field names are interned into the machine's
+// FieldTable as they are met, in a fixed order (a statement's destination,
+// then its operands in order), so a program's field ids are deterministic.
 
-  static ROp resolve(const Operand& o, FieldTable& ft) {
-    ROp r;
-    if (o.is_const()) {
-      r.is_const = true;
-      r.cst = o.cst;
-    } else {
-      r.is_const = false;
-      r.id = ft.intern(o.field);
-    }
-    return r;
-  }
-
-  Value get(const Packet& p) const { return is_const ? cst : p.get(id); }
-};
-
-// Compiled form of a single stateless statement.
-struct CompiledStmt {
-  TacStmt::Kind kind;
-  FieldId dst = 0;
-  ROp a, b, c;
-  UnOp un_op = UnOp::kNeg;
-  BinOp op = BinOp::kAdd;
-  std::string intrinsic;
-  std::vector<ROp> args;
-  Value mod = 0;
-
-  static CompiledStmt compile(const TacStmt& s, FieldTable& ft) {
-    CompiledStmt c;
-    c.kind = s.kind;
-    if (auto w = s.field_written()) c.dst = ft.intern(*w);
-    c.a = ROp::resolve(s.a, ft);
-    c.b = ROp::resolve(s.b, ft);
-    c.c = ROp::resolve(s.c, ft);
-    c.un_op = s.un_op;
-    c.op = s.op;
-    c.intrinsic = s.intrinsic;
-    for (const auto& arg : s.args) c.args.push_back(ROp::resolve(arg, ft));
-    c.mod = s.intrinsic_mod;
-    return c;
-  }
-
-  void exec(const Packet& in, Packet& out) const {
-    switch (kind) {
-      case TacStmt::Kind::kCopy:
-        out.set(dst, a.get(in));
-        break;
-      case TacStmt::Kind::kUnary:
-        out.set(dst, eval_unop(un_op, a.get(in)));
-        break;
-      case TacStmt::Kind::kBinary:
-        out.set(dst, eval_binop(op, a.get(in), b.get(in)));
-        break;
-      case TacStmt::Kind::kTernary:
-        out.set(dst, a.get(in) != 0 ? b.get(in) : c.get(in));
-        break;
-      case TacStmt::Kind::kIntrinsic: {
-        std::vector<Value> argv;
-        argv.reserve(args.size());
-        for (const auto& arg : args) argv.push_back(arg.get(in));
-        Value v = eval_intrinsic(intrinsic, argv);
-        if (mod > 0) v = banzai::total_mod(v, mod);
-        out.set(dst, v);
-        break;
-      }
-      default:
-        break;  // state statements never reach stateless execution
-    }
-  }
-};
-
-// One owned state slot of a stateful atom at run time.
-struct StateSlot {
-  std::string var;
-  bool is_array = false;
-  std::optional<FieldId> index;
-};
-
-// How a live-out packet field is produced at run time.
-struct LiveOutRt {
-  FieldId id;
-  int state_idx;
-  bool use_new;
-};
-
-// The run-time semantics of one synthesized stateful atom: the single body
-// shared by the per-packet and batched execution paths, so the two can never
-// drift apart.  Callers resolve the owned StateVars first — once per packet
-// (exec) or once per batch (exec_batch, amortizing the by-name lookups).
-struct StatefulBody {
-  std::vector<StateSlot> slots;
-  std::vector<FieldId> input_ids;
-  std::vector<LiveOutRt> liveouts;
-  atoms::StatefulConfig config;
-
-  void resolve(StateStore& store,
-               std::array<banzai::StateVar*, 2>& vars) const {
-    for (std::size_t k = 0; k < slots.size(); ++k)
-      vars[k] = &store.var(slots[k].var);
-  }
-
-  // `field_vals` is caller-provided scratch sized to input_ids.size().
-  void exec_one(const Packet& in, Packet& out,
-                const std::array<banzai::StateVar*, 2>& vars,
-                std::vector<Value>& field_vals) const {
-    std::array<Value, 2> states_in{0, 0}, states_out{0, 0};
-    std::array<Value, 2> idx{0, 0};
-    for (std::size_t k = 0; k < slots.size(); ++k) {
-      if (slots[k].is_array) {
-        idx[k] = in.get(*slots[k].index);
-        states_in[k] = vars[k]->load(idx[k]);
-      } else {
-        states_in[k] = vars[k]->load_scalar();
-      }
-    }
-    for (std::size_t f = 0; f < input_ids.size(); ++f)
-      field_vals[f] = in.get(input_ids[f]);
-
-    config.eval(util::Span<const Value>(states_in.data(), slots.size()),
-                field_vals,
-                util::Span<Value>(states_out.data(), slots.size()));
-
-    for (std::size_t k = 0; k < slots.size(); ++k) {
-      if (slots[k].is_array)
-        vars[k]->store(idx[k], states_out[k]);
-      else
-        vars[k]->store_scalar(states_out[k]);
-    }
-    for (const auto& l : liveouts) {
-      const auto k = static_cast<std::size_t>(l.state_idx);
-      out.set(l.id, l.use_new ? states_out[k] : states_in[k]);
-    }
-  }
-};
-
-// ---- Kernel lowering (banzai/kernel.h) -------------------------------------
-// Alongside every closure atom, the generator emits the equivalent micro-ops
-// into a CompiledPipeline: the same CompiledStmt / StatefulBody data that the
-// closures capture, but with operators mapped to dense opcodes, intrinsics to
-// raw function pointers, and stateful operand selectors resolved from
-// codelet-relative field positions to packet FieldIds.  The closure path and
-// the kernel program are built from one source of truth, so they cannot
-// diverge structurally; tests/kernel_test.cc proves they do not diverge
-// behaviourally either.
-
-banzai::KSrc lower_src(const ROp& r) {
-  return r.is_const
-             ? banzai::KSrc::constant(r.cst)
-             : banzai::KSrc::field_ref(static_cast<std::uint32_t>(r.id));
+banzai::KSrc lower_src(const Operand& o, FieldTable& ft) {
+  return o.is_const() ? banzai::KSrc::constant(o.cst)
+                      : banzai::KSrc::field_ref(
+                            static_cast<std::uint32_t>(ft.intern(o.field)));
 }
 
 banzai::KOp lower_unop(UnOp op) {
@@ -240,7 +89,7 @@ banzai::KArm lower_arm_mode(atoms::ArmMode mode) {
 }
 
 // Resolves an atom-template operand selector against the codelet's input
-// field list, collapsing the field_vals gather the closure path performs.
+// field list, so stateful operands address the packet directly.
 banzai::KRef lower_ref(const atoms::OperandSel& sel,
                        const std::vector<FieldId>& input_ids) {
   switch (sel.kind) {
@@ -255,44 +104,45 @@ banzai::KRef lower_ref(const atoms::OperandSel& sel,
   return banzai::KRef::constant(0);
 }
 
-void lower_stateless(const CompiledStmt& cs, banzai::CompiledPipeline& kernel) {
-  const auto dst = static_cast<std::uint32_t>(cs.dst);
-  switch (cs.kind) {
+void lower_stateless(const TacStmt& stmt, FieldTable& ft,
+                     banzai::CompiledPipeline& kernel) {
+  const auto dst = static_cast<std::uint32_t>(ft.intern(stmt.dst));
+  const banzai::KSrc a = lower_src(stmt.a, ft), b = lower_src(stmt.b, ft),
+                     c = lower_src(stmt.c, ft);
+  switch (stmt.kind) {
     case TacStmt::Kind::kCopy:
-      kernel.add_alu(banzai::KOp::kMov, dst, lower_src(cs.a));
+      kernel.add_alu(banzai::KOp::kMov, dst, a);
       break;
     case TacStmt::Kind::kUnary:
-      kernel.add_alu(lower_unop(cs.un_op), dst, lower_src(cs.a));
+      kernel.add_alu(lower_unop(stmt.un_op), dst, a);
       break;
     case TacStmt::Kind::kBinary:
-      kernel.add_alu(lower_binop(cs.op), dst, lower_src(cs.a),
-                     lower_src(cs.b));
+      kernel.add_alu(lower_binop(stmt.op), dst, a, b);
       break;
     case TacStmt::Kind::kTernary:
-      kernel.add_alu(banzai::KOp::kSelect, dst, lower_src(cs.a),
-                     lower_src(cs.b), lower_src(cs.c));
+      kernel.add_alu(banzai::KOp::kSelect, dst, a, b, c);
       break;
     case TacStmt::Kind::kIntrinsic: {
       banzai::IntrinsicOp io;
-      io.fn = intrinsic_raw_fn(cs.intrinsic);
+      io.fn = intrinsic_raw_fn(stmt.intrinsic);
       if (io.fn == nullptr ||
-          cs.args.size() > banzai::IntrinsicOp::kMaxArgs)
+          stmt.args.size() > banzai::IntrinsicOp::kMaxArgs)
         throw CompileError(
             CompilePhase::kMapping,
-            "cannot lower intrinsic '" + cs.intrinsic + "' to a micro-op");
+            "cannot lower intrinsic '" + stmt.intrinsic + "' to a micro-op");
       // Tag the hash family so the native emitter can inline (and the
       // columnar body vectorize) the mixer instead of calling through the
       // ABI pointer table.
-      if (cs.intrinsic == "hash2")
+      if (stmt.intrinsic == "hash2")
         io.kind = banzai::IntrinsicKind::kHash2;
-      else if (cs.intrinsic == "hash3")
+      else if (stmt.intrinsic == "hash3")
         io.kind = banzai::IntrinsicKind::kHash3;
-      else if (cs.intrinsic == "hash4")
+      else if (stmt.intrinsic == "hash4")
         io.kind = banzai::IntrinsicKind::kHash4;
-      io.num_args = static_cast<std::uint8_t>(cs.args.size());
-      for (std::size_t i = 0; i < cs.args.size(); ++i)
-        io.args[i] = lower_src(cs.args[i]);
-      io.mod = cs.mod;
+      io.num_args = static_cast<std::uint8_t>(stmt.args.size());
+      for (std::size_t i = 0; i < stmt.args.size(); ++i)
+        io.args[i] = lower_src(stmt.args[i], ft);
+      io.mod = stmt.intrinsic_mod;
       kernel.add_intrinsic(dst, io);
       break;
     }
@@ -302,14 +152,20 @@ void lower_stateless(const CompiledStmt& cs, banzai::CompiledPipeline& kernel) {
   }
 }
 
-void lower_stateful(const StatefulBody& body,
+// Lowers one synthesized stateful atom into a fused StatefulOp.  Fields are
+// interned array indices first (one per owned state, in state order), then
+// the synthesized input fields, then the live-out fields.
+void lower_stateful(const Codelet& codelet,
+                    const synthesis::CodeletSpec& spec,
+                    const synthesis::SynthResult& synth, FieldTable& ft,
                     banzai::CompiledPipeline& kernel) {
-  const auto& t = atoms::template_info(body.config.kind);
+  const atoms::StatefulConfig& config = synth.config;
+  const auto& t = atoms::template_info(config.kind);
   // StatefulOp carries fixed-size pools sized for the paper's templates; a
   // future template outgrowing them must fail loudly, like intrinsic arity.
-  bool oversized = body.slots.size() > 2 || body.config.preds.size() > 3 ||
-                   body.config.leaves.size() > 4;
-  for (const auto& leaf : body.config.leaves)
+  bool oversized = spec.state_vars().size() > 2 || config.preds.size() > 3 ||
+                   config.leaves.size() > 4;
+  for (const auto& leaf : config.leaves)
     oversized = oversized || leaf.size() > 2;
   if (oversized)
     throw CompileError(CompilePhase::kMapping,
@@ -317,34 +173,41 @@ void lower_stateful(const StatefulBody& body,
                            "' exceeds the micro-op pools (2 states, 3 "
                            "predicates, 4 leaves, 2 arms per leaf)");
   banzai::StatefulOp so;
-  so.num_states = static_cast<std::uint8_t>(body.slots.size());
+  so.num_states = static_cast<std::uint8_t>(spec.state_vars().size());
   so.pred_levels = static_cast<std::uint8_t>(t.pred_levels);
-  for (std::size_t k = 0; k < body.slots.size(); ++k) {
-    so.slots[k].var = kernel.intern_state(body.slots[k].var);
-    so.slots[k].is_array = body.slots[k].is_array;
-    so.slots[k].index_field = body.slots[k].index
-                                  ? static_cast<std::uint32_t>(
-                                        *body.slots[k].index)
-                                  : 0;
+  for (std::size_t k = 0; k < spec.state_vars().size(); ++k) {
+    const std::string& var = spec.state_vars()[k];
+    so.slots[k].var = kernel.intern_state(var);
+    for (const auto& s : codelet.stmts) {
+      if (s.touches_state() && s.state_var == var) {
+        so.slots[k].is_array = s.state_is_array;
+        if (s.state_is_array)
+          so.slots[k].index_field =
+              static_cast<std::uint32_t>(ft.intern(s.index.field));
+        break;
+      }
+    }
   }
-  for (std::size_t i = 0; i < body.config.preds.size(); ++i) {
-    so.preds[i].rel = lower_rel(body.config.preds[i].rel);
-    so.preds[i].a = lower_ref(body.config.preds[i].a, body.input_ids);
-    so.preds[i].b = lower_ref(body.config.preds[i].b, body.input_ids);
+  std::vector<FieldId> input_ids;
+  for (const auto& f : synth.input_fields) input_ids.push_back(ft.intern(f));
+  for (std::size_t i = 0; i < config.preds.size(); ++i) {
+    so.preds[i].rel = lower_rel(config.preds[i].rel);
+    so.preds[i].a = lower_ref(config.preds[i].a, input_ids);
+    so.preds[i].b = lower_ref(config.preds[i].b, input_ids);
   }
-  for (std::size_t leaf = 0; leaf < body.config.leaves.size(); ++leaf)
-    for (std::size_t k = 0; k < body.config.leaves[leaf].size(); ++k) {
-      const atoms::ArmConfig& arm = body.config.leaves[leaf][k];
+  for (std::size_t leaf = 0; leaf < config.leaves.size(); ++leaf)
+    for (std::size_t k = 0; k < config.leaves[leaf].size(); ++k) {
+      const atoms::ArmConfig& arm = config.leaves[leaf][k];
       so.arms[leaf][k].mode = lower_arm_mode(arm.mode);
-      so.arms[leaf][k].src1 = lower_ref(arm.src1, body.input_ids);
-      so.arms[leaf][k].src2 = lower_ref(arm.src2, body.input_ids);
+      so.arms[leaf][k].src1 = lower_ref(arm.src1, input_ids);
+      so.arms[leaf][k].src2 = lower_ref(arm.src2, input_ids);
     }
   so.lut = &atoms::lut_eval;
   std::vector<banzai::KLiveOut> los;
-  los.reserve(body.liveouts.size());
-  for (const LiveOutRt& l : body.liveouts)
-    los.push_back({static_cast<std::uint32_t>(l.id),
-                   static_cast<std::uint8_t>(l.state_idx), l.use_new});
+  los.reserve(synth.liveouts.size());
+  for (const auto& b : synth.liveouts)
+    los.push_back({static_cast<std::uint32_t>(ft.intern(b.field)),
+                   static_cast<std::uint8_t>(b.state_idx), b.use_new});
   kernel.add_stateful(so, los);
 }
 
@@ -368,40 +231,26 @@ class CodeGenerator {
     pre_intern_fields(fields);
     compute_liveouts();
 
-    banzai::Machine machine(target_.machine_spec(), FieldTable{});
-    std::vector<banzai::Stage> stages;
-    kernel_ = std::make_shared<banzai::CompiledPipeline>();
-
+    banzai::CompiledPipeline kernel;
     for (std::size_t si = 0; si < result.fitted.stages.size(); ++si) {
-      banzai::Stage stage;
-      if (kernel_) kernel_->begin_stage();
+      kernel.begin_stage();
       for (const auto& codelet : result.fitted.stages[si]) {
         CodeletReport report;
         report.stage = static_cast<int>(si) + 1;
         report.description = codelet.str();
-        stage.atoms.push_back(
-            build_atom(codelet, fields, report, result.synth_seconds));
+        lower_codelet(codelet, fields, kernel, report, result.synth_seconds);
         result.reports.push_back(std::move(report));
       }
-      stages.push_back(std::move(stage));
     }
-
-    machine.fields() = std::move(fields);
-    machine.stages() = std::move(stages);
     // Seal verifies the in-place preconditions (disjoint writes, no
-    // intra-stage RAW, exclusive state ownership).  Today's pipeliner always
-    // satisfies them; should a future pass break one — or should any atom
-    // above have failed to lower — the machine simply ships without a kernel
-    // and runs on closures (the documented fallback) rather than failing the
-    // whole compile for the reference path too.
-    if (kernel_) {
-      try {
-        kernel_->seal(machine.fields().size());
-        machine.set_kernel(std::move(kernel_));
-      } catch (const std::logic_error&) {
-        kernel_.reset();
-      }
-    }
+    // intra-stage RAW, exclusive state ownership).  The pipeliner always
+    // satisfies them, so a std::logic_error here is a compiler bug and
+    // propagates as one.
+    kernel.seal(fields.size());
+
+    banzai::Machine machine(target_.machine_spec(), std::move(fields));
+    machine.set_kernel(
+        std::make_shared<const banzai::CompiledPipeline>(std::move(kernel)));
     for (const auto& d : prog_.state_vars)
       machine.state().declare(d.name, static_cast<std::size_t>(d.size),
                               !d.is_array, d.init);
@@ -473,74 +322,18 @@ class CodeGenerator {
     }
   }
 
-  // Runs one atom's kernel lowering; any failure (unlowerable construct,
-  // pool overflow, builder misuse) drops the kernel and lets the machine
-  // ship closure-only — the documented fallback — instead of failing the
-  // compile for the reference path too.
-  template <typename Fn>
-  void lower_atom(Fn&& lower) {
-    if (!kernel_) return;
-    try {
-      lower();
-    } catch (const std::exception&) {
-      kernel_.reset();
-    }
-  }
-
-  ConfiguredAtom build_atom(const Codelet& codelet, FieldTable& fields,
-                            CodeletReport& report, double& synth_seconds) {
+  void lower_codelet(const Codelet& codelet, FieldTable& fields,
+                     banzai::CompiledPipeline& kernel, CodeletReport& report,
+                     double& synth_seconds) {
     if (!codelet.is_stateful()) {
       if (codelet.stmts.size() != 1)
         throw CompileError(CompilePhase::kMapping,
                            "stateless codelet with multiple statements: " +
                                codelet.str());
-      return build_stateless_atom(codelet.stmts[0], fields, report);
+      check_stateless(codelet.stmts[0], report);
+      lower_stateless(codelet.stmts[0], fields, kernel);
+      return;
     }
-    return build_stateful_atom(codelet, fields, report, synth_seconds);
-  }
-
-  ConfiguredAtom build_stateless_atom(const TacStmt& stmt, FieldTable& fields,
-                                      CodeletReport& report) {
-    ConfiguredAtom atom;
-    atom.label = stmt.str();
-    if (stmt.kind == TacStmt::Kind::kIntrinsic) {
-      const auto info = intrinsic_info(stmt.intrinsic);
-      if (!info.has_value())
-        throw CompileError(CompilePhase::kMapping,
-                           "unknown intrinsic '" + stmt.intrinsic + "'");
-      if (!target_.provides_unit(info->unit))
-        throw CompileError(
-            CompilePhase::kMapping,
-            "intrinsic '" + stmt.intrinsic + "' needs a unit that target '" +
-                target_.name + "' does not provide");
-      atom.kind = AtomKind::kIntrinsic;
-      report.intrinsic = true;
-      report.atom = info->unit == IntrinsicUnit::kHash ? "hash-unit"
-                                                       : "math-unit";
-    } else {
-      if (auto why = atoms::stateless_alu_reject_reason(stmt))
-        throw CompileError(CompilePhase::kMapping,
-                           *why + " (in: " + stmt.str() + ")");
-      atom.kind = AtomKind::kStateless;
-      report.atom = "Stateless";
-    }
-    CompiledStmt cs = CompiledStmt::compile(stmt, fields);
-    lower_atom([&] { lower_stateless(cs, *kernel_); });
-    atom.output_fields = {cs.dst};
-    atom.exec = [cs](const Packet& in, Packet& out, StateStore&) {
-      cs.exec(in, out);
-    };
-    // Batched fast path: one closure dispatch per batch instead of per packet.
-    atom.exec_batch = [cs](const Packet* in, Packet* out, std::size_t n,
-                           StateStore&) {
-      for (std::size_t i = 0; i < n; ++i) cs.exec(in[i], out[i]);
-    };
-    return atom;
-  }
-
-  ConfiguredAtom build_stateful_atom(const Codelet& codelet,
-                                     FieldTable& fields, CodeletReport& report,
-                                     double& synth_seconds) {
     report.stateful = true;
     const auto& lo = liveouts_.at(codelet.str());
     synthesis::CodeletSpec spec(codelet, lo);
@@ -556,54 +349,32 @@ class CodeGenerator {
               " atom: " + synth.failure_reason);
     report.atom = atoms::stateful_kind_name(target_.stateful_atom);
     report.config = synth.config.str(synth.input_fields);
+    lower_stateful(codelet, spec, synth, fields, kernel);
+  }
 
-    // Resolve run-time bindings.
-    std::vector<StateSlot> slots;
-    for (const auto& var : spec.state_vars()) {
-      StateSlot slot;
-      slot.var = var;
-      for (const auto& s : codelet.stmts) {
-        if (s.touches_state() && s.state_var == var) {
-          slot.is_array = s.state_is_array;
-          if (s.state_is_array) slot.index = fields.intern(s.index.field);
-          break;
-        }
-      }
-      slots.push_back(std::move(slot));
+  // The target's computational limits for a stateless statement: an
+  // intrinsic needs a unit the target provides, anything else must fit the
+  // stateless ALU.
+  void check_stateless(const TacStmt& stmt, CodeletReport& report) const {
+    if (stmt.kind == TacStmt::Kind::kIntrinsic) {
+      const auto info = intrinsic_info(stmt.intrinsic);
+      if (!info.has_value())
+        throw CompileError(CompilePhase::kMapping,
+                           "unknown intrinsic '" + stmt.intrinsic + "'");
+      if (!target_.provides_unit(info->unit))
+        throw CompileError(
+            CompilePhase::kMapping,
+            "intrinsic '" + stmt.intrinsic + "' needs a unit that target '" +
+                target_.name + "' does not provide");
+      report.intrinsic = true;
+      report.atom = info->unit == IntrinsicUnit::kHash ? "hash-unit"
+                                                       : "math-unit";
+    } else {
+      if (auto why = atoms::stateless_alu_reject_reason(stmt))
+        throw CompileError(CompilePhase::kMapping,
+                           *why + " (in: " + stmt.str() + ")");
+      report.atom = "Stateless";
     }
-    StatefulBody body;
-    body.slots = std::move(slots);
-    for (const auto& f : synth.input_fields)
-      body.input_ids.push_back(fields.intern(f));
-    for (const auto& b : synth.liveouts)
-      body.liveouts.push_back({fields.intern(b.field), b.state_idx, b.use_new});
-    body.config = synth.config;
-
-    lower_atom([&] { lower_stateful(body, *kernel_); });
-
-    ConfiguredAtom atom;
-    atom.kind = AtomKind::kStateful;
-    atom.label = report.atom + " atom: " + codelet.str();
-    for (const auto& s : body.slots) atom.state_vars.push_back(s.var);
-    for (const auto& l : body.liveouts) atom.output_fields.push_back(l.id);
-
-    atom.exec = [body](const Packet& in, Packet& out, StateStore& store) {
-      std::array<banzai::StateVar*, 2> vars{nullptr, nullptr};
-      body.resolve(store, vars);
-      std::vector<Value> field_vals(body.input_ids.size());
-      body.exec_one(in, out, vars, field_vals);
-    };
-    // Batched fast path: same body, but the by-name StateVar lookups and the
-    // scratch allocation are paid once per batch instead of once per packet.
-    atom.exec_batch = [body](const Packet* in, Packet* out, std::size_t n,
-                             StateStore& store) {
-      std::array<banzai::StateVar*, 2> vars{nullptr, nullptr};
-      body.resolve(store, vars);
-      std::vector<Value> field_vals(body.input_ids.size());
-      for (std::size_t i = 0; i < n; ++i)
-        body.exec_one(in[i], out[i], vars, field_vals);
-    };
-    return atom;
   }
 
   const CodeletPipeline& pvsm_;
@@ -612,7 +383,6 @@ class CodeGenerator {
   const std::map<std::string, std::string>& final_names_;
   synthesis::SynthOptions synth_opts_;
   std::map<std::string, std::vector<std::string>> liveouts_;
-  std::shared_ptr<banzai::CompiledPipeline> kernel_;  // built alongside stages
 };
 
 }  // namespace

@@ -34,23 +34,19 @@ CompileResult compile(std::string_view source,
   // the program to the target, not about the simulation substrate).
   if (options.engine == banzai::ExecEngine::kNative) {
     banzai::Machine& m = r.machine();
-    if (m.kernel() == nullptr) {
-      m.set_native_fallback(
-          "no lowered micro-op program to emit (machine is closure-only)");
-    } else {
-      // Counters builds emit counter-aware objects; the changed text gets
-      // its own content hash, so both build flavors share one cache.
-      NativeEmitOptions eopts;
+    const banzai::CompiledPipeline& kernel = m.require_kernel();
+    // Counters builds emit counter-aware objects; the changed text gets its
+    // own content hash, so both build flavors share one cache.
+    NativeEmitOptions eopts;
 #if defined(DOMINO_STAGE_COUNTERS)
-      eopts.stage_counters = true;
+    eopts.stage_counters = true;
 #endif
-      banzai::NativeLoadResult load = banzai::NativePipeline::compile_and_load(
-          *m.kernel(), emit_native_cc(*m.kernel(), eopts), options.native);
-      if (load.pipeline != nullptr)
-        m.set_native(std::move(load.pipeline));
-      else
-        m.set_native_fallback(std::move(load.error));
-    }
+    banzai::NativeLoadResult load = banzai::NativePipeline::compile_and_load(
+        kernel, emit_native_cc(kernel, eopts), options.native);
+    if (load.pipeline != nullptr)
+      m.set_native(std::move(load.pipeline));
+    else
+      m.set_native_fallback(std::move(load.error));
   }
   r.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

@@ -22,13 +22,12 @@ struct CompileOptions {
   synthesis::SynthOptions synth;
   // Execution engine the compiled machine starts on (see banzai/kernel.h and
   // docs/ARCHITECTURE.md "Execution engines").  kKernel — the default — runs
-  // the fused micro-op program lowered at compile time; kClosure walks the
-  // per-atom closures (the reference semantics); kNative additionally emits
-  // the micro-op program as C++ (core/emit.*), compiles it with the host
-  // toolchain and dlopens it (banzai/native.*) — falling back to kKernel,
-  // with the reason recorded on the machine
+  // the fused micro-op program lowered at compile time on the VM; kNative
+  // additionally emits that program as C++ (core/emit.*), compiles it with
+  // the host toolchain and dlopens it (banzai/native.*) — falling back to
+  // kKernel, with the reason recorded on the machine
   // (Machine::native_fallback_reason), when no toolchain is available.
-  // All engines are bit-exact; flip per machine at any time with
+  // Both engines are bit-exact; flip per machine at any time with
   // Machine::set_engine.
   banzai::ExecEngine engine = banzai::ExecEngine::kKernel;
   // Host-compiler knobs for kNative (compiler, flags, .so cache directory);

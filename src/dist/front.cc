@@ -1,6 +1,8 @@
 #include "dist/front.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -636,13 +638,17 @@ void FrontTier::move_slot(std::size_t slot, std::size_t to_worker) {
   flush_worker(to_worker);
 }
 
-void FrontTier::swap_engine(std::uint8_t engine) {
+void FrontTier::swap_engine(banzai::ExecEngine engine) {
+  if (engine != banzai::ExecEngine::kKernel &&
+      engine != banzai::ExecEngine::kNative)
+    throw std::invalid_argument("swap_engine: unknown engine " +
+                                std::to_string(static_cast<int>(engine)));
   flush_all_outboxes();
   for (std::size_t wi = 0; wi < workers_.size(); ++wi) {
     WorkerLink& w = workers_[wi];
     if (!w.detector.alive()) continue;
     SwapEngine msg;
-    msg.engine = engine;
+    msg.engine = static_cast<std::uint8_t>(engine);
     // A worker found dead mid-swap is not retried: it keeps its slots only
     // until the next flush migrates them onto survivors that did swap.
     for (std::uint32_t attempts = 0;

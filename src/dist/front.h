@@ -44,6 +44,7 @@
 #include <utility>
 #include <vector>
 
+#include "banzai/kernel.h"
 #include "banzai/packet.h"
 #include "dist/framing.h"
 #include "dist/health.h"
@@ -202,7 +203,10 @@ class FrontTier {
   void move_slot(std::size_t slot, std::size_t to_worker);
 
   // Hot-swaps every worker onto another execution engine mid-stream.
-  void swap_engine(std::uint8_t engine);
+  // Throws std::invalid_argument, before any RPC, for a value that is not
+  // kKernel or kNative: a worker would refuse it, and the front would read
+  // each refusal as a failed connection until it declared the worker dead.
+  void swap_engine(banzai::ExecEngine engine);
 
   // Marks a worker dead immediately and migrates its slots (the caller knows
   // something the detector doesn't, e.g. the chaos harness just killed it).

@@ -477,7 +477,8 @@ void WorkerServer::handle_restore(Conn& conn, const Message& req) {
 void WorkerServer::handle_swap(Conn& conn, const Message& req) {
   const SwapEngine swap =
       decode_swap_engine(req.payload.data(), req.payload.size());
-  if (swap.engine > static_cast<std::uint8_t>(banzai::ExecEngine::kNative)) {
+  if (swap.engine != static_cast<std::uint8_t>(banzai::ExecEngine::kKernel) &&
+      swap.engine != static_cast<std::uint8_t>(banzai::ExecEngine::kNative)) {
     reply_error(conn, "swap: unknown engine");
     return;
   }

@@ -112,8 +112,8 @@ banzai::Value eval_intrinsic(const std::string& name,
   if (fn == nullptr) return 0;
   // Sema enforces arity at compile time; this guards direct callers so a
   // raw body indexing args[0] can never read an empty buffer.  (The info
-  // lookup stays inside the error branch — this is the closure engine's
-  // per-packet path.)
+  // lookup stays inside the error branch — this is the interpreter's and the
+  // TAC evaluator's per-packet path.)
   if (args.empty()) {
     const auto info = intrinsic_info(name);
     if (info.has_value() && info->arity > 0)

@@ -27,11 +27,10 @@
 //   * egress   — runs at delivery, when the fabric knows the packet's total
 //     queueing delay (the AQM role: CoDel's `qdelay` input).
 //
-// The feedback loop is what distinguishes this from the seed's open-loop
-// LeafSpineFabric: queue occupancy observed by packets in flight is carried
-// back to the ingress program (`util`/`path_id` fields), whose state then
-// decides future paths — congestion control closes over the fabric's own
-// queues.  Determinism: events execute in (tick, schedule order); the only
+// The fabric is closed-loop: queue occupancy observed by packets in flight
+// is carried back to the ingress program (`util`/`path_id` fields), whose
+// state then decides future paths — congestion control closes over the
+// fabric's own queues.  Determinism: events execute in (tick, schedule order); the only
 // randomness is the caller's trace and the seed salting ECMP placement.
 //
 // A node can also host a ShardCore — the multi-pipeline switch from the

@@ -1,7 +1,10 @@
-// Tests for the Banzai machine substrate: packets, state, stages with
-// parallel atom semantics, and the cycle-accurate pipeline simulator.
+// Tests for the Banzai machine substrate: packets, state, and the
+// cycle-accurate pipeline simulator.
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "banzai/kernel.h"
 #include "banzai/machine.h"
 #include "banzai/packet.h"
 #include "banzai/sim.h"
@@ -115,61 +118,31 @@ TEST(StateStoreTest, RestoreRejectsShapeMismatchAndLeavesStoreUntouched) {
   EXPECT_NE(target.generation(), gen_before);
 }
 
-// ---- stage semantics --------------------------------------------------------
-
-// Two atoms that each read field 0 of the stage input and write fields 1 / 2.
-// Parallel semantics: both must observe the value at stage entry even though
-// atom 1 "writes" field 0's consumer later.
-TEST(StageTest, AtomsReadStageInputNotEachOther) {
-  FieldTable ft;
-  const FieldId f_in = ft.intern("in");
-  const FieldId f_a = ft.intern("a");
-  const FieldId f_b = ft.intern("b");
-
-  Stage stage;
-  ConfiguredAtom a1;
-  a1.exec = [=](const Packet& in, Packet& out, StateStore&) {
-    out.set(f_a, in.get(f_in) + 1);
-  };
-  ConfiguredAtom a2;
-  a2.exec = [=](const Packet& in, Packet& out, StateStore&) {
-    // must see the original `in`, not a1's output
-    out.set(f_b, in.get(f_a) * 10);
-  };
-  stage.atoms = {a1, a2};
-
-  StateStore store;
-  Packet p(ft.size());
-  p.set(f_in, 5);
-  p.set(f_a, 100);
-  Packet out = stage.execute(p, store);
-  EXPECT_EQ(out.get(f_a), 6);
-  EXPECT_EQ(out.get(f_b), 1000);  // read the stage input value of `a`
-}
-
 // ---- pipeline simulation ------------------------------------------------------
 
-// A machine whose single stateful atom counts packets; used to verify that
-// overlapped execution is serializable.
+// A machine whose single stateful op counts packets (c = c + 1, publishing
+// the new value into `count`) in the first of `stages` stages; the rest are
+// empty.  Built with the CompiledPipeline builder the lowering pass uses, and
+// used to verify that overlapped execution is serializable.
 Machine make_counter_machine(std::size_t stages) {
   FieldTable ft;
-  const FieldId f_seq = ft.intern("seq");
+  ft.intern("seq");
   const FieldId f_count = ft.intern("count");
-  Machine m(MachineSpec{"test", "RAW", stages, 300, 10}, FieldTable{});
+  auto kernel = std::make_shared<CompiledPipeline>();
+  kernel->begin_stage();
+  StatefulOp counter;
+  counter.num_states = 1;
+  counter.slots[0].var = kernel->intern_state("c");
+  counter.arms[0][0].mode = KArm::kAdd;
+  counter.arms[0][0].src1 = KRef::constant(1);
+  kernel->add_stateful(counter,
+                       {{static_cast<std::uint32_t>(f_count), 0, true}});
+  for (std::size_t s = 1; s < stages; ++s) kernel->begin_stage();
+  kernel->seal(ft.size());
+
+  Machine m(MachineSpec{"test", "RAW", stages, 300, 10}, std::move(ft));
   m.state().declare("c", 1, true, 0);
-  std::vector<Stage> sv(stages);
-  ConfiguredAtom counter;
-  counter.kind = AtomKind::kStateful;
-  counter.state_vars = {"c"};
-  counter.exec = [=](const Packet&, Packet& out, StateStore& st) {
-    auto& v = st.var("c");
-    v.store_scalar(v.load_scalar() + 1);
-    out.set(f_count, v.load_scalar());
-  };
-  sv[0].atoms.push_back(counter);
-  m.stages() = std::move(sv);
-  m.fields() = std::move(ft);
-  (void)f_seq;
+  m.set_kernel(std::move(kernel));
   return m;
 }
 

@@ -105,14 +105,18 @@ TEST(AllOrNothingTest, CompilationSucceedsOrThrowsNeverPartial) {
 
 // ---- machine structure invariants ------------------------------------------
 
+// Both invariants are read off the sealed kernel the machine executes: one
+// op per atom, one StageRange per stage.
+
 TEST(MachineInvariantTest, EachStateVariableOwnedByExactlyOneAtom) {
   for (const auto& alg : algorithms::corpus()) {
     if (alg.paper_least_atom == "Doesn't map") continue;
     CompileResult r = compile(alg.source, target_named("banzai-pairs"));
+    const banzai::CompiledPipeline& k = r.machine().require_kernel();
     std::map<std::string, int> owners;
-    for (const auto& stage : r.machine().stages())
-      for (const auto& atom : stage.atoms)
-        for (const auto& v : atom.state_vars) owners[v]++;
+    for (const banzai::StatefulOp& op : k.stateful_pool())
+      for (std::size_t s = 0; s < op.num_states; ++s)
+        owners[k.state_names().at(op.slots[s].var)]++;
     for (const auto& [var, count] : owners)
       EXPECT_EQ(count, 1) << alg.name << ": state " << var << " owned by "
                           << count << " atoms";
@@ -123,12 +127,22 @@ TEST(MachineInvariantTest, AtomOutputFieldsAreDisjointWithinStage) {
   for (const auto& alg : algorithms::corpus()) {
     if (alg.paper_least_atom == "Doesn't map") continue;
     CompileResult r = compile(alg.source, target_named("banzai-pairs"));
-    for (const auto& stage : r.machine().stages()) {
-      std::set<banzai::FieldId> written;
-      for (const auto& atom : stage.atoms)
-        for (auto f : atom.output_fields)
+    const banzai::CompiledPipeline& k = r.machine().require_kernel();
+    for (const auto& range : k.stage_ranges()) {
+      std::set<std::uint32_t> written;
+      for (std::uint32_t i = range.begin; i < range.end; ++i) {
+        const banzai::MicroOp& op = k.ops()[i];
+        std::vector<std::uint32_t> outs{op.dst};
+        if (op.code == banzai::KOp::kStateful) {
+          const banzai::StatefulOp& so = k.stateful_pool()[op.aux];
+          outs.clear();
+          for (std::uint32_t l = so.liveout_begin; l < so.liveout_end; ++l)
+            outs.push_back(k.liveout_pool()[l].dst);
+        }
+        for (std::uint32_t f : outs)
           EXPECT_TRUE(written.insert(f).second)
               << alg.name << ": two atoms in one stage write field " << f;
+      }
     }
   }
 }

@@ -510,18 +510,45 @@ TEST(DistClusterTest, EngineHotSwapMidStreamStaysBitExact) {
   const auto expected = c.sequential_reference(frames);
   for (std::size_t i = 0; i < frames.size(); ++i) {
     c.front->offer(frames[i]);
-    if (i == 250)
-      c.front->swap_engine(
-          static_cast<std::uint8_t>(banzai::ExecEngine::kKernel));
-    if (i == 550)
-      c.front->swap_engine(
-          static_cast<std::uint8_t>(banzai::ExecEngine::kClosure));
+    if (i == 250) c.front->swap_engine(banzai::ExecEngine::kNative);
+    if (i == 550) c.front->swap_engine(banzai::ExecEngine::kKernel);
   }
   c.front->flush();
   const auto got = c.front->drain_egress();
   ASSERT_EQ(got.size(), expected.size());
   for (std::size_t i = 0; i < got.size(); ++i)
     ASSERT_EQ(got[i], expected[i]) << "frame " << i;
+}
+
+// A value that is no engine is refused at the front, before any RPC: a
+// worker would answer it with an error, which the front reads as a failed
+// connection, retrying until it declares a healthy worker dead.
+TEST(DistClusterTest, SwapToAnUnknownEngineThrowsAndKillsNoWorker) {
+  Cluster c(2);
+  const auto frames = c.make_frames(400, 59);
+  const auto expected = c.sequential_reference(frames);
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    c.front->offer(frames[i]);
+    if (i == 150) {
+      EXPECT_THROW(c.front->swap_engine(static_cast<banzai::ExecEngine>(0)),
+                   std::invalid_argument);
+    }
+    if (i == 250) {
+      EXPECT_THROW(c.front->swap_engine(static_cast<banzai::ExecEngine>(7)),
+                   std::invalid_argument);
+    }
+  }
+  c.front->flush();
+  const auto got = c.front->drain_egress();
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < got.size(); ++i)
+    ASSERT_EQ(got[i], expected[i]) << "frame " << i;
+  for (std::size_t w = 0; w < c.workers.size(); ++w) {
+    EXPECT_EQ(c.front->worker_view(w).health, HealthState::kHealthy) << w;
+    EXPECT_EQ(c.front->worker_view(w).deaths, 0u) << w;
+    EXPECT_EQ(c.front->worker_view(w).errors, 0u) << w;
+  }
+  EXPECT_EQ(c.front->stats().migrations, 0u);
 }
 
 TEST(DistClusterTest, WorkerKillMidBurstRecoversViaMigrationAndReplay) {
@@ -621,7 +648,7 @@ TEST(DistClusterTest, RestartFoundBySwapEngineMigratesItsSlots) {
   c.front->flush();
   c.workers[1]->kill();
   c.workers[1]->restart();
-  c.front->swap_engine(static_cast<std::uint8_t>(banzai::ExecEngine::kKernel));
+  c.front->swap_engine(banzai::ExecEngine::kKernel);
   EXPECT_EQ(c.front->worker_view(1).health, HealthState::kDead);
 
   for (std::size_t i = 300; i < frames.size(); ++i) c.front->offer(frames[i]);
@@ -920,6 +947,35 @@ TEST(DistRestoreGuardTest, ValidRestoreIsAcceptedAndApplied) {
       w.call(MsgType::kRestoreReq, dist::encode_restore_req(req));
   EXPECT_EQ(resp.type, MsgType::kRestoreAck);
   EXPECT_EQ(w.snapshot_blob(4), blob);
+}
+
+// The worker's own guard on engine swaps: a byte other than kKernel (1) or
+// kNative (2) is answered with kError and swaps nothing; both valid bytes
+// are applied.
+TEST(DistWorkerSwapTest, OnlyKernelAndNativeBytesAreAccepted) {
+  RawWorker w;
+  for (int engine : {0, 3, 7}) {
+    dist::SwapEngine msg;
+    msg.engine = static_cast<std::uint8_t>(engine);
+    EXPECT_EQ(w.call(MsgType::kSwapEngine, dist::encode_swap_engine(msg)).type,
+              MsgType::kError)
+        << engine;
+  }
+  EXPECT_EQ(w.worker->stats().engine_swaps, 0u);
+  for (banzai::ExecEngine engine :
+       {banzai::ExecEngine::kNative, banzai::ExecEngine::kKernel}) {
+    dist::SwapEngine msg;
+    msg.engine = static_cast<std::uint8_t>(engine);
+    const auto resp =
+        w.call(MsgType::kSwapEngine, dist::encode_swap_engine(msg));
+    ASSERT_EQ(resp.type, MsgType::kSwapAck);
+    // The machine was compiled without a native pipeline, so a kNative
+    // request runs on the kernel VM and the ack says so.
+    EXPECT_EQ(dist::decode_swap_ack(resp.payload.data(), resp.payload.size())
+                  .active_engine,
+              static_cast<std::uint8_t>(banzai::ExecEngine::kKernel));
+  }
+  EXPECT_EQ(w.worker->stats().engine_swaps, 2u);
 }
 
 // ---- hostile peers (front-tier hardening) ----------------------------------

@@ -1,13 +1,14 @@
-// The engine-equivalence contract of the compiled execution paths
-// (banzai/kernel.h, banzai/native.h): for every corpus algorithm, the
-// kClosure, kKernel and kNative engines are bit-exact on every packet field
-// and every state cell, across all four runtimes — per-packet
-// Machine::process, batched BatchSim, the sharded Fleet/FleetService, and
-// NetFabric-hosted nodes — on the seeded workloads, on a full-range fuzz
-// corpus (wrap-around arithmetic, division by zero, hostile array indices),
-// across snapshot/restore between engines, and under mid-stream engine
-// flips.  The native engine participates whenever the host toolchain can
-// build it (the machines record a fallback reason otherwise); the loader
+// The semantic contract of the compiled execution paths (banzai/kernel.h,
+// banzai/native.h): for every corpus algorithm, the kernel VM agrees with
+// the sequential interpreter (core/interp, the ground truth) on every output
+// field and every state cell on a full-range fuzz corpus (wrap-around
+// arithmetic, division by zero, INT_MIN/-1, hostile array indices), and the
+// kNative engine is bit-exact with the kernel VM on every packet field and
+// every state cell, across all four runtimes — per-packet Machine::process,
+// batched BatchSim, the sharded Fleet/FleetService, and NetFabric-hosted
+// nodes — across snapshot/restore between engines, and under mid-stream
+// engine flips.  The native engine participates whenever the host toolchain
+// can build it (the machines record a fallback reason otherwise); the loader
 // itself is covered in tests/native_test.cc.
 #include <gtest/gtest.h>
 
@@ -23,7 +24,9 @@
 #include "banzai/batch.h"
 #include "banzai/fleet.h"
 #include "banzai/service.h"
+#include "banzai/sim.h"
 #include "core/compiler.h"
+#include "core/interp.h"
 #include "sim/netfabric.h"
 #include "sim/tracegen.h"
 
@@ -35,15 +38,14 @@ using banzai::Packet;
 
 const char* engine_name(ExecEngine e) {
   switch (e) {
-    case ExecEngine::kClosure: return "closure";
     case ExecEngine::kKernel: return "kernel";
     case ExecEngine::kNative: return "native";
   }
   return "?";
 }
 
-// Compile with the native engine requested: machines carry the closure and
-// kernel paths always, plus the AOT pipeline when the host toolchain exists.
+// Compile with the native engine requested: machines carry the sealed kernel
+// always, plus the AOT pipeline when the host toolchain exists.
 domino::CompileOptions native_options() {
   domino::CompileOptions opts;
   opts.engine = ExecEngine::kNative;
@@ -67,11 +69,11 @@ std::optional<domino::CompileResult> compile_least(const std::string& source) {
   }
 }
 
-// Every engine this machine can actually execute: closure and kernel always,
+// Every engine this machine can actually execute: the kernel VM always,
 // native only when the loader attached a pipeline (no toolchain -> the
-// machine records a fallback reason and the differential narrows to two).
+// machine records a fallback reason and the differential narrows to one).
 std::vector<ExecEngine> engines_of(const Machine& m) {
-  std::vector<ExecEngine> v{ExecEngine::kClosure, ExecEngine::kKernel};
+  std::vector<ExecEngine> v{ExecEngine::kKernel};
   if (m.native() != nullptr) v.push_back(ExecEngine::kNative);
   return v;
 }
@@ -100,29 +102,31 @@ std::vector<Packet> workload_packets(const algorithms::AlgorithmInfo& alg,
   return out;
 }
 
-// Full-range random packets: every machine field (inputs, temporaries)
-// uniformly over int32, plus adversarial extremes.  Exercises wrapping,
-// x/0, INT_MIN/-1, shift masking and out-of-range state indices on all
-// engines identically.
-std::vector<Packet> fuzz_packets(const banzai::FieldTable& fields, int n,
-                                 unsigned seed) {
-  std::mt19937 rng(seed);
+// One full-range value: uniform over int32, or (1 time in 8) an
+// adversarial extreme.  Exercises wrapping, x/0, INT_MIN/-1, shift masking
+// and out-of-range state indices.
+banzai::Value full_range_value(std::mt19937& rng) {
+  static const banzai::Value extremes[] = {
+      0, 1, -1, std::numeric_limits<std::int32_t>::min(),
+      std::numeric_limits<std::int32_t>::max()};
   std::uniform_int_distribution<std::int64_t> full(
       std::numeric_limits<std::int32_t>::min(),
       std::numeric_limits<std::int32_t>::max());
-  const banzai::Value extremes[] = {
-      0, 1, -1, std::numeric_limits<std::int32_t>::min(),
-      std::numeric_limits<std::int32_t>::max()};
+  if (rng() % 8 == 0) return extremes[rng() % 5];
+  return static_cast<banzai::Value>(full(rng));
+}
+
+// Full-range random packets: every machine field (inputs, temporaries)
+// drawn by full_range_value, on all engines identically.
+std::vector<Packet> fuzz_packets(const banzai::FieldTable& fields, int n,
+                                 unsigned seed) {
+  std::mt19937 rng(seed);
   std::vector<Packet> out;
   out.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     Packet p(fields.size());
-    for (std::size_t f = 0; f < fields.size(); ++f) {
-      if (rng() % 8 == 0)
-        p.set(f, extremes[rng() % 5]);
-      else
-        p.set(f, static_cast<banzai::Value>(full(rng)));
-    }
+    for (std::size_t f = 0; f < fields.size(); ++f)
+      p.set(f, full_range_value(rng));
     out.push_back(std::move(p));
   }
   return out;
@@ -154,8 +158,9 @@ TEST(KernelLoweringTest, EveryCompilableAlgorithmCarriesASealedKernel) {
     const Machine& m = compiled->machine();
     ASSERT_NE(m.kernel(), nullptr) << alg.name;
     EXPECT_TRUE(m.kernel()->sealed()) << alg.name;
-    EXPECT_EQ(m.kernel()->num_stages(), m.num_stages()) << alg.name;
-    EXPECT_EQ(m.kernel()->num_ops(), m.num_atoms()) << alg.name;
+    // One stage range per fitted stage, one op per codelet.
+    EXPECT_EQ(m.num_stages(), compiled->num_stages()) << alg.name;
+    EXPECT_EQ(m.num_atoms(), compiled->codegen.reports.size()) << alg.name;
     EXPECT_EQ(m.kernel()->num_fields(), m.fields().size()) << alg.name;
     // compile() honors the requested engine…
     EXPECT_EQ(m.engine(), ExecEngine::kNative) << alg.name;
@@ -163,10 +168,6 @@ TEST(KernelLoweringTest, EveryCompilableAlgorithmCarriesASealedKernel) {
     // was recorded (never both, never neither).
     EXPECT_NE(m.native() != nullptr, !m.native_fallback_reason().empty())
         << alg.name << ": " << m.native_fallback_reason();
-    // The closure path stays selectable as the reference.
-    Machine closure = engine_clone(m, ExecEngine::kClosure);
-    EXPECT_EQ(closure.active_kernel(), nullptr) << alg.name;
-    EXPECT_EQ(closure.active_native(), nullptr) << alg.name;
   }
   // Table 4: everything except CoDel maps to a paper target, and CoDel maps
   // to the LUT extension — the corpus-wide contract below rests on this.
@@ -179,7 +180,7 @@ TEST(KernelLoweringTest, NativeEngineIsAvailableOrSkipsLoudly) {
   const Machine& m = compiled->machine();
   if (m.native() == nullptr)
     GTEST_SKIP() << "native engine unavailable on this host — differentials "
-                    "cover closure/kernel only.  Reason: "
+                    "cover the kernel VM only.  Reason: "
                  << m.native_fallback_reason();
   EXPECT_NE(m.active_native(), nullptr);
   EXPECT_EQ(m.native()->num_fields(), m.fields().size());
@@ -201,6 +202,64 @@ TEST(KernelLoweringTest, DisassemblyNamesEveryOpAndStateVar) {
             std::string::npos);
 }
 
+TEST(KernelDifferentialTest, KernelMatchesInterpreterOnFullRangeInputs) {
+  // The ground truth is sequential execution of the packet transaction
+  // (§3.1).  Every declared field is drawn from the full int32 range, so
+  // wrap-around, x/0, INT_MIN/-1 and hostile array indices all reach the
+  // compiled program; each engine must reproduce the interpreter's final
+  // value of every declared field (through output_map()) and its state.
+  int checked = 0;
+  for (const auto& alg : algorithms::corpus()) {
+    auto compiled = compile_least(alg.source);
+    if (!compiled.has_value()) continue;
+    ++checked;
+    const auto& decl = compiled->program.packet_fields;
+    const banzai::FieldTable& ft = compiled->machine().fields();
+    std::vector<banzai::FieldId> in_ids, out_ids;
+    for (const auto& f : decl) {
+      in_ids.push_back(ft.id_of(f.name));
+      const auto it = compiled->output_map().find(f.name);
+      out_ids.push_back(
+          ft.id_of(it != compiled->output_map().end() ? it->second : f.name));
+    }
+
+    std::mt19937 rng(99);
+    std::vector<std::vector<banzai::Value>> inputs(2500);
+    for (auto& row : inputs)
+      for (std::size_t f = 0; f < decl.size(); ++f)
+        row.push_back(full_range_value(rng));
+
+    domino::Interpreter interp(compiled->program);
+    std::vector<std::vector<banzai::Value>> expected;
+    for (const auto& row : inputs) {
+      Packet p = interp.make_packet();
+      for (std::size_t f = 0; f < decl.size(); ++f)
+        interp.set(p, decl[f].name, row[f]);
+      interp.run(p);
+      std::vector<banzai::Value> out;
+      for (const auto& f : decl) out.push_back(interp.get(p, f.name));
+      expected.push_back(std::move(out));
+    }
+
+    for (ExecEngine engine : engines_of(compiled->machine())) {
+      Machine m = engine_clone(compiled->machine(), engine);
+      for (std::size_t i = 0; i < inputs.size(); ++i) {
+        Packet p(ft.size());
+        for (std::size_t f = 0; f < decl.size(); ++f)
+          p.set(in_ids[f], inputs[i][f]);
+        p = m.process(std::move(p));
+        for (std::size_t f = 0; f < decl.size(); ++f)
+          ASSERT_EQ(p.get(out_ids[f]), expected[i][f])
+              << alg.name << " [" << engine_name(engine) << "]: packet " << i
+              << " field " << decl[f].name;
+      }
+      EXPECT_TRUE(m.state() == interp.state())
+          << alg.name << " [" << engine_name(engine) << "]";
+    }
+  }
+  EXPECT_GE(checked, 11);
+}
+
 TEST(KernelDifferentialTest, PerPacketCorpusWorkloads) {
   for (const auto& alg : algorithms::corpus()) {
     auto compiled = compile_least(alg.source);
@@ -208,16 +267,16 @@ TEST(KernelDifferentialTest, PerPacketCorpusWorkloads) {
     const auto trace =
         workload_packets(alg, compiled->machine().fields(), 4000, 7);
     for (ExecEngine engine : engines_of(compiled->machine())) {
-      if (engine == ExecEngine::kClosure) continue;
-      Machine closure = engine_clone(compiled->machine(), ExecEngine::kClosure);
+      if (engine == ExecEngine::kKernel) continue;
+      Machine ref = engine_clone(compiled->machine(), ExecEngine::kKernel);
       Machine under = engine_clone(compiled->machine(), engine);
       for (std::size_t i = 0; i < trace.size(); ++i) {
-        const Packet a = closure.process(trace[i]);
+        const Packet a = ref.process(trace[i]);
         const Packet b = under.process(trace[i]);
         ASSERT_EQ(a, b) << alg.name << " [" << engine_name(engine)
                         << "]: packet " << i;
       }
-      EXPECT_TRUE(closure.state() == under.state())
+      EXPECT_TRUE(ref.state() == under.state())
           << alg.name << " [" << engine_name(engine) << "]";
     }
   }
@@ -229,36 +288,35 @@ TEST(KernelDifferentialTest, PerPacketFuzzCorpus) {
     if (!compiled.has_value()) continue;
     const auto trace = fuzz_packets(compiled->machine().fields(), 2500, 99);
     for (ExecEngine engine : engines_of(compiled->machine())) {
-      if (engine == ExecEngine::kClosure) continue;
-      Machine closure = engine_clone(compiled->machine(), ExecEngine::kClosure);
+      if (engine == ExecEngine::kKernel) continue;
+      Machine ref = engine_clone(compiled->machine(), ExecEngine::kKernel);
       Machine under = engine_clone(compiled->machine(), engine);
       for (std::size_t i = 0; i < trace.size(); ++i) {
-        const Packet a = closure.process(trace[i]);
+        const Packet a = ref.process(trace[i]);
         const Packet b = under.process(trace[i]);
         ASSERT_EQ(a, b) << alg.name << " [" << engine_name(engine)
                         << "]: fuzz packet " << i;
       }
-      EXPECT_TRUE(closure.state() == under.state())
+      EXPECT_TRUE(ref.state() == under.state())
           << alg.name << " [" << engine_name(engine) << "]";
     }
   }
 }
 
 TEST(KernelDifferentialTest, BatchedAcrossBatchSizes) {
+  // Reference: the kernel VM one packet at a time.  Every engine, batch
+  // size and batch shape must reproduce it bit for bit.
   for (const auto& alg : algorithms::corpus()) {
     auto compiled = compile_least(alg.source);
     if (!compiled.has_value()) continue;
     const auto trace =
         workload_packets(alg, compiled->machine().fields(), 3000, 11);
+    Machine ref = engine_clone(compiled->machine(), ExecEngine::kKernel);
+    std::vector<Packet> ref_out;
+    for (const Packet& p : trace) ref_out.push_back(ref.process(p));
     for (std::size_t batch : {std::size_t{1}, std::size_t{7},
                               std::size_t{256}}) {
-      Machine closure =
-          engine_clone(compiled->machine(), ExecEngine::kClosure);
-      banzai::BatchSim ref(closure, batch);
-      ref.enqueue(trace);
-      ref.run();
       for (ExecEngine engine : engines_of(compiled->machine())) {
-        if (engine == ExecEngine::kClosure) continue;
         for (banzai::BatchDispatch dispatch :
              {banzai::BatchDispatch::kRows, banzai::BatchDispatch::kColumnar}) {
           const std::string tag =
@@ -269,8 +327,8 @@ TEST(KernelDifferentialTest, BatchedAcrossBatchSizes) {
           banzai::BatchSim sim(under, batch, dispatch);
           sim.enqueue(trace);
           sim.run();
-          expect_packets_equal(ref.egress(), sim.egress(), tag);
-          EXPECT_TRUE(closure.state() == under.state()) << tag;
+          expect_packets_equal(ref_out, sim.egress(), tag);
+          EXPECT_TRUE(ref.state() == under.state()) << tag;
         }
       }
     }
@@ -291,11 +349,11 @@ TEST(KernelDifferentialTest, ShardedFleet) {
       cfg.batch_size = 64;
       cfg.parallel = true;
       cfg.flow_key = key;
-      banzai::Fleet ref(engine_clone(compiled->machine(), ExecEngine::kClosure),
+      banzai::Fleet ref(engine_clone(compiled->machine(), ExecEngine::kKernel),
                         cfg);
       const auto ra = ref.run(trace).egress_in_order();
       for (ExecEngine engine : engines_of(compiled->machine())) {
-        if (engine == ExecEngine::kClosure) continue;
+        if (engine == ExecEngine::kKernel) continue;
         banzai::Fleet under(engine_clone(compiled->machine(), engine), cfg);
         const auto rb = under.run(trace).egress_in_order();
         expect_packets_equal(ra, rb,
@@ -356,9 +414,8 @@ TEST(KernelDifferentialTest, StreamingFleetService) {
 
 TEST(KernelDifferentialTest, FabricHostedNodes) {
   // NetFabric runs hosted machines through Machine::process (and ShardCore
-  // for multi-pipeline nodes); a kernel- or native-engined ingress must
-  // yield the same deliveries, paths, marks and final state as the closure
-  // engine.
+  // for multi-pipeline nodes); a native-engined ingress must yield the same
+  // deliveries, paths, marks and final state as the kernel VM.
   netsim::FlowTraceConfig tc;
   tc.num_packets = 3000;
   tc.num_flows = 40;
@@ -392,9 +449,9 @@ TEST(KernelDifferentialTest, FabricHostedNodes) {
       return fabric;
     };
 
-    auto ref = run_fabric(ExecEngine::kClosure);
+    auto ref = run_fabric(ExecEngine::kKernel);
     for (ExecEngine engine : engines_of(compiled->machine())) {
-      if (engine == ExecEngine::kClosure) continue;
+      if (engine == ExecEngine::kKernel) continue;
       auto under = run_fabric(engine);
       ASSERT_EQ(ref->delivered().size(), under->delivered().size())
           << name << " [" << engine_name(engine) << "]";
@@ -429,16 +486,20 @@ TEST(KernelDifferentialTest, SnapshotRestoreMigratesAcrossEngines) {
     const auto& alg = algorithms::algorithm(name);
     auto compiled = compile_least(alg.source);
     ASSERT_TRUE(compiled.has_value()) << name;
+    const auto engines = engines_of(compiled->machine());
+    if (engines.size() < 2)
+      GTEST_SKIP() << "needs two engines; the native engine is unavailable "
+                      "on this host.  Reason: "
+                   << compiled->machine().native_fallback_reason();
     const auto trace =
         workload_packets(alg, compiled->machine().fields(), 2000, 29);
     const std::size_t half = trace.size() / 2;
 
-    // Reference: the whole trace on the closure engine.
-    Machine ref = engine_clone(compiled->machine(), ExecEngine::kClosure);
+    // Reference: the whole trace on the kernel VM.
+    Machine ref = engine_clone(compiled->machine(), ExecEngine::kKernel);
     std::vector<Packet> ref_out;
     for (const auto& p : trace) ref_out.push_back(ref.process(p));
 
-    const auto engines = engines_of(compiled->machine());
     for (ExecEngine first : engines) {
       for (ExecEngine second : engines) {
         if (first == second) continue;
@@ -470,7 +531,11 @@ TEST(KernelDifferentialTest, EngineFlipMidStreamIsSeamless) {
       workload_packets(alg, compiled->machine().fields(), 3000, 31);
 
   const auto engines = engines_of(compiled->machine());
-  Machine ref = engine_clone(compiled->machine(), ExecEngine::kClosure);
+  if (engines.size() < 2)
+    GTEST_SKIP() << "needs two engines; the native engine is unavailable on "
+                    "this host.  Reason: "
+                 << compiled->machine().native_fallback_reason();
+  Machine ref = engine_clone(compiled->machine(), ExecEngine::kKernel);
   Machine flip = engine_clone(compiled->machine(), engines.back());
   std::mt19937 rng(5);
   std::size_t which = engines.size() - 1;
@@ -494,8 +559,6 @@ TEST(EngineContractTest, ActiveEngineReportsTheResolvedLadderRung) {
 
   Machine m = compiled->machine().clone();
   ASSERT_NE(m.kernel(), nullptr);
-  m.set_engine(ExecEngine::kClosure);
-  EXPECT_EQ(m.active_engine(), ExecEngine::kClosure);
   m.set_engine(ExecEngine::kKernel);
   EXPECT_EQ(m.active_engine(), ExecEngine::kKernel);
   // A kNative request resolves to the native rung only when the loader
@@ -509,46 +572,65 @@ TEST(EngineContractTest, ActiveEngineReportsTheResolvedLadderRung) {
     EXPECT_FALSE(m.native_fallback_reason().empty());
   }
 
-  // A machine with no lowered kernel executes on closures whatever the
-  // toggle says.
+  // A machine with no compiled pipeline has nothing to execute: every entry
+  // point refuses it instead of passing packets through untouched.
   Machine bare;
-  bare.set_engine(ExecEngine::kNative);
-  EXPECT_EQ(bare.active_engine(), ExecEngine::kClosure);
+  EXPECT_EQ(bare.engine(), ExecEngine::kKernel) << "the default engine";
+  EXPECT_EQ(bare.num_stages(), 0u);
+  for (ExecEngine engine : {ExecEngine::kKernel, ExecEngine::kNative}) {
+    bare.set_engine(engine);
+    EXPECT_EQ(bare.active_kernel(), nullptr);
+    EXPECT_EQ(bare.active_native(), nullptr);
+    EXPECT_THROW(bare.process(Packet(1)), std::logic_error);
+    Packet row(1);
+    EXPECT_THROW(bare.run_batch(banzai::BatchView::rows(&row, 1)),
+                 std::logic_error);
+  }
+  EXPECT_THROW(banzai::PipelineSim sim(bare), std::logic_error);
+
+  // The engine values are dist wire bytes (HELLO ack, SwapEngine, SwapAck).
+  EXPECT_EQ(static_cast<int>(ExecEngine::kKernel), 1);
+  EXPECT_EQ(static_cast<int>(ExecEngine::kNative), 2);
 }
 
 TEST(KernelDifferentialTest, RestoreMidStreamRebindsStateCleanly) {
   // The binding-cache variant of a reshard cycle: process on cached
   // bindings, snapshot, keep processing, restore the snapshot (replacing
-  // the StateStore's map wholesale), keep processing.  Every compiled
-  // engine must match a closure machine driven through the same sequence.
+  // the StateStore's map wholesale), keep processing.  Every engine must
+  // match the same program driven through the same sequence with no cache
+  // at all: CompiledPipeline::run resolves state by name on every call.
   const auto& alg = algorithms::algorithm("heavy_hitters");
   auto compiled = compile_least(alg.source);
   ASSERT_TRUE(compiled.has_value());
   const auto trace =
       workload_packets(alg, compiled->machine().fields(), 3000, 37);
   const std::size_t a = trace.size() / 3, b = 2 * trace.size() / 3;
+  const banzai::CompiledPipeline& program =
+      compiled->machine().require_kernel();
 
   for (ExecEngine engine : engines_of(compiled->machine())) {
-    Machine ref = engine_clone(compiled->machine(), ExecEngine::kClosure);
+    banzai::StateStore ref_state = compiled->machine().state();
     Machine under = engine_clone(compiled->machine(), engine);
     std::vector<Packet> ref_out, out;
     banzai::StateStore ref_snap, snap;
     for (std::size_t i = 0; i < trace.size(); ++i) {
       if (i == a) {
-        ref_snap = ref.snapshot_state();
+        ref_snap = ref_state.snapshot();
         snap = under.snapshot_state();
       }
       if (i == b) {
-        ref.restore_state(ref_snap);
+        ref_state.restore(ref_snap);
         under.restore_state(snap);
       }
-      ref_out.push_back(ref.process(trace[i]));
+      Packet p = trace[i];
+      program.run(p, ref_state);
+      ref_out.push_back(std::move(p));
       out.push_back(under.process(trace[i]));
     }
     expect_packets_equal(ref_out, out,
                          std::string("restore mid-stream [") +
                              engine_name(engine) + "]");
-    EXPECT_TRUE(ref.state() == under.state()) << engine_name(engine);
+    EXPECT_TRUE(ref_state == under.state()) << engine_name(engine);
   }
 }
 

@@ -224,16 +224,14 @@ class MetricsExactnessTest : public ::testing::TestWithParam<std::string> {
 
 // Sequential Machine::process on each engine: every packet traverses every
 // stage exactly once, so packets[s] == trace size for all s, and the kernel
-// and native engines agree on ops (ops is per-micro-op; the closure engine
-// counts atom executions, so only its packets column is comparable).
+// and native engines agree on ops (micro-ops retired per stage).
 TEST_P(MetricsExactnessTest, SequentialCountersExactPerEngine) {
   const AlgorithmInfo& alg = algorithms::algorithm(GetParam());
   const auto target = *test_util::least_target(alg.source);
   constexpr int kPackets = 600;
 
   std::vector<StageCounterRow> kernel_rows;
-  for (ExecEngine engine :
-       {ExecEngine::kClosure, ExecEngine::kKernel, ExecEngine::kNative}) {
+  for (ExecEngine engine : {ExecEngine::kKernel, ExecEngine::kNative}) {
     domino::CompileOptions opts;
     opts.engine = engine;
     auto compiled = domino::compile(alg.source, target, opts);

@@ -1,7 +1,7 @@
 // The native AOT loader (banzai/native.{h,cc}) and emitter (core/emit.*):
 // fallback behaviour when no toolchain exists, the content-hash .so cache,
 // deterministic emission, and the Machine-level degradation ladder
-// native > kernel > closure.  The engine differential itself lives in
+// native > kernel.  The engine differential itself lives in
 // tests/kernel_test.cc.
 #include <fcntl.h>
 #include <gtest/gtest.h>
@@ -111,7 +111,7 @@ TEST(NativeLoaderTest, MissingToolchainFallsBackWithRecordedReason) {
   EXPECT_EQ(m.active_native(), nullptr);
   ASSERT_NE(m.active_kernel(), nullptr);
   auto ref = compile_flowlets(domino::CompileOptions{});
-  ref.machine().set_engine(ExecEngine::kClosure);
+  ASSERT_EQ(ref.machine().engine(), ExecEngine::kKernel);
   for (const Packet& p : flowlet_workload(compiled, 500))
     ASSERT_EQ(m.process(p), ref.machine().process(p));
 }
@@ -564,11 +564,11 @@ TEST(NativeLoaderTest, NativeMachinesShareThePipelineAcrossClones) {
   Machine b = compiled.machine().clone();
   EXPECT_EQ(a.native(), b.native()) << "clones share the loaded .so";
   // Independent state: interleaved processing must match two independent
-  // closure machines fed the same split.
+  // kernel-VM machines fed the same split.
   Machine ra = compiled.machine().clone();
   Machine rb = compiled.machine().clone();
-  ra.set_engine(ExecEngine::kClosure);
-  rb.set_engine(ExecEngine::kClosure);
+  ra.set_engine(ExecEngine::kKernel);
+  rb.set_engine(ExecEngine::kKernel);
   const auto trace = flowlet_workload(compiled, 1000);
   for (std::size_t i = 0; i < trace.size(); ++i) {
     if (i % 2 == 0)

@@ -7,7 +7,6 @@
 #include <map>
 #include <vector>
 
-#include "sim/fabric.h"
 #include "sim/queue.h"
 #include "sim/rng.h"
 #include "sim/tracegen.h"
@@ -321,25 +320,6 @@ TEST(QueueSimTest, Int64TicksSurviveLateAndLongTraces) {
   const auto samples = simulate_queue(burst, slow);
   EXPECT_GT(samples.back().sojourn, std::int64_t{INT32_MAX});
   EXPECT_EQ(samples.back().departure, std::int64_t{1'000'000'000} * 3);
-}
-
-TEST(FabricTest, BestPathTracksLoad) {
-  LeafSpineFabric fabric(4, 4, 11);
-  fabric.add_load(0, 0, 1000);
-  fabric.add_load(0, 1, 2000);
-  fabric.add_load(0, 3, 500);
-  EXPECT_EQ(fabric.best_path(0), 2);  // untouched path
-  fabric.add_load(0, 2, 5000);
-  EXPECT_EQ(fabric.best_path(0), 3);
-}
-
-TEST(FabricTest, DrainReducesUtilization) {
-  LeafSpineFabric fabric(2, 2, 12);
-  fabric.add_load(1, 1, 300);
-  fabric.drain(100);
-  EXPECT_EQ(fabric.utilization(1, 1), 200);
-  fabric.drain(1000);
-  EXPECT_EQ(fabric.utilization(1, 1), 0);  // clamps at zero
 }
 
 }  // namespace

@@ -2,9 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <map>
-#include <random>
 #include <set>
 #include <vector>
 
@@ -12,7 +10,6 @@
 #include "core/parser.h"
 #include "core/sema.h"
 #include "algorithms/corpus.h"
-#include "test_util.h"
 
 namespace domino {
 namespace {
@@ -192,61 +189,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values("bloom_filter", "heavy_hitters", "flowlets", "rcp",
                       "sampled_netflow", "hull", "avq", "stfq",
                       "dns_ttl_tracker", "conga", "codel"));
-
-// Cycle-accurate pipelined execution must be engine-independent: the same
-// workload through PipelineSim on the closure rung and on the kernel VM
-// (per-stage micro-op execution, sim.h) produces identical egress packets,
-// identical final state, and the same cycle count.
-TEST(PipelineSimTest, ClosureAndKernelEnginesAgreeCycleAccurately) {
-  const auto& alg = algorithms::algorithm("flowlets");
-  const auto target = test_util::least_target(alg.source);
-  ASSERT_TRUE(target.has_value());
-
-  constexpr int kPackets = 200;
-  std::vector<std::vector<banzai::Value>> egress[2];
-  std::uint64_t cycles[2] = {0, 0};
-  const banzai::StateStore* state[2] = {nullptr, nullptr};
-  domino::CompileResult compiled[2] = {
-      domino::compile(alg.source, *target, [] {
-        domino::CompileOptions o;
-        o.engine = banzai::ExecEngine::kClosure;
-        return o;
-      }()),
-      domino::compile(alg.source, *target, [] {
-        domino::CompileOptions o;
-        o.engine = banzai::ExecEngine::kKernel;
-        return o;
-      }())};
-
-  for (int e = 0; e < 2; ++e) {
-    auto& machine = compiled[e].machine();
-    banzai::PipelineSim sim(machine);
-    std::mt19937 rng(1234);
-    for (int i = 0; i < kPackets; ++i) {
-      std::map<std::string, banzai::Value> fields;
-      alg.workload(rng, i, fields);
-      banzai::Packet pkt(machine.fields().size());
-      for (const auto& [k, v] : fields)
-        if (machine.fields().try_id_of(k).has_value())
-          pkt.set(machine.fields().id_of(k), v);
-      sim.enqueue(pkt);
-    }
-    sim.drain();
-    cycles[e] = sim.stats().cycles;
-    state[e] = &machine.state();
-    for (const auto& pkt : sim.egress()) {
-      std::vector<banzai::Value> row;
-      for (std::size_t f = 0; f < machine.fields().size(); ++f)
-        row.push_back(pkt.get(static_cast<banzai::FieldId>(f)));
-      egress[e].push_back(std::move(row));
-    }
-  }
-
-  ASSERT_EQ(egress[0].size(), static_cast<std::size_t>(kPackets));
-  EXPECT_EQ(egress[0], egress[1]);
-  EXPECT_EQ(cycles[0], cycles[1]);
-  EXPECT_TRUE(*state[0] == *state[1]);
-}
 
 TEST(DotTest, DependencyGraphDotIsWellFormed) {
   TacProgram tac = tac_of(
