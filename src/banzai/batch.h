@@ -6,8 +6,8 @@
 // before moving to the next ("stage-major" order, op-major within a stage):
 // each op's configuration and the state it touches stay hot in cache across
 // the batch, per-op dispatch is paid once per batch, and the whole batch
-// runs in place — leaving one allocation per packet (the retained egress
-// copy).
+// runs in place.  run_rows() runs rows the caller owns, allocating nothing;
+// the enqueue()/run()/take_egress() queue form moves packets through.
 //
 // Stage-major order is observationally identical to packet-major order
 // because every state variable is local to exactly one atom in one stage
@@ -80,15 +80,22 @@ class BatchSim {
   // Drains the entire ingress through the pipeline, batch by batch, in
   // arrival order.  Egress packets appear in the same order.
   void run() {
-    const std::size_t total = ingress_.size();
-    egress_.reserve(egress_.size() + total);
-    for (std::size_t start = 0; start < total; start += batch_size_) {
-      const std::size_t n = std::min(batch_size_, total - start);
-      run_batch(start, n);
-      ++stats_.batches;
-      stats_.packets += n;
-    }
+    egress_.reserve(egress_.size() + ingress_.size());
+    run_rows(ingress_.data(), ingress_.size());
+    for (Packet& p : ingress_) egress_.push_back(std::move(p));
     ingress_.clear();
+  }
+
+  // Runs rows[0, n) through the pipeline in place, batch by batch, in
+  // order, bypassing the ingress and egress queues: the caller keeps the
+  // rows (ShardCore runs FleetService's ring rows where they lie).
+  void run_rows(Packet* rows, std::size_t n) {
+    for (std::size_t start = 0; start < n; start += batch_size_) {
+      const std::size_t k = std::min(batch_size_, n - start);
+      run_batch(rows + start, k);
+      ++stats_.batches;
+      stats_.packets += k;
+    }
   }
 
   // Moves the accumulated egress out, leaving the queue empty (capacity
@@ -112,8 +119,7 @@ class BatchSim {
     return false;
   }
 
-  void run_batch(std::size_t start, std::size_t n) {
-    Packet* slice = &ingress_[start];
+  void run_batch(Packet* slice, std::size_t n) {
     if (use_columns()) {
       // Liveness-guided transpose: populate only the columns the program
       // reads before writing, copy back only the columns it stores to.
@@ -128,8 +134,6 @@ class BatchSim {
     } else {
       machine_.run_batch(BatchView::rows(slice, n));
     }
-    for (std::size_t i = 0; i < n; ++i)
-      egress_.push_back(std::move(ingress_[start + i]));
   }
 
   Machine& machine_;

@@ -1,5 +1,6 @@
 #include "banzai/fleet.h"
 
+#include <iterator>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -35,7 +36,10 @@ ShardCore::ShardCore(const Machine& prototype, std::size_t num_slots,
     sims_.emplace_back(slots_.back(), batch_size, dispatch);
   }
   scratch_.resize(num_shards_);
-  for (Scratch& sc : scratch_) sc.idx.resize(num_slots);
+  for (Scratch& sc : scratch_) {
+    sc.count.resize(num_slots);
+    sc.next.resize(num_slots);
+  }
 }
 
 std::uint64_t ShardCore::flow_hash(const Packet& pkt) const {
@@ -61,23 +65,36 @@ BatchStats ShardCore::shard_stats(std::size_t shard) const {
 }
 
 void ShardCore::drain(std::size_t shard, const std::size_t* slot_ids,
-                      Packet* pkts, std::size_t n, Packet* out) {
+                      Packet* rows, std::size_t n) {
+  if (n == 0) return;
+  std::size_t same = 1;
+  while (same < n && slot_ids[same] == slot_ids[0]) ++same;
+  if (same == n) {  // one slot: the rows already form its batch
+    sims_[slot_ids[0]].run_rows(rows, n);
+    return;
+  }
+  // Counting sort by slot, stable, so each slot's rows stay in arrival order.
   Scratch& sc = scratch_[shard];
+  for (std::size_t i = 0; i < n; ++i)
+    if (sc.count[slot_ids[i]]++ == 0) sc.touched.push_back(slot_ids[i]);
+  std::size_t begin = 0;
+  for (std::size_t slot : sc.touched) {
+    sc.next[slot] = begin;
+    begin += sc.count[slot];
+  }
+  if (sc.staged.size() < n) sc.staged.resize(n);
+  sc.pos.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    std::vector<std::size_t>& idx = sc.idx[slot_ids[i]];
-    if (idx.empty()) sc.touched.push_back(slot_ids[i]);
-    idx.push_back(i);
+    sc.pos[i] = sc.next[slot_ids[i]]++;
+    std::swap(rows[i], sc.staged[sc.pos[i]]);
   }
   for (std::size_t slot : sc.touched) {
-    std::vector<std::size_t>& idx = sc.idx[slot];
-    BatchSim& sim = sims_[slot];
-    for (std::size_t k : idx) sim.enqueue(std::move(pkts[k]));
-    sim.run();
-    std::vector<Packet> egress = sim.take_egress();
-    for (std::size_t k = 0; k < idx.size(); ++k)
-      out[idx[k]] = std::move(egress[k]);
-    idx.clear();
+    const std::size_t k = sc.count[slot];
+    sims_[slot].run_rows(&sc.staged[sc.next[slot] - k], k);
+    sc.count[slot] = 0;
   }
+  for (std::size_t i = 0; i < n; ++i)
+    std::swap(rows[i], sc.staged[sc.pos[i]]);
   sc.touched.clear();
 }
 
@@ -144,9 +161,9 @@ FleetResult Fleet::run(const std::vector<Packet>& trace) {
     ShardBuffers& b = buffers_[s];
     ShardResult& sh = result.shards[s];
     const BatchStats before = core_.shard_stats(s);
-    sh.egress.resize(b.pkts.size());
-    core_.drain(s, b.slots.data(), b.pkts.data(), b.pkts.size(),
-                sh.egress.data());
+    core_.drain(s, b.slots.data(), b.pkts.data(), b.pkts.size());
+    sh.egress.assign(std::make_move_iterator(b.pkts.begin()),
+                     std::make_move_iterator(b.pkts.end()));
     const BatchStats after = core_.shard_stats(s);
     sh.stats.batches = after.batches - before.batches;
     sh.stats.packets = after.packets - before.packets;

@@ -62,13 +62,15 @@ class ShardCore {
   // Cumulative batch statistics summed over the shard's slots.
   BatchStats shard_stats(std::size_t shard) const;
 
-  // Drains n packets belonging to `shard` through their slot replicas,
-  // preserving arrival order per slot, and writes the processed packet for
-  // pkts[i] into out[i].  slot_ids[i] must equal slot_of(pkts[i]) and map to
-  // `shard`; pkts are consumed (moved from).  Grouping the batch by slot is
-  // legal because slots share no state: the per-slot sub-batches commute.
-  void drain(std::size_t shard, const std::size_t* slot_ids, Packet* pkts,
-             std::size_t n, Packet* out);
+  // Runs rows[0, n), all belonging to `shard`, through their slot replicas
+  // in place, preserving arrival order per slot.  slot_ids[i] must equal
+  // slot_of(rows[i]) and map to `shard`.  A batch that spans several slots
+  // is grouped by swapping its rows through the shard's staging buffer and
+  // back, so the rows keep their storage and nothing is allocated once the
+  // buffers have grown to the batch size.  Grouping is legal because slots
+  // share no state: the per-slot sub-batches commute.
+  void drain(std::size_t shard, const std::size_t* slot_ids, Packet* rows,
+             std::size_t n);
 
   // Whole-slot state checkpointing, indexed by slot.  restore_state accepts
   // snapshots taken from a core with any shard count, as long as the slot
@@ -89,8 +91,11 @@ class ShardCore {
   std::vector<Machine> slots_;   // one replica per slot
   std::vector<BatchSim> sims_;   // one per slot, bound to slots_[i]
   struct Scratch {
-    std::vector<std::vector<std::size_t>> idx;  // per slot: batch positions
-    std::vector<std::size_t> touched;           // slots seen this drain
+    std::vector<std::size_t> count;    // per slot: rows in this drain
+    std::vector<std::size_t> next;     // per slot: next staging position
+    std::vector<std::size_t> touched;  // slots seen this drain
+    std::vector<std::size_t> pos;      // per row: its staging position
+    std::vector<Packet> staged;        // rows grouped by slot
   };
   std::vector<Scratch> scratch_;  // one per shard, reused across drains
 };

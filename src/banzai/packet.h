@@ -73,6 +73,10 @@ class Packet {
 
   std::size_t num_fields() const { return fields_.size(); }
 
+  // Zeroes the packet to num_fields fields — a fresh Packet(num_fields) —
+  // reusing its storage when that is already large enough.
+  void reset(std::size_t num_fields) { fields_.assign(num_fields, 0); }
+
   bool operator==(const Packet& o) const { return fields_ == o.fields_; }
   bool operator!=(const Packet& o) const { return !(*this == o); }
 

@@ -1,6 +1,7 @@
 #include "banzai/service.h"
 
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace banzai {
@@ -8,14 +9,28 @@ namespace banzai {
 namespace {
 constexpr std::chrono::microseconds kIdleNap{200};   // worker idle wait slice
 constexpr std::chrono::microseconds kBlockNap{50};   // blocked-ingest wait
-constexpr std::chrono::microseconds kFlushPoll{100};
 constexpr int kSpinsBeforeNap = 64;
 }  // namespace
+
+FleetService::IngestScope::IngestScope(FleetService& svc)
+    : inflight_(svc.ingest_inflight_) {
+  // Raise the in-flight count BEFORE the liveness check (both seq_cst): a
+  // racing stop() either sees the count and its workers keep draining until
+  // this push lands, or this thread sees stopping_/!running_ and bails
+  // before touching a ring.  Without the handshake an accepted packet could
+  // be stranded in a ring whose worker already exited.
+  inflight_.fetch_add(1);
+  if (!svc.running_.load() || svc.stopping_.load()) {
+    inflight_.fetch_sub(1);
+    throw std::logic_error("FleetService::ingest: service is not started");
+  }
+}
 
 FleetService::FleetService(const Machine& prototype, ServiceConfig config)
     : config_(std::move(config)),
       core_(prototype, config_.num_slots, config_.num_shards,
-            config_.batch_size, config_.flow_key, config_.batch_dispatch) {
+            config_.batch_size, config_.flow_key, config_.batch_dispatch),
+      width_(prototype.fields().size()) {
   config_.num_shards = core_.num_shards();
   config_.num_slots = core_.num_slots();
   shards_.reserve(core_.num_shards());
@@ -50,6 +65,7 @@ void FleetService::stop() {
     if (shard->worker.joinable()) shard->worker.join();
   running_.store(false, std::memory_order_release);
   stopping_.store(false, std::memory_order_release);
+  egress_.wake_waiters();  // a flush() with packets stranded must not sleep
   uptime_seconds_ += std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - started_at_)
                          .count();
@@ -57,17 +73,15 @@ void FleetService::stop() {
 
 void FleetService::flush() {
   const std::uint64_t target = seq_counter_.load(std::memory_order_acquire);
-  while (egress_.watermark() < target) {
-    if (!running_.load(std::memory_order_acquire)) {
-      // A concurrent stop() drains every ring before clearing running_, so
-      // re-check the watermark: only a genuinely stranded packet may throw.
-      if (egress_.watermark() >= target) return;
-      throw std::logic_error(
-          "FleetService::flush: packets outstanding but service is stopped");
-    }
-    for (auto& shard : shards_) wake(*shard);
-    std::this_thread::sleep_for(kFlushPoll);
-  }
+  if (egress_.watermark() >= target) return;
+  // A worker that raced into its idle nap must not make the flush wait out
+  // the nap's timeout.
+  for (auto& shard : shards_) wake(*shard);
+  // A concurrent stop() drains every ring before clearing running_, so only
+  // a genuinely stranded packet makes the wait give up.
+  if (!egress_.wait_for(target, running_))
+    throw std::logic_error(
+        "FleetService::flush: packets outstanding but service is stopped");
 }
 
 void FleetService::wake(Shard& shard) {
@@ -78,31 +92,29 @@ void FleetService::wake(Shard& shard) {
 }
 
 bool FleetService::ingest(Packet pkt) {
-  // Raise the in-flight count BEFORE the liveness check (both seq_cst): a
-  // racing stop() either sees the count and its workers keep draining until
-  // this push lands, or this thread sees stopping_/!running_ and bails
-  // before touching a ring.  Without the handshake an accepted packet could
-  // be stranded in a ring whose worker already exited.
-  ingest_inflight_.fetch_add(1);
-  struct InflightGuard {
-    std::atomic<std::uint64_t>& count;
-    ~InflightGuard() { count.fetch_sub(1); }
-  } guard{ingest_inflight_};
-  if (!running_.load() || stopping_.load())
-    throw std::logic_error("FleetService::ingest: service is not started");
+  if (pkt.num_fields() != width_)
+    throw std::invalid_argument(
+        "FleetService::ingest: packet width " +
+        std::to_string(pkt.num_fields()) + " is not the FieldTable's " +
+        std::to_string(width_));
+  const IngestScope scope(*this);
+  return offer(pkt);
+}
+
+bool FleetService::offer(Packet& row) {
   // Offered load feeds the heavy-hitter table (before any backpressure
   // verdict: the detector explains pressure, shed packets included).  The
   // ingest thread is the only writer; readers serialize on hh_mu_.
   if (hh_ != nullptr) {
     std::lock_guard<std::mutex> hh_lock(hh_mu_);
-    hh_->offer(core_.flow_hash(pkt));
+    hh_->offer(core_.flow_hash(row));
   }
-  const std::size_t slot = core_.slot_of(pkt);
+  const std::size_t slot = core_.slot_of(row);
   Shard& shard = *shards_[slot % core_.num_shards()];
   const std::uint64_t seq =
       seq_counter_.fetch_add(1, std::memory_order_acq_rel);
-  Item item{seq, static_cast<std::uint32_t>(slot), std::move(pkt)};
-  if (!shard.ring.try_push(std::move(item))) {
+  std::size_t index = 0;
+  if (!shard.ring.claim(index)) {
     if (config_.backpressure == Backpressure::kDropTail) {
       dropped_.fetch_add(1, std::memory_order_relaxed);
       egress_.drop(seq);
@@ -116,8 +128,12 @@ bool FleetService::ingest(Packet pkt) {
         std::this_thread::yield();
       else
         std::this_thread::sleep_for(kBlockNap);
-    } while (!shard.ring.try_push(std::move(item)));
+    } while (!shard.ring.claim(index));
   }
+  shard.ring[index] = std::move(row);
+  shard.seq[index] = seq;
+  shard.slot[index] = slot;
+  shard.ring.publish();
   wake(shard);
   return true;
 }
@@ -146,9 +162,15 @@ FleetService::FrameIngest FleetService::ingest_frame(const std::uint8_t* data,
   if (wire_rx_ == nullptr)
     throw std::logic_error(
         "FleetService::ingest_frame: no wire codec (call set_wire first)");
+  const IngestScope scope(*this);
+  if (spares_.empty()) {
+    egress_.recycle(spares_);
+    if (spares_.empty()) spares_.emplace_back();
+  }
+  Packet& row = spares_.back();
+  row.reset(width_);
   FrameIngest out;
-  Packet pkt(wire_rx_->num_table_fields());
-  out.parse = wire_rx_->parse_exact(data, len, pkt);
+  out.parse = wire_rx_->parse_exact(data, len, row);
   if (!out.parse.ok()) {
     switch (out.parse.status) {
       case wire::ParseStatus::kTruncated:
@@ -165,7 +187,8 @@ FleetService::FrameIngest FleetService::ingest_frame(const std::uint8_t* data,
   }
   frames_parsed_.fetch_add(1, std::memory_order_relaxed);
   wire_bytes_in_.fetch_add(len, std::memory_order_relaxed);
-  out.accepted = ingest(std::move(pkt));
+  out.accepted = offer(row);
+  if (out.accepted) spares_.pop_back();  // its storage is in the ring now
   return out;
 }
 
@@ -174,11 +197,10 @@ std::vector<std::vector<std::uint8_t>> FleetService::drain_egress_frames() {
     throw std::logic_error(
         "FleetService::drain_egress_frames: no wire codec (call set_wire "
         "first)");
-  const std::vector<Packet> pkts = egress_.drain();
   std::vector<std::vector<std::uint8_t>> frames;
-  frames.reserve(pkts.size());
-  for (const Packet& p : pkts) frames.push_back(wire_tx_->deparse(p));
-  wire_bytes_out_.fetch_add(frames.size() * wire_tx_->header_bytes(),
+  const wire::WireCodec& tx = *wire_tx_;
+  egress_.drain(frames, [&tx](const Packet& row) { return tx.deparse(row); });
+  wire_bytes_out_.fetch_add(frames.size() * tx.header_bytes(),
                             std::memory_order_relaxed);
   return frames;
 }
@@ -186,33 +208,18 @@ std::vector<std::vector<std::uint8_t>> FleetService::drain_egress_frames() {
 void FleetService::worker_loop(std::size_t shard_index) {
   Shard& shard = *shards_[shard_index];
   const std::size_t batch = config_.batch_size ? config_.batch_size : 1;
-  std::vector<Item> items;
-  std::vector<std::size_t> slot_ids;
-  std::vector<std::uint64_t> seqs;
-  std::vector<Packet> in, out;
-  items.reserve(batch);
 
   for (;;) {
-    items.clear();
-    Item item;
-    while (items.size() < batch && shard.ring.try_pop(item))
-      items.push_back(std::move(item));
-
-    if (!items.empty()) {
-      const std::size_t n = items.size();
-      slot_ids.resize(n);
-      seqs.resize(n);
-      in.resize(n);
-      out.resize(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        slot_ids[i] = items[i].slot;
-        seqs[i] = items[i].seq;
-        in[i] = std::move(items[i].pkt);
-      }
-      core_.drain(shard_index, slot_ids.data(), in.data(), n, out.data());
-      egress_.deliver_batch(seqs.data(), out.data(), n);
-      // Latency in ingest ticks: how many packets were offered service-wide
-      // between this packet's arrival and its delivery.
+    std::size_t first = 0;
+    const std::size_t n = shard.ring.peek(batch, first);
+    if (n > 0) {
+      Packet* rows = &shard.ring[first];
+      const std::uint64_t* seqs = &shard.seq[first];
+      core_.drain(shard_index, &shard.slot[first], rows, n);
+      // Account before delivering, so a flush() that the delivery releases
+      // sees these packets in stats().  Latency in ingest ticks: how many
+      // packets were offered service-wide between this packet's arrival and
+      // its delivery.
       const std::uint64_t now_tick =
           seq_counter_.load(std::memory_order_acquire);
       std::uint64_t lat = 0;
@@ -226,6 +233,8 @@ void FleetService::worker_loop(std::size_t shard_index) {
           shard.lat_hist.record(now_tick - seqs[i]);
       }
       delivered_.fetch_add(n, std::memory_order_acq_rel);
+      egress_.deliver_batch(seqs, rows, n);
+      shard.ring.release(n);
       continue;
     }
 

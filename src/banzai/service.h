@@ -15,9 +15,22 @@
 // them strictly in arrival order (DropTail losses leave tombstones so the
 // order watermark never stalls on a shed packet).
 //
+// Rows: like the header vector of a Banzai pipeline, a packet travels as a
+// fixed-width row — exactly as wide as the prototype's FieldTable — that is
+// allocated once and reused.  ingest_frame zeroes a spare row, parses the
+// frame into it and moves it into a slot of its shard's ring; the worker
+// runs the rows where they lie (ShardCore::drain) and moves them into the
+// egress window's cells; drain_egress_frames() deparses settled rows and
+// keeps them for the ingest side to take back as spares.  Each hand-off
+// moves a row's storage, never its values, so in steady state the byte
+// path allocates only the byte vector each egress frame is returned in,
+// and it holds no more rows than were ever in flight or settled and
+// undrained at once.  ingest() enforces the width on the caller's thread.
+//
 // Lifecycle: start() spawns one worker per shard; stop() drains every ring
 // and joins (all accepted packets are delivered before stop returns);
-// flush() blocks until everything offered so far is delivered or dropped.
+// flush() sleeps on the egress watermark until everything offered so far is
+// delivered or dropped.
 // A stopped service can snapshot() its per-slot state, hand it to a service
 // with a *different shard count* via restore(), and resume — state migrates
 // with its slot (slot = flow_hash % num_slots is shard-count-independent),
@@ -29,14 +42,15 @@
 // flush() and stats() may be called from any thread.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "banzai/fleet.h"
@@ -113,40 +127,58 @@ struct ServiceSnapshot {
   std::vector<StateStore> slot_state;
 };
 
-// Collects processed packets from all shard workers and releases them in
-// global arrival (sequence) order.  Dropped sequence numbers are recorded as
-// tombstones so the in-order watermark can pass over them.  Sequence numbers
-// are dense, so the reorder window is a deque indexed by seq - next_ — O(1)
-// per packet with no per-packet node allocation on the delivery hot path.
+// Collects processed rows from all shard workers and releases them in global
+// arrival (sequence) order.  The window is a power-of-two ring of cells, one
+// per sequence number from the oldest not yet drained: a cell holds its
+// processed row (delivered), a tombstone (a DropTail shed, so the in-order
+// watermark can pass over it) or nothing yet (pending).  It grows (by
+// doubling) only when the span from the oldest undrained sequence number
+// to the newest delivery outgrows it.  Drained rows the caller did not move
+// out wait in a free list until the ingest side recycle()s them.
 class OrderedEgress {
  public:
-  void deliver(std::uint64_t seq, Packet&& pkt) {
+  // Moves the processed rows for seqs[0, n) into their cells under one
+  // lock, leaving rows[] empty.
+  void deliver_batch(const std::uint64_t* seqs, Packet* rows, std::size_t n) {
     std::lock_guard<std::mutex> lock(mu_);
-    put(seq, Cell::kDelivered, std::move(pkt));
-    advance();
-  }
-
-  // Delivers n (seq, packet) pairs under one lock; pkts are consumed.
-  void deliver_batch(const std::uint64_t* seqs, Packet* pkts, std::size_t n) {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (std::size_t i = 0; i < n; ++i)
-      put(seqs[i], Cell::kDelivered, std::move(pkts[i]));
+    for (std::size_t i = 0; i < n; ++i) {
+      Cell& c = cell(seqs[i]);
+      c.state = Cell::kDelivered;
+      c.row = std::move(rows[i]);
+    }
     advance();
   }
 
   void drop(std::uint64_t seq) {
     std::lock_guard<std::mutex> lock(mu_);
-    put(seq, Cell::kDropped, Packet());
+    cell(seq).state = Cell::kDropped;
     advance();
   }
 
-  // All packets whose order is settled (every earlier sequence number is
-  // delivered or dropped), in arrival order; clears them from the sink.
-  std::vector<Packet> drain() {
+  // Appends take(row) to `out` for every delivered row whose order is
+  // settled (every earlier sequence number is delivered or dropped) and not
+  // yet drained, in arrival order, and frees their cells.  `take` runs
+  // under the sink's lock and may move the row out; a row it leaves in
+  // place goes to the free list.
+  template <typename Out, typename Take>
+  void drain(std::vector<Out>& out, Take take) {
     std::lock_guard<std::mutex> lock(mu_);
-    std::vector<Packet> out = std::move(ready_);
-    ready_.clear();
-    return out;
+    out.reserve(out.size() + static_cast<std::size_t>(next_ - drained_));
+    for (; drained_ < next_; ++drained_) {
+      Cell& c = cells_[drained_ & (cells_.size() - 1)];
+      if (c.state == Cell::kDelivered) {
+        out.push_back(take(c.row));
+        if (c.row.num_fields() > 0) free_.push_back(std::move(c.row));
+      }
+      c.state = Cell::kPending;
+    }
+  }
+
+  // Hands every row in the free list to `spares`, which must be empty (its
+  // capacity is swapped in as the free list's).
+  void recycle(std::vector<Packet>& spares) {
+    std::lock_guard<std::mutex> lock(mu_);
+    spares.swap(free_);
   }
 
   // First sequence number not yet accounted for: when this reaches the
@@ -156,33 +188,64 @@ class OrderedEgress {
     return next_;
   }
 
+  // Blocks until the watermark reaches `target` and returns true, or returns
+  // false once `live` reads false with the target still ahead.  The delivery
+  // or tombstone that carries the watermark past the lowest waiting target
+  // wakes the waiters; so does wake_waiters().
+  bool wait_for(std::uint64_t target, const std::atomic<bool>& live) {
+    std::unique_lock<std::mutex> lock(mu_);
+    while (next_ < target) {
+      if (!live.load(std::memory_order_acquire)) return false;
+      wake_at_ = std::min(wake_at_, target);
+      settled_.wait(lock);
+    }
+    return true;
+  }
+
+  // Wakes every wait_for() to re-check its `live` flag.
+  void wake_waiters() {
+    std::lock_guard<std::mutex> lock(mu_);
+    settled_.notify_all();
+  }
+
  private:
   struct Cell {
     enum State : std::uint8_t { kPending, kDelivered, kDropped };
     State state = kPending;
-    Packet pkt;
+    Packet row;
   };
+  static constexpr std::uint64_t kNoWaiter = ~std::uint64_t{0};
 
-  void put(std::uint64_t seq, Cell::State state, Packet&& pkt) {
-    const std::size_t idx = static_cast<std::size_t>(seq - next_);
-    if (idx >= window_.size()) window_.resize(idx + 1);
-    window_[idx].state = state;
-    window_[idx].pkt = std::move(pkt);
+  // The cell of `seq` (>= drained_), growing the window to reach it.
+  Cell& cell(std::uint64_t seq) {
+    if (seq - drained_ >= cells_.size()) {
+      std::size_t cap = cells_.empty() ? 64 : cells_.size();
+      while (cap <= seq - drained_) cap <<= 1;
+      std::vector<Cell> grown(cap);
+      for (std::uint64_t s = drained_; s < drained_ + cells_.size(); ++s)
+        grown[s & (cap - 1)] = std::move(cells_[s & (cells_.size() - 1)]);
+      cells_ = std::move(grown);
+    }
+    return cells_[seq & (cells_.size() - 1)];
   }
 
   void advance() {
-    while (!window_.empty() && window_.front().state != Cell::kPending) {
-      if (window_.front().state == Cell::kDelivered)
-        ready_.push_back(std::move(window_.front().pkt));
-      window_.pop_front();
+    while (next_ - drained_ < cells_.size() &&
+           cells_[next_ & (cells_.size() - 1)].state != Cell::kPending)
       ++next_;
+    if (next_ >= wake_at_) {
+      wake_at_ = kNoWaiter;
+      settled_.notify_all();
     }
   }
 
   mutable std::mutex mu_;
-  std::deque<Cell> window_;  // window_[i] holds sequence number next_ + i
-  std::vector<Packet> ready_;
-  std::uint64_t next_ = 0;
+  std::condition_variable settled_;  // wait_for() sleeps here
+  std::vector<Cell> cells_;  // cells_[seq & (size - 1)], seq >= drained_
+  std::vector<Packet> free_;  // drained rows, for recycle()
+  std::uint64_t drained_ = 0;  // first sequence number not yet drained
+  std::uint64_t next_ = 0;     // the watermark
+  std::uint64_t wake_at_ = kNoWaiter;  // lowest target a waiter sleeps on
 };
 
 class FleetService {
@@ -200,12 +263,18 @@ class FleetService {
   void stop();
 
   // Blocks until every packet offered before the call is delivered or
-  // dropped.  Requires a running service when packets are outstanding.
+  // dropped: sleeps on the egress watermark and wakes when the delivery or
+  // DropTail tombstone that settles the last of them lands.  Requires a
+  // running service when packets are outstanding (std::logic_error).
   void flush();
 
   // Offers one packet.  Returns true if accepted; false if shed (DropTail
   // with a full shard ring).  Under kBlock this waits for ring space and
-  // always returns true.  Must not be called concurrently with itself.
+  // always returns true.  The packet must be exactly as wide as the
+  // prototype's FieldTable — the width of every ring row — or this throws
+  // std::invalid_argument on the caller's thread before the packet is
+  // counted or given a sequence number; std::logic_error when the service is
+  // not running.  Must not be called concurrently with itself.
   bool ingest(Packet pkt);
 
   // Offers a whole trace in order; returns how many packets were accepted.
@@ -228,19 +297,29 @@ class FleetService {
   };
 
   // Offers one frame.  Exact framing (frames are headers: trailing payload
-  // is kOversized).  A frame is either parsed and offered to ingest() — so
+  // is kOversized).  A frame is either parsed and offered like ingest() — so
   // every ingest contract (ordering, backpressure, stats) applies — or
   // rejected with a typed status and counted, leaving no other trace: a
   // malformed frame can never reach a ring, a shard, or the egress window.
-  // Same threading contract as ingest(): one caller at a time.
+  // The frame is parsed into a zeroed, recycled row (a fresh Packet to the
+  // pipeline) that then moves into its shard's ring, so nothing is
+  // allocated.  On a stopped service this throws std::logic_error before
+  // parsing, so a refused frame is counted nowhere.  Same threading
+  // contract as ingest(): one caller at a time.
   FrameIngest ingest_frame(const std::uint8_t* data, std::size_t len);
 
   // Order-settled egress deparsed back to frames (one byte vector each), in
-  // arrival order.  Requires set_wire.
+  // arrival order; the rows are kept for ingest_frame to reuse.  Requires
+  // set_wire.
   std::vector<std::vector<std::uint8_t>> drain_egress_frames();
 
-  // Order-settled egress so far, in arrival order (see OrderedEgress).
-  std::vector<Packet> drain_egress() { return egress_.drain(); }
+  // Order-settled egress so far, in arrival order (see OrderedEgress).  The
+  // rows move out to the caller.
+  std::vector<Packet> drain_egress() {
+    std::vector<Packet> out;
+    egress_.drain(out, [](Packet& row) { return std::move(row); });
+    return out;
+  }
 
   ServiceStats stats() const;
 
@@ -267,15 +346,28 @@ class FleetService {
   Machine& slot_machine(std::size_t slot) { return core_.slot_machine(slot); }
 
  private:
-  struct Item {
-    std::uint64_t seq = 0;
-    std::uint32_t slot = 0;
-    Packet pkt;
+  // One ingest call in flight (see ingest_inflight_).  Throws
+  // std::logic_error when the service is not running.
+  class IngestScope {
+   public:
+    explicit IngestScope(FleetService& svc);
+    ~IngestScope() { inflight_.fetch_sub(1); }
+    IngestScope(const IngestScope&) = delete;
+    IngestScope& operator=(const IngestScope&) = delete;
+
+   private:
+    std::atomic<std::uint64_t>& inflight_;
   };
 
   struct Shard {
-    explicit Shard(std::size_t ring_capacity) : ring(ring_capacity) {}
-    SpscRing<Item> ring;
+    explicit Shard(std::size_t ring_capacity)
+        : ring(ring_capacity), seq(ring.capacity()), slot(ring.capacity()) {}
+    // Each ring slot carries a row and, beside it, the row's sequence number
+    // and state slot: the producer fills all three before publish(), and
+    // the worker runs the row where it lies, then moves it to the egress.
+    SpscRing<Packet> ring;
+    std::vector<std::uint64_t> seq;
+    std::vector<std::size_t> slot;
     std::mutex mu;
     std::condition_variable cv;        // worker idle-sleep / wake-up
     std::atomic<bool> sleeping{false};
@@ -288,13 +380,21 @@ class FleetService {
     LatencyHistogram lat_hist;
   };
 
+  // Assigns `row` a sequence number and moves it into a slot of its shard's
+  // ring (waiting for one under kBlock, shedding under kDropTail); a shed
+  // row is left untouched.
+  bool offer(Packet& row);
   void worker_loop(std::size_t shard_index);
   void wake(Shard& shard);
 
   ServiceConfig config_;
   ShardCore core_;
+  std::size_t width_;  // the prototype's FieldTable size: every row's width
   OrderedEgress egress_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  // Rows ingest_frame parses into, the back one first; refilled from the
+  // egress free list.  Owned by the (single) ingest thread.
+  std::vector<Packet> spares_;
 
   // Byte-stream front end.  Codecs are immutable after set_wire (which
   // requires a stopped service); counters are atomics because deparse

@@ -1,9 +1,15 @@
-// Bounded single-producer / single-consumer ring buffer: the ingest-to-worker
-// hand-off inside FleetService.  One ingest thread pushes, one shard worker
-// pops; indices are monotonically increasing 64-bit counters masked into a
-// power-of-two slot array, so full/empty are plain subtractions and the only
-// synchronization is one release store per operation (plus an acquire load
-// when the producer/consumer's cached view of the other side runs dry).
+// Bounded single-producer / single-consumer ring of reusable slots: the
+// ingest-to-worker hand-off inside FleetService.  One ingest thread fills
+// slots, one shard worker consumes them; indices are monotonically
+// increasing 64-bit counters masked into a power-of-two slot array, so
+// full/empty are plain subtractions and the only synchronization is one
+// release store per publish()/release() (plus an acquire load when the
+// producer/consumer's cached view of the other side runs dry).
+//
+// Slots are worked on in place and never move: the producer claim()s the
+// slot at the tail, writes it, and publish()es it; the consumer peek()s a
+// contiguous run of published slots, processes them where they lie, and
+// release()s them back.
 //
 // The bounded capacity is what makes backpressure real: when the ring is
 // full the producer must either wait (Backpressure::kBlock) or shed the
@@ -11,10 +17,10 @@
 // faces when an output queue fills.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 namespace banzai {
@@ -32,29 +38,48 @@ class SpscRing {
 
   std::size_t capacity() const { return slots_.size(); }
 
-  // Producer side.  On failure (ring full) `v` is left untouched, so the
-  // caller can retry or divert it.
-  bool try_push(T&& v) {
+  // Slot storage by index in [0, capacity()): the indices claim() and
+  // peek() hand out.
+  T& operator[](std::size_t index) { return slots_[index]; }
+
+  // Producer side.  Sets `index` to the free slot at the tail and returns
+  // true, or returns false when the ring is full.  The slot is the
+  // producer's until publish(); claiming again before that returns the same
+  // slot.
+  bool claim(std::size_t& index) {
     const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
     if (tail - head_cache_ == slots_.size()) {
       head_cache_ = head_.load(std::memory_order_acquire);
       if (tail - head_cache_ == slots_.size()) return false;
     }
-    slots_[tail & mask_] = std::move(v);
-    tail_.store(tail + 1, std::memory_order_release);
+    index = static_cast<std::size_t>(tail & mask_);
     return true;
   }
 
-  // Consumer side.
-  bool try_pop(T& out) {
+  // Producer side: hands the claimed slot to the consumer.
+  void publish() {
+    tail_.store(tail_.load(std::memory_order_relaxed) + 1,
+                std::memory_order_release);
+  }
+
+  // Consumer side.  Returns how many published slots follow the head in one
+  // contiguous run — at most `max`, and stopping at the end of the slot
+  // array — and sets `index` to the first of them; 0 when the ring is empty.
+  std::size_t peek(std::size_t max, std::size_t& index) {
     const std::uint64_t head = head_.load(std::memory_order_relaxed);
     if (head == tail_cache_) {
       tail_cache_ = tail_.load(std::memory_order_acquire);
-      if (head == tail_cache_) return false;
+      if (head == tail_cache_) return 0;
     }
-    out = std::move(slots_[head & mask_]);
-    head_.store(head + 1, std::memory_order_release);
-    return true;
+    index = static_cast<std::size_t>(head & mask_);
+    return std::min({max, static_cast<std::size_t>(tail_cache_ - head),
+                     slots_.size() - index});
+  }
+
+  // Consumer side: returns the first n peeked slots to the producer.
+  void release(std::size_t n) {
+    head_.store(head_.load(std::memory_order_relaxed) + n,
+                std::memory_order_release);
   }
 
   bool empty() const {

@@ -34,10 +34,9 @@ class ShardEngine final : public SwitchEngine {
         core_(prototype, num_slots, num_shards, /*batch_size=*/1,
               std::move(flow_key)) {}
   banzai::Packet process(banzai::Packet pkt) override {
-    std::size_t slot = core_.slot_of(pkt);
-    banzai::Packet out;
-    core_.drain(slot % core_.num_shards(), &slot, &pkt, 1, &out);
-    return out;
+    const std::size_t slot = core_.slot_of(pkt);
+    core_.drain(slot % core_.num_shards(), &slot, &pkt, 1);
+    return pkt;
   }
   std::size_t num_fields() const override { return num_fields_; }
 

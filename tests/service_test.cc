@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <random>
 #include <set>
 #include <string>
@@ -19,6 +20,7 @@
 #include "banzai/service.h"
 #include "sim/partition.h"
 #include "test_util.h"
+#include "wire/codec.h"
 
 namespace {
 
@@ -319,6 +321,69 @@ TEST(ServiceLifecycleTest, IngestRequiresRunningService) {
   EXPECT_TRUE(svc.ingest(pkt));
   svc.stop();
   EXPECT_THROW(svc.ingest(pkt), std::logic_error);
+
+  // The byte path refuses a stopped service before it parses, so a refused
+  // frame shows in no wire counter: every offered frame stays exactly one
+  // of parsed or rejected.
+  const auto& ft = ca.machine().fields();
+  const wire::WireSpec spec =
+      wire::parse_wire_spec(algorithms::algorithm("flowlets").wire_spec);
+  auto rx = std::make_shared<const wire::WireCodec>(spec, ft);
+  auto tx = std::make_shared<const wire::WireCodec>(
+      spec, ft, ca.compiled.output_map());
+  FleetService bytes(ca.machine(), ca.service_config(2, 8));
+  bytes.set_wire(rx, tx);
+  const std::vector<std::uint8_t> frame = rx->deparse(pkt);
+  const std::vector<std::uint8_t> runt = {0xD0};
+  EXPECT_THROW(bytes.ingest_frame(frame.data(), frame.size()),
+               std::logic_error);
+  EXPECT_THROW(bytes.ingest_frame(runt.data(), runt.size()),
+               std::logic_error);
+  banzai::ServiceStats st = bytes.stats();
+  EXPECT_EQ(st.wire.frames_parsed, 0u);
+  EXPECT_EQ(st.wire.frames_rejected, 0u);
+  EXPECT_EQ(st.wire.bytes_in, 0u);
+  EXPECT_EQ(st.ingested, 0u);
+
+  bytes.start();
+  EXPECT_TRUE(bytes.ingest_frame(frame.data(), frame.size()).accepted);
+  bytes.stop();
+  EXPECT_THROW(bytes.ingest_frame(frame.data(), frame.size()),
+               std::logic_error);
+  st = bytes.stats();
+  EXPECT_EQ(st.wire.frames_parsed, 1u);
+  EXPECT_EQ(st.wire.frames_rejected, 0u);
+  EXPECT_EQ(st.wire.bytes_in, frame.size());
+  EXPECT_EQ(st.ingested, 1u);
+  EXPECT_EQ(bytes.drain_egress_frames().size(), 1u);
+}
+
+// Every ring row is exactly as wide as the FieldTable, so a packet of any
+// other width is refused on the caller's thread — before it is counted or
+// given a sequence number — instead of reaching a shard worker, where the
+// engine's width check would throw with nobody to catch it.
+TEST(ServiceLifecycleTest, IngestRefusesAPacketOfTheWrongWidth) {
+  CompiledAlg ca("flowlets");
+  const std::size_t width = ca.machine().fields().size();
+  ServiceConfig cfg = ca.service_config(2, 8);
+  cfg.flow_key = {0, 1};
+  FleetService svc(ca.machine(), cfg);
+  svc.start();
+  EXPECT_THROW(svc.ingest(Packet(2)), std::invalid_argument);
+  EXPECT_THROW(svc.ingest(Packet()), std::invalid_argument);
+  EXPECT_THROW(svc.ingest(Packet(width + 1)), std::invalid_argument);
+  EXPECT_EQ(svc.stats().ingested, 0u);
+
+  // The service is unharmed: a full-width packet still goes through.
+  EXPECT_TRUE(svc.ingest(Packet(width)));
+  svc.flush();
+  const auto egress = svc.drain_egress();
+  svc.stop();
+  ASSERT_EQ(egress.size(), 1u);
+  EXPECT_EQ(egress[0].num_fields(), width);
+  const auto st = svc.stats();
+  EXPECT_EQ(st.ingested, 1u);
+  EXPECT_EQ(st.delivered, 1u);
 }
 
 TEST(ServiceLifecycleTest, SnapshotAndRestoreRequireStoppedService) {

@@ -446,4 +446,149 @@ TEST(WireServiceTest, ByteStreamIngestMatchesSequentialReference) {
         << "slot " << v;
 }
 
+// DropTail on the byte path: a flood into 8-slot rings with runts mixed in.
+// Every frame is exactly one of a typed reject, a shed (parsed, refused by
+// a full ring, counted in dropped) or delivered, and the delivered bytes
+// are the sequential reference over the accepted frames alone: a shed
+// frame's row stays with the ingest side and never reaches a ring.
+TEST(WireServiceTest, DropTailByteIngestAccountsForEveryFrame) {
+  constexpr std::size_t kSlots = 8;
+  const auto& alg = algorithms::algorithm("flowlets");
+  auto compiled =
+      domino::compile(alg.source, *atoms::find_target("banzai-praw"));
+  const auto& ft = compiled.machine().fields();
+  const auto f_sport = ft.id_of("sport");
+  const auto f_dport = ft.id_of("dport");
+  const WireSpec spec = wire::parse_wire_spec(alg.wire_spec);
+  auto rx = std::make_shared<const WireCodec>(spec, ft);
+  auto tx =
+      std::make_shared<const WireCodec>(spec, ft, compiled.output_map());
+
+  banzai::ServiceConfig cfg;
+  cfg.num_shards = 2;
+  cfg.num_slots = kSlots;
+  cfg.batch_size = 8;
+  cfg.ring_capacity = 8;
+  cfg.backpressure = banzai::Backpressure::kDropTail;
+  cfg.flow_key = {f_sport, f_dport};
+  banzai::FleetService svc(compiled.machine(), cfg);
+  svc.set_wire(rx, tx);
+  svc.start();
+
+  std::mt19937 rng(2718);
+  const std::vector<std::uint8_t> runt = {0xD0, 0x03, 0x00};
+  std::vector<Packet> accepted;
+  std::uint64_t rejected = 0, shed = 0, offered = 0;
+  for (int i = 0; i < 20000; ++i) {
+    std::map<std::string, banzai::Value> f;
+    alg.workload(rng, i, f);
+    Packet p(ft.size());
+    for (const auto& [k, v] : f)
+      if (ft.try_id_of(k).has_value()) p.set(ft.id_of(k), v);
+    const std::vector<std::uint8_t> frame =
+        i % 7 == 3 ? runt : rx->deparse(p);
+    const auto in = svc.ingest_frame(frame.data(), frame.size());
+    ++offered;
+    if (!in.parse.ok()) {
+      ASSERT_EQ(in.parse.status, ParseStatus::kTruncated) << "frame " << i;
+      ASSERT_FALSE(in.accepted);
+      ++rejected;
+    } else if (in.accepted) {
+      accepted.push_back(std::move(p));
+    } else {
+      ++shed;
+    }
+  }
+  svc.flush();
+  const auto frames = svc.drain_egress_frames();
+  const auto st = svc.stats();
+  svc.stop();
+
+  EXPECT_EQ(rejected + shed + accepted.size(), offered);
+  EXPECT_EQ(st.wire.frames_rejected, rejected);
+  EXPECT_EQ(st.wire.reject_truncated, rejected);
+  EXPECT_EQ(st.wire.frames_parsed, shed + accepted.size());
+  EXPECT_EQ(st.ingested, shed + accepted.size());
+  EXPECT_EQ(st.dropped, shed);
+  EXPECT_EQ(st.delivered, accepted.size());
+  // A flood through 8-slot rings must shed: ingest is far cheaper than
+  // pipeline execution.
+  EXPECT_GT(shed, 0u);
+
+  std::vector<banzai::Machine> reference;
+  for (std::size_t v = 0; v < kSlots; ++v)
+    reference.push_back(compiled.machine().clone());
+  auto slot_of = [&](const Packet& p) {
+    std::uint64_t h = 0;
+    for (banzai::FieldId fid : {f_sport, f_dport})
+      h = netsim::mix64(h ^ static_cast<std::uint64_t>(
+                                static_cast<std::uint32_t>(p.get(fid))));
+    return static_cast<std::size_t>(h % kSlots);
+  };
+  ASSERT_EQ(frames.size(), accepted.size());
+  for (std::size_t i = 0; i < frames.size(); ++i)
+    ASSERT_EQ(frames[i],
+              tx->deparse(reference[slot_of(accepted[i])].process(accepted[i])))
+        << "frame " << i;
+}
+
+// Ring rows and egress cells are reused, so a reused row must read like a
+// fresh Packet(n) to the pipeline: every field the frame does not carry is
+// zero.  The hand-built program reads a field the wire omits before writing
+// it (stage 0: c = t + a; stage 1: t = a), so a row that kept the previous
+// packet's t would egress c = a + previous a.
+TEST(WireServiceTest, ReusedRowsReadLikeFreshPackets) {
+  banzai::FieldTable ft;
+  const auto f_a = static_cast<std::uint32_t>(ft.intern("a"));
+  const auto f_c = static_cast<std::uint32_t>(ft.intern("c"));
+  const auto f_t = static_cast<std::uint32_t>(ft.intern("t"));
+  auto kernel = std::make_shared<banzai::CompiledPipeline>();
+  kernel->begin_stage();
+  kernel->add_alu(banzai::KOp::kAdd, f_c, banzai::KSrc::field_ref(f_t),
+                  banzai::KSrc::field_ref(f_a));
+  kernel->begin_stage();
+  kernel->add_alu(banzai::KOp::kMov, f_t, banzai::KSrc::field_ref(f_a));
+  kernel->seal(ft.size());
+  banzai::Machine m(banzai::MachineSpec{"rows", "RAW", 2, 300, 10}, ft);
+  m.set_kernel(std::move(kernel));
+
+  auto codec = std::make_shared<const WireCodec>(
+      wire::parse_wire_spec("wire w { a : u32 be @0; c : u32 be @4; }"), ft);
+  banzai::ServiceConfig cfg;
+  cfg.num_shards = 2;
+  cfg.num_slots = 4;
+  cfg.batch_size = 4;
+  cfg.ring_capacity = 8;
+  cfg.flow_key = {f_a};
+  banzai::FleetService svc(m, cfg);
+  svc.set_wire(codec);
+  svc.start();
+
+  constexpr int kFrames = 5000;  // the 8-row rings wrap hundreds of times
+  std::vector<std::vector<std::uint8_t>> egress;
+  Packet in(ft.size());
+  for (int i = 0; i < kFrames; ++i) {
+    in.set(f_a, 1000 + i);
+    in.set(f_c, 0x5a5a);  // overwritten by stage 0
+    const auto frame = codec->deparse(in);
+    ASSERT_TRUE(svc.ingest_frame(frame.data(), frame.size()).accepted);
+    if (i % 100 == 99) {  // recycle the egress cells too
+      svc.flush();
+      for (auto& f : svc.drain_egress_frames()) egress.push_back(std::move(f));
+    }
+  }
+  svc.flush();
+  for (auto& f : svc.drain_egress_frames()) egress.push_back(std::move(f));
+  svc.stop();
+
+  ASSERT_EQ(egress.size(), static_cast<std::size_t>(kFrames));
+  Packet out(ft.size());
+  for (int i = 0; i < kFrames; ++i) {
+    const auto& frame = egress[static_cast<std::size_t>(i)];
+    ASSERT_TRUE(codec->parse_exact(frame.data(), frame.size(), out).ok());
+    ASSERT_EQ(out.get(f_a), 1000 + i);
+    ASSERT_EQ(out.get(f_c), 1000 + i) << "frame " << i << " read a stale row";
+  }
+}
+
 }  // namespace
