@@ -8,7 +8,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -83,21 +82,17 @@ void BM_MachineProcess(benchmark::State& state, const std::string& name,
 }
 
 void BM_BatchSim(benchmark::State& state, const std::string& name,
-                 const std::string& target, banzai::ExecEngine engine,
-                 banzai::BatchDispatch dispatch) {
+                 const std::string& target, banzai::ExecEngine engine) {
   auto compiled = compile_alg(name, target);
   auto& machine = compiled.machine();
   machine.set_engine(engine);
   auto workload = make_workload(algorithms::algorithm(name),
                                 machine.fields(), 4096);
-  banzai::BatchSim sim(machine, 256, dispatch);
+  banzai::BatchSim sim(machine, 256);
   for (auto _ : state) {
     // The workload deep-copy and egress teardown are identical for every
-    // engine and dispatch shape; keep them out of the timed region so the
-    // reported ratio measures only the engines themselves.  The columnar
-    // rows DO time the gather/scatter transpose — it is part of the shape's
-    // cost, and the acceptance bar (columnar >= rows on the compiled
-    // engines) has to clear it.
+    // engine; keep them out of the timed region so the reported ratio
+    // measures only the engines themselves.
     state.PauseTiming();
     sim.enqueue(workload);
     sim.take_egress();
@@ -107,53 +102,6 @@ void BM_BatchSim(benchmark::State& state, const std::string& name,
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(workload.size()));
-}
-
-// Batched execution with each shape fed its native currency: the row shape
-// gets the row-major packet slice it runs in place, the columnar shape gets
-// a pre-staged ColumnBatch.  No transpose and no copies inside the timed
-// region — this is the Machine::run_batch cost of each batch shape, i.e. the
-// number that says which currency a batch should LIVE in.  BM_BatchSim above
-// answers the other question: what the columnar shape costs end to end when
-// every batch arrives and leaves as row-major Packets (its rows time the
-// gather/scatter).  Registered across the whole mapping corpus on the native
-// engine; EXPERIMENTS.md records both tables.
-void BM_RunBatch(benchmark::State& state, const std::string& name,
-                 const std::string& target, bool columnar) {
-  auto compiled = compile_alg(name, target);
-  auto& machine = compiled.machine();
-  machine.set_engine(banzai::ExecEngine::kNative);
-  auto workload =
-      make_workload(algorithms::algorithm(name), machine.fields(), 256);
-  if (columnar) {
-    banzai::ColumnBatch cols;
-    cols.gather(workload.data(), workload.size(), machine.fields().size());
-    for (auto _ : state) {
-      machine.run_batch(banzai::BatchView::columns(cols));
-      benchmark::DoNotOptimize(machine.state());
-    }
-  } else {
-    for (auto _ : state) {
-      machine.run_batch(
-          banzai::BatchView::rows(workload.data(), workload.size()));
-      benchmark::DoNotOptimize(machine.state());
-    }
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(workload.size()));
-}
-
-// The least expressive paper target that accepts `source`, if any — the same
-// ladder the corpus tests climb (tests/test_util.h).
-std::optional<atoms::BanzaiTarget> least_target(const std::string& source) {
-  for (const auto& t : atoms::paper_targets()) {
-    try {
-      domino::compile(source, t);
-      return t;
-    } catch (...) {
-    }
-  }
-  return std::nullopt;
 }
 
 void BM_Interpreter(benchmark::State& state, const std::string& name) {
@@ -194,35 +142,17 @@ int main(int argc, char** argv) {
   std::vector<EngineCase> engines = {
       {"kernel", banzai::ExecEngine::kKernel},
   };
-  bool have_native = false;
   {
     // Native rows only when the host toolchain can build the pipelines —
     // otherwise a kNative machine silently degrades to the kernel VM and
     // the row would mislabel kernel numbers.
     auto probe = compile_alg("flowlets", "banzai-praw");
-    have_native = probe.machine().native() != nullptr;
-    if (have_native)
+    if (probe.machine().native() != nullptr)
       engines.push_back({"native", banzai::ExecEngine::kNative});
     else
       std::fprintf(stderr, "note: native engine unavailable (%s); skipping "
                            "native rows\n",
                    probe.machine().native_fallback_reason().c_str());
-  }
-  // Native-currency batched execution, corpus-wide: one rows/cols pair per
-  // mapping algorithm on its least paper target.
-  if (have_native) {
-    for (const auto& alg : algorithms::corpus()) {
-      const auto least = least_target(alg.source);
-      if (!least.has_value()) continue;  // CoDel doesn't map
-      const std::string lname = alg.name;
-      const std::string ltarget = least->name;
-      for (const bool columnar : {false, true})
-        benchmark::RegisterBenchmark(
-            ("BM_RunBatch/" + lname + (columnar ? "/cols" : "/rows")).c_str(),
-            [lname, ltarget, columnar](benchmark::State& s) {
-              BM_RunBatch(s, lname, ltarget, columnar);
-            });
-    }
   }
   for (const char* name : {"flowlets", "heavy_hitters", "conga", "stfq"}) {
     const std::string target =
@@ -233,22 +163,10 @@ int main(int argc, char** argv) {
           [name, target, ec](benchmark::State& s) {
             BM_MachineProcess(s, name, target, ec.engine);
           });
-      // One BatchSim row per batch shape: rows (in-place, row-major — what
-      // kAuto dispatches) and columnar (SoA transpose through
-      // banzai/column.h).
       benchmark::RegisterBenchmark(
-          (std::string("BM_BatchSim/") + name + "/" + ec.label + "/rows")
-              .c_str(),
+          (std::string("BM_BatchSim/") + name + "/" + ec.label).c_str(),
           [name, target, ec](benchmark::State& s) {
-            BM_BatchSim(s, name, target, ec.engine,
-                        banzai::BatchDispatch::kRows);
-          });
-      benchmark::RegisterBenchmark(
-          (std::string("BM_BatchSim/") + name + "/" + ec.label + "/cols")
-              .c_str(),
-          [name, target, ec](benchmark::State& s) {
-            BM_BatchSim(s, name, target, ec.engine,
-                        banzai::BatchDispatch::kColumnar);
+            BM_BatchSim(s, name, target, ec.engine);
           });
     }
     benchmark::RegisterBenchmark(

@@ -11,7 +11,7 @@ namespace banzai {
 
 ShardCore::ShardCore(const Machine& prototype, std::size_t num_slots,
                      std::size_t num_shards, std::size_t batch_size,
-                     std::vector<FieldId> flow_key, BatchDispatch dispatch)
+                     std::vector<FieldId> flow_key)
     : num_shards_(num_shards == 0 ? 1 : num_shards),
       flow_key_(std::move(flow_key)) {
   if (num_slots == 0) num_slots = num_shards_;
@@ -33,7 +33,7 @@ ShardCore::ShardCore(const Machine& prototype, std::size_t num_slots,
     // core's aggregated totals.
     slots_.back().prepare_stage_counters();
     slots_.back().reset_stage_counters();
-    sims_.emplace_back(slots_.back(), batch_size, dispatch);
+    sims_.emplace_back(slots_.back(), batch_size);
   }
   scratch_.resize(num_shards_);
   for (Scratch& sc : scratch_) {
@@ -132,7 +132,7 @@ std::vector<Packet> FleetResult::egress_in_order() const {
 Fleet::Fleet(const Machine& prototype, FleetConfig config)
     : config_(std::move(config)),
       core_(prototype, config_.num_shards, config_.num_shards,
-            config_.batch_size, config_.flow_key, config_.batch_dispatch),
+            config_.batch_size, config_.flow_key),
       buffers_(core_.num_shards()) {
   config_.num_shards = core_.num_shards();
 }
@@ -142,6 +142,19 @@ FleetResult Fleet::run(const std::vector<Packet>& trace) {
   FleetResult result;
   result.shards.resize(n);
   result.packets = trace.size();
+
+  // Refused here, on the caller's thread, before anything is partitioned:
+  // the engines throw on a packet narrower than the program, and a throw on
+  // a shard worker thread would terminate the process.
+  if (!trace.empty()) {
+    const std::size_t width =
+        core_.slot_machine(0).require_kernel().num_fields();
+    for (const Packet& p : trace)
+      if (p.num_fields() < width)
+        throw std::invalid_argument(
+            "Fleet::run: packet narrower than the compiled program's field "
+            "table");
+  }
 
   // Stable partition into buffers that keep their capacity across calls:
   // within a shard, packets keep arrival order.

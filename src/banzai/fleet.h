@@ -38,8 +38,7 @@ class ShardCore {
  public:
   ShardCore(const Machine& prototype, std::size_t num_slots,
             std::size_t num_shards, std::size_t batch_size,
-            std::vector<FieldId> flow_key,
-            BatchDispatch dispatch = BatchDispatch::kAuto);
+            std::vector<FieldId> flow_key);
   // Machines are copyable, but sims_ binds Machine& into this core's slots_:
   // a copy would silently execute against the source's state.
   ShardCore(const ShardCore&) = delete;
@@ -104,9 +103,6 @@ struct FleetConfig {
   std::size_t num_shards = 1;
   std::size_t batch_size = 256;
   bool parallel = true;  // run shards on worker threads
-  // Batch shape each slot's BatchSim hands to Machine::run_batch (see
-  // banzai/batch.h): kAuto keeps row-major ingress row-major.
-  BatchDispatch batch_dispatch = BatchDispatch::kAuto;
   // Packet fields hashed together to pick a shard: the flow key.  Must be
   // non-empty unless num_shards == 1.
   std::vector<FieldId> flow_key;
@@ -144,6 +140,8 @@ class Fleet {
   // concurrently when config.parallel is set.  Replica state persists across
   // calls, like a switch staying up across traffic; partition buffers and the
   // core's batch scratch persist too, so steady-state calls do not reallocate.
+  // Throws std::invalid_argument, before any shard runs, if a packet is
+  // narrower than the compiled program's field table.
   FleetResult run(const std::vector<Packet>& trace);
 
  private:

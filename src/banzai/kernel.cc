@@ -131,56 +131,6 @@ Value eval_arm(const KArmOp& arm, Value x, const Packet& p,
   return x;
 }
 
-// Columnar twins of KSrc::get / KRef::get / eval_pred / eval_arm: operand i
-// of column f lives at cb.col(f)[i] instead of pkts[i][f].
-Value src_get_col(const KSrc& s, const ColumnBatch& cb, std::size_t i) {
-  return s.is_const ? s.cst : cb.col(s.field)[i];
-}
-
-Value ref_get_col(const KRef& r, const ColumnBatch& cb, std::size_t i,
-                  const Value* states_in) {
-  switch (r.kind) {
-    case KRef::Kind::kConst: return r.cst;
-    case KRef::Kind::kField: return cb.col(r.field)[i];
-    case KRef::Kind::kState: return states_in[r.state_idx];
-  }
-  return 0;
-}
-
-bool eval_pred_col(const KPred& pred, const ColumnBatch& cb, std::size_t i,
-                   const Value* states_in) {
-  if (pred.rel == KRel::kAlways) return true;
-  const Value a = ref_get_col(pred.a, cb, i, states_in);
-  const Value b = ref_get_col(pred.b, cb, i, states_in);
-  switch (pred.rel) {
-    case KRel::kAlways: return true;
-    case KRel::kLt: return a < b;
-    case KRel::kLe: return a <= b;
-    case KRel::kGt: return a > b;
-    case KRel::kGe: return a >= b;
-    case KRel::kEq: return a == b;
-    case KRel::kNe: return a != b;
-  }
-  return false;
-}
-
-Value eval_arm_col(const KArmOp& arm, Value x, const ColumnBatch& cb,
-                   std::size_t i, const Value* states_in, LutFn lut) {
-  const Value s1 = ref_get_col(arm.src1, cb, i, states_in);
-  const Value s2 = ref_get_col(arm.src2, cb, i, states_in);
-  switch (arm.mode) {
-    case KArm::kKeep: return x;
-    case KArm::kSet: return s1;
-    case KArm::kAdd: return wrap_add(x, s1);
-    case KArm::kSubt: return wrap_sub(x, s1);
-    case KArm::kSetAdd: return wrap_add(s1, s2);
-    case KArm::kSetSub: return wrap_sub(s1, s2);
-    case KArm::kAddSub: return wrap_sub(wrap_add(x, s1), s2);
-    case KArm::kLutAdd: return wrap_add(lut(s1), s2);
-  }
-  return x;
-}
-
 }  // namespace
 
 void CompiledPipeline::begin_stage() {
@@ -250,73 +200,7 @@ std::uint32_t CompiledPipeline::intern_state(const std::string& name) {
 void CompiledPipeline::seal(std::size_t num_fields) {
   num_fields_ = num_fields;
   verify_in_place_safe();
-  compute_liveness();
   sealed_ = true;
-}
-
-// One program-order scan suffices because every store in this ISA executes
-// unconditionally (kSelect selects values, stateful templates select update
-// arms — no op ever skips its write): a field first touched by a write can
-// never observe its pre-program value, and a field no op stores to can never
-// change.  Stage boundaries are irrelevant here — within a stage reads see
-// stage-entry values, but verify_in_place_safe has already rejected
-// intra-stage read-after-write, so program order and stage order agree.
-void CompiledPipeline::compute_liveness() {
-  enum : std::uint8_t { kUntouched, kLiveIn, kDefinedFirst };
-  std::vector<std::uint8_t> cls(num_fields_, kUntouched);
-  auto read = [&](std::uint32_t f) {
-    if (cls[f] == kUntouched) cls[f] = kLiveIn;
-  };
-  auto read_src = [&](const KSrc& s) {
-    if (!s.is_const) read(s.field);
-  };
-  auto read_ref = [&](const KRef& r) {
-    if (r.kind == KRef::Kind::kField) read(r.field);
-  };
-  std::vector<bool> written(num_fields_, false);
-  auto write = [&](std::uint32_t f) {
-    if (cls[f] == kUntouched) cls[f] = kDefinedFirst;
-    written[f] = true;
-  };
-  for (const MicroOp& op : ops_) {
-    switch (op.code) {
-      case KOp::kIntrinsic: {
-        const IntrinsicOp& io = intrinsics_[op.aux];
-        for (std::size_t i = 0; i < io.num_args; ++i) read_src(io.args[i]);
-        write(op.dst);
-        break;
-      }
-      case KOp::kStateful: {
-        const StatefulOp& so = stateful_[op.aux];
-        for (std::size_t k = 0; k < so.num_states; ++k)
-          if (so.slots[k].is_array) read(so.slots[k].index_field);
-        for (const KPred& pr : so.preds) {
-          read_ref(pr.a);
-          read_ref(pr.b);
-        }
-        for (const auto& leaf : so.arms)
-          for (const KArmOp& arm : leaf) {
-            read_ref(arm.src1);
-            read_ref(arm.src2);
-          }
-        for (std::uint32_t l = so.liveout_begin; l < so.liveout_end; ++l)
-          write(liveouts_[l].dst);
-        break;
-      }
-      default:
-        read_src(op.a);
-        read_src(op.b);
-        read_src(op.c);
-        write(op.dst);
-        break;
-    }
-  }
-  live_in_fields_.clear();
-  written_fields_.clear();
-  for (std::uint32_t f = 0; f < num_fields_; ++f) {
-    if (cls[f] == kLiveIn) live_in_fields_.push_back(f);
-    if (written[f]) written_fields_.push_back(f);
-  }
 }
 
 // In-place execution is only equivalent to Banzai's copy-in/copy-out stage
@@ -627,211 +511,6 @@ void CompiledPipeline::run_ops_bound(std::uint32_t first, std::uint32_t last,
   }
 }
 
-void CompiledPipeline::run_columns(ColumnBatch& cb, StateStore& state) const {
-  if (cb.size() == 0) return;
-  StateVar* inline_vars[kInlineStateVars];
-  std::vector<StateVar*> heap_vars;
-  StateVar** vars = inline_vars;
-  if (state_names_.size() > kInlineStateVars) {
-    heap_vars.resize(state_names_.size());
-    vars = heap_vars.data();
-  }
-  resolve_state(state, vars);
-  run_columns_bound(cb, vars);
-}
-
-void CompiledPipeline::run_columns_bound(ColumnBatch& cb,
-                                         StateVar* const* vars) const {
-  const std::size_t n = cb.size();
-  if (n == 0) return;
-  if (!sealed_)
-    throw std::logic_error("CompiledPipeline: run before seal()");
-  if (cb.num_fields() < num_fields_)
-    throw std::invalid_argument(
-        "CompiledPipeline: column batch narrower than the compiled program's "
-        "field table");
-  run_col_ops_bound(0, static_cast<std::uint32_t>(ops_.size()), cb, vars);
-}
-
-void CompiledPipeline::run_col_ops_bound(std::uint32_t first,
-                                         std::uint32_t last, ColumnBatch& cb,
-                                         StateVar* const* vars) const {
-  const std::size_t n = cb.size();
-  // Op-major as in run_batch_bound, but a stateless op is now one contiguous
-  // column loop.  The const-ness of each operand is resolved before the loop
-  // so the loop body is a branch-free array expression.  dst may alias an
-  // operand column (dst == src is a same-index read-then-write, which is safe
-  // elementwise); distinct columns never overlap.
-  for (std::uint32_t oi = first; oi < last; ++oi) {
-    const MicroOp& op = ops_[oi];
-    auto unary = [&](auto f) {
-      Value* const dst = cb.col(op.dst);
-      if (op.a.is_const) {
-        const Value v = f(op.a.cst);
-        for (std::size_t i = 0; i < n; ++i) dst[i] = v;
-      } else {
-        const Value* const a = cb.col(op.a.field);
-        for (std::size_t i = 0; i < n; ++i) dst[i] = f(a[i]);
-      }
-    };
-    auto binary = [&](auto f) {
-      Value* const dst = cb.col(op.dst);
-      if (!op.a.is_const && !op.b.is_const) {
-        const Value* const a = cb.col(op.a.field);
-        const Value* const b = cb.col(op.b.field);
-        for (std::size_t i = 0; i < n; ++i) dst[i] = f(a[i], b[i]);
-      } else if (!op.a.is_const) {
-        const Value* const a = cb.col(op.a.field);
-        const Value bc = op.b.cst;
-        for (std::size_t i = 0; i < n; ++i) dst[i] = f(a[i], bc);
-      } else if (!op.b.is_const) {
-        const Value ac = op.a.cst;
-        const Value* const b = cb.col(op.b.field);
-        for (std::size_t i = 0; i < n; ++i) dst[i] = f(ac, b[i]);
-      } else {
-        const Value v = f(op.a.cst, op.b.cst);
-        for (std::size_t i = 0; i < n; ++i) dst[i] = v;
-      }
-    };
-    switch (op.code) {
-      case KOp::kMov:
-        unary([](Value a) { return a; });
-        break;
-      case KOp::kNeg:
-        unary([](Value a) { return wrap_sub(0, a); });
-        break;
-      case KOp::kLNot:
-        unary([](Value a) { return a == 0 ? 1 : 0; });
-        break;
-      case KOp::kBitNot:
-        unary([](Value a) { return ~a; });
-        break;
-      case KOp::kAdd:
-        binary([](Value a, Value b) { return wrap_add(a, b); });
-        break;
-      case KOp::kSub:
-        binary([](Value a, Value b) { return wrap_sub(a, b); });
-        break;
-      case KOp::kMul:
-        binary([](Value a, Value b) { return wrap_mul(a, b); });
-        break;
-      case KOp::kDiv:
-        binary([](Value a, Value b) { return total_div(a, b); });
-        break;
-      case KOp::kMod:
-        binary([](Value a, Value b) { return total_mod(a, b); });
-        break;
-      case KOp::kShl:
-        binary([](Value a, Value b) { return shift_left(a, b); });
-        break;
-      case KOp::kShr:
-        binary([](Value a, Value b) { return shift_right(a, b); });
-        break;
-      case KOp::kBitAnd:
-        binary([](Value a, Value b) { return a & b; });
-        break;
-      case KOp::kBitOr:
-        binary([](Value a, Value b) { return a | b; });
-        break;
-      case KOp::kBitXor:
-        binary([](Value a, Value b) { return a ^ b; });
-        break;
-      case KOp::kLAnd:
-        binary([](Value a, Value b) { return (a != 0 && b != 0) ? 1 : 0; });
-        break;
-      case KOp::kLOr:
-        binary([](Value a, Value b) { return (a != 0 || b != 0) ? 1 : 0; });
-        break;
-      case KOp::kLt:
-        binary([](Value a, Value b) { return a < b ? 1 : 0; });
-        break;
-      case KOp::kLe:
-        binary([](Value a, Value b) { return a <= b ? 1 : 0; });
-        break;
-      case KOp::kGt:
-        binary([](Value a, Value b) { return a > b ? 1 : 0; });
-        break;
-      case KOp::kGe:
-        binary([](Value a, Value b) { return a >= b ? 1 : 0; });
-        break;
-      case KOp::kEq:
-        binary([](Value a, Value b) { return a == b ? 1 : 0; });
-        break;
-      case KOp::kNe:
-        binary([](Value a, Value b) { return a != b ? 1 : 0; });
-        break;
-      case KOp::kSelect: {
-        Value* const dst = cb.col(op.dst);
-        const Value* const a = op.a.is_const ? nullptr : cb.col(op.a.field);
-        const Value* const b = op.b.is_const ? nullptr : cb.col(op.b.field);
-        const Value* const c = op.c.is_const ? nullptr : cb.col(op.c.field);
-        for (std::size_t i = 0; i < n; ++i) {
-          const Value av = a ? a[i] : op.a.cst;
-          dst[i] = av != 0 ? (b ? b[i] : op.b.cst) : (c ? c[i] : op.c.cst);
-        }
-        break;
-      }
-      case KOp::kIntrinsic: {
-        const IntrinsicOp& io = intrinsics_[op.aux];
-        Value* const dst = cb.col(op.dst);
-        for (std::size_t i = 0; i < n; ++i) {
-          Value argv[IntrinsicOp::kMaxArgs];
-          for (std::size_t j = 0; j < io.num_args; ++j)
-            argv[j] = src_get_col(io.args[j], cb, i);
-          Value v = io.fn(argv, io.num_args);
-          if (io.mod > 0) v = total_mod(v, io.mod);
-          dst[i] = v;
-        }
-        break;
-      }
-      case KOp::kStateful: {
-        const StatefulOp& so = stateful_[op.aux];
-        StateVar* const sv[2] = {vars[so.slots[0].var],
-                           so.num_states > 1 ? vars[so.slots[1].var] : nullptr};
-        for (std::size_t i = 0; i < n; ++i) {
-          Value states_in[2] = {0, 0}, states_out[2] = {0, 0};
-          Value idx[2] = {0, 0};
-          for (std::size_t k = 0; k < so.num_states; ++k) {
-            if (so.slots[k].is_array) {
-              idx[k] = cb.col(so.slots[k].index_field)[i];
-              states_in[k] = sv[k]->load(idx[k]);
-            } else {
-              states_in[k] = sv[k]->load_scalar();
-            }
-          }
-          int leaf = 0;
-          if (so.pred_levels >= 1) {
-            const bool p1 = eval_pred_col(so.preds[0], cb, i, states_in);
-            if (so.pred_levels == 1) {
-              leaf = p1 ? 0 : 1;
-            } else if (p1) {
-              leaf = eval_pred_col(so.preds[1], cb, i, states_in) ? 0 : 1;
-            } else {
-              leaf = eval_pred_col(so.preds[2], cb, i, states_in) ? 2 : 3;
-            }
-          }
-          const auto lf = static_cast<std::size_t>(leaf);
-          for (std::size_t k = 0; k < so.num_states; ++k)
-            states_out[k] = eval_arm_col(so.arms[lf][k], states_in[k], cb, i,
-                                         states_in, so.lut);
-          for (std::size_t k = 0; k < so.num_states; ++k) {
-            if (so.slots[k].is_array)
-              sv[k]->store(idx[k], states_out[k]);
-            else
-              sv[k]->store_scalar(states_out[k]);
-          }
-          for (std::uint32_t l = so.liveout_begin; l < so.liveout_end; ++l) {
-            const KLiveOut& lo = liveouts_[l];
-            cb.col(lo.dst)[i] = lo.use_new ? states_out[lo.state_idx]
-                                           : states_in[lo.state_idx];
-          }
-        }
-        break;
-      }
-    }
-  }
-}
-
 void CompiledPipeline::run_batch_counted(Packet* pkts, std::size_t n,
                                          StateVar* const* vars,
                                          StageCounters& counters) const {
@@ -849,30 +528,6 @@ void CompiledPipeline::run_batch_counted(Packet* pkts, std::size_t n,
     const StageRange& st = stages_[si];
     const auto t0 = clock::now();
     run_ops_bound(st.begin, st.end, pkts, n, vars);
-    const auto ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(clock::now() - t0)
-            .count());
-    counters.add(si, n, static_cast<std::uint64_t>(st.end - st.begin) * n, ns);
-  }
-}
-
-void CompiledPipeline::run_columns_counted(ColumnBatch& cb,
-                                           StateVar* const* vars,
-                                           StageCounters& counters) const {
-  const std::size_t n = cb.size();
-  if (n == 0) return;
-  if (!sealed_)
-    throw std::logic_error("CompiledPipeline: run before seal()");
-  if (cb.num_fields() < num_fields_)
-    throw std::invalid_argument(
-        "CompiledPipeline: column batch narrower than the compiled program's "
-        "field table");
-  counters.prepare(stages_.size());
-  using clock = std::chrono::steady_clock;
-  for (std::size_t si = 0; si < stages_.size(); ++si) {
-    const StageRange& st = stages_[si];
-    const auto t0 = clock::now();
-    run_col_ops_bound(st.begin, st.end, cb, vars);
     const auto ns = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(clock::now() - t0)
             .count());

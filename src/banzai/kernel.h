@@ -16,10 +16,10 @@
 //
 // Semantic contract: sequential execution of the packet transaction
 // (core/interp, §3.1) is the ground truth.  For every program the lowering
-// accepts, CompiledPipeline::run / run_batch / run_columns — and the native
-// AOT form of the same program (banzai/native.h) — agree with it on every
-// output field and every state cell, for any input, including wrap-around
-// arithmetic, division by zero, and hostile array indices.
+// accepts, CompiledPipeline::run / run_batch — and the native AOT form of
+// the same program (banzai/native.h) — agree with it on every output field
+// and every state cell, for any input, including wrap-around arithmetic,
+// division by zero, and hostile array indices.
 // tests/kernel_test.cc holds this contract over the whole algorithm corpus
 // across all four runtimes (per-packet, batched, sharded, fabric).
 //
@@ -44,7 +44,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "banzai/column.h"
 #include "banzai/packet.h"
 #include "banzai/state.h"
 #include "banzai/value.h"
@@ -192,9 +191,8 @@ struct StatefulOp {
 
 // Which well-known body `fn` points at.  Recorded at lowering time so the
 // native emitter can print the body inline instead of calling through the
-// ABI function-pointer table — which is what lets the columnar entry point
-// vectorize hashing.  kOpaque intrinsics (isqrt, ROM lookups, anything
-// loopy) are only reachable through the pointer.
+// ABI function-pointer table.  kOpaque intrinsics (isqrt, ROM lookups,
+// anything loopy) are only reachable through the pointer.
 enum class IntrinsicKind : std::uint8_t { kOpaque, kHash2, kHash3, kHash4 };
 
 struct IntrinsicOp {
@@ -253,15 +251,7 @@ class CompiledPipeline {
   void run_stage(std::size_t stage, Packet& pkt, StateStore& state) const;
   void run_stage_bound(std::size_t stage, Packet& pkt,
                        StateVar* const* vars) const;
-  // Columnar (SoA) forms of the same op-major program: stateless ALU ops run
-  // down a whole dense column at a time (plain array loops the host
-  // vectorizer can handle), stateful/intrinsic ops keep a per-packet inner
-  // loop reading operands column-wise.  Bit-exact with run_batch on the
-  // transposed batch — the engine-equivalence contract above extends to this
-  // entry point.  `cb` must carry at least num_fields() columns.
-  void run_columns(ColumnBatch& cb, StateStore& state) const;
-  void run_columns_bound(ColumnBatch& cb, StateVar* const* vars) const;
-  // Counted forms of the bound batch entries: identical execution split at
+  // Counted form of the bound batch entry: identical execution split at
   // stage boundaries (legal for the same reason op-major batching is — state
   // is local to one atom, so any stage-boundary fissioning preserves the
   // per-atom packet order), with per-stage packets/ops/wall-ns recorded into
@@ -270,8 +260,6 @@ class CompiledPipeline {
   // with -DDOMINO_STAGE_COUNTERS — the default hot path never pays for them.
   void run_batch_counted(Packet* pkts, std::size_t n, StateVar* const* vars,
                          StageCounters& counters) const;
-  void run_columns_counted(ColumnBatch& cb, StateVar* const* vars,
-                           StageCounters& counters) const;
   // Resolves this program's state table against `state`, in slot order.
   // `vars` must have room for num_state_vars() pointers.
   void resolve_state(StateStore& state, StateVar** vars) const {
@@ -289,19 +277,6 @@ class CompiledPipeline {
   std::size_t num_stages() const { return stages_.size(); }
   std::size_t num_state_vars() const { return state_names_.size(); }
   std::size_t num_fields() const { return num_fields_; }
-  // Transpose liveness sets, computed at seal() (sorted by FieldId).  Every
-  // write in this ISA is unconditional (conditionals are kSelect values and
-  // stateful update arms, never skipped stores), so a single program-order
-  // scan is exact: live_in_fields() is every field read before its first
-  // write — the only columns a gather must populate — and written_fields()
-  // is every field some op stores to — the only columns a scatter must copy
-  // back.  ColumnBatch::gather_fields/scatter_fields consume these.
-  const std::vector<std::uint32_t>& live_in_fields() const {
-    return live_in_fields_;
-  }
-  const std::vector<std::uint32_t>& written_fields() const {
-    return written_fields_;
-  }
   const std::vector<std::string>& state_names() const { return state_names_; }
   // The raw program, for the disassembler (str()), the C++ emitter
   // (core/emit.*) and the native loader's fn-pointer tables
@@ -322,13 +297,9 @@ class CompiledPipeline {
  private:
   void require_open_stage() const;
   void verify_in_place_safe() const;
-  void compute_liveness();
   // The op-major execution core: ops [first, last) over `n` packets.
   void run_ops_bound(std::uint32_t first, std::uint32_t last, Packet* pkts,
                      std::size_t n, StateVar* const* vars) const;
-  // Columnar twin of run_ops_bound: ops [first, last) down the whole batch.
-  void run_col_ops_bound(std::uint32_t first, std::uint32_t last,
-                         ColumnBatch& cb, StateVar* const* vars) const;
 
   std::vector<MicroOp> ops_;
   std::vector<StageRange> stages_;
@@ -336,8 +307,6 @@ class CompiledPipeline {
   std::vector<IntrinsicOp> intrinsics_;
   std::vector<KLiveOut> liveouts_;
   std::vector<std::string> state_names_;
-  std::vector<std::uint32_t> live_in_fields_;  // read before first write
-  std::vector<std::uint32_t> written_fields_;  // stored to by some op
   std::unordered_map<std::string, std::uint32_t> state_index_;
   std::size_t num_fields_ = 0;
   bool sealed_ = false;

@@ -22,11 +22,12 @@ void Machine::run_batch(BatchView batch) {
   const std::size_t n = batch.size();
   if (n == 0) return;
   require_kernel();
+  rebind_state_if_stale();
+  Packet* pkts = batch.row_data();
 
   switch (active_engine()) {
     case ExecEngine::kNative: {
       const NativePipeline* nat = native_.get();
-      rebind_state_if_stale();
 #if defined(DOMINO_STAGE_COUNTERS)
       // The emitted code increments plain uint64 rows (no atomics in the
       // .so); fold them into the shared-readable accumulators afterwards.
@@ -37,30 +38,6 @@ void Machine::run_batch(BatchView batch) {
 #else
       NativeStageCounterRow* const ctr = nullptr;
 #endif
-      if (batch.columnar()) {
-        ColumnBatch& cb = batch.cols();
-        if (cb.num_fields() < nat->num_fields())
-          throw std::invalid_argument(
-              "native pipeline: column batch narrower than the compiled "
-              "program's field table");
-        if (nat->has_columnar()) {
-          nat->run_columns(cb.col_ptrs(), n, bind_.views.data(), ctr);
-        } else {
-          // A .so from before the columnar emission mode: keep the columnar
-          // shape on the kernel VM rather than transposing back.
-#if defined(DOMINO_STAGE_COUNTERS)
-          kernel_->run_columns_counted(cb, bind_.vars.data(), stage_counters_);
-          return;
-#else
-          kernel_->run_columns_bound(cb, bind_.vars.data());
-#endif
-        }
-#if defined(DOMINO_STAGE_COUNTERS)
-        fold_native_rows(ctr, kernel_->num_stages(), stage_counters_);
-#endif
-        return;
-      }
-      Packet* pkts = batch.row_data();
       for (std::size_t i = 0; i < n; ++i)
         if (pkts[i].num_fields() < nat->num_fields())
           throw std::invalid_argument(
@@ -74,23 +51,13 @@ void Machine::run_batch(BatchView batch) {
 #endif
       return;
     }
-    case ExecEngine::kKernel: {
-      rebind_state_if_stale();
+    case ExecEngine::kKernel:
 #if defined(DOMINO_STAGE_COUNTERS)
-      if (batch.columnar())
-        kernel_->run_columns_counted(batch.cols(), bind_.vars.data(),
-                                     stage_counters_);
-      else
-        kernel_->run_batch_counted(batch.row_data(), n, bind_.vars.data(),
-                                   stage_counters_);
+      kernel_->run_batch_counted(pkts, n, bind_.vars.data(), stage_counters_);
 #else
-      if (batch.columnar())
-        kernel_->run_columns_bound(batch.cols(), bind_.vars.data());
-      else
-        kernel_->run_batch_bound(batch.row_data(), n, bind_.vars.data());
+      kernel_->run_batch_bound(pkts, n, bind_.vars.data());
 #endif
       return;
-    }
   }
 }
 

@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "banzai/column.h"
 #include "banzai/kernel.h"
 #include "banzai/native.h"
 #include "banzai/packet.h"
@@ -17,6 +16,26 @@
 #include "banzai/stats.h"
 
 namespace banzai {
+
+// The batch currency of Machine::run_batch: a borrowed view of row-major
+// packets, processed in place.
+class BatchView {
+ public:
+  static BatchView rows(Packet* pkts, std::size_t n) {
+    BatchView v;
+    v.pkts_ = pkts;
+    v.n_ = n;
+    return v;
+  }
+
+  std::size_t size() const { return n_; }
+  Packet* row_data() const { return pkts_; }
+
+ private:
+  BatchView() = default;
+  Packet* pkts_ = nullptr;
+  std::size_t n_ = 0;
+};
 
 // Resource limits of a Banzai machine (§2.4 "Resource limits" and §5.2).
 struct MachineSpec {
@@ -89,9 +108,8 @@ class Machine {
   // resolved rung observable.
   ExecEngine engine() const { return engine_; }
   void set_engine(ExecEngine engine) { engine_ = engine; }
-  // The rung run_batch()/process() will actually execute on: callers pick
-  // batch shapes (and tests assert dispatch) against this, never by probing
-  // a return value.
+  // The rung run_batch()/process() will actually execute on: tests assert
+  // dispatch against this, never by probing a return value.
   ExecEngine active_engine() const {
     return active_native() != nullptr ? ExecEngine::kNative
                                       : ExecEngine::kKernel;
@@ -151,11 +169,8 @@ class Machine {
 
   // The single typed batch entry point: runs the view's packets through the
   // whole pipeline, in place, on whichever engine active_engine() resolves
-  // to — every engine × every batch shape, no success protocol.  Row views
-  // execute directly on both engines.  Columnar views run the native
-  // columnar entry point when the loaded .so exports it, the kernel VM's
-  // columnar loops otherwise.  Throws std::logic_error (require_kernel) on a
-  // machine with no pipeline attached.
+  // to.  Throws std::logic_error (require_kernel) on a machine with no
+  // pipeline attached.
   void run_batch(BatchView batch);
 
   // Checkpoint and restore of the mutable half of the machine.  The pipeline

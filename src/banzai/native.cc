@@ -290,10 +290,11 @@ NativeLoadResult NativePipeline::compile_and_load(const CompiledPipeline& prog,
     }
     const fs::path tmp_so = fs::path(cache) / (hash + tmp_tag + ".so");
     const fs::path log_path = fs::path(tmp_so.string() + ".log");
-    // -O3 rather than -O2: the columnar entry point is plain array loops
-    // over __restrict__ columns, and GCC only auto-vectorizes those
-    // profitably at -O3.  Host tuning (e.g. -march=native) layers on via
-    // `flags`; see the recipe on NativeOptions.
+    // -O3 is the level every object in an existing cache was built at.  The
+    // content hash keys on the source, the compiler and the extra flags but
+    // not on this level, so changing it would leave one cache holding
+    // objects built at two levels.  Host tuning (e.g. -march=native) layers
+    // on via `flags`; see the recipe on NativeOptions.
     const std::string cmd = shq(cxx) + " -std=c++17 -O3 -fPIC -shared " +
                             flags + " -o " + shq(tmp_so.string()) + " " +
                             shq(tmp_src.string()) + " > " +
@@ -349,16 +350,10 @@ NativeLoadResult NativePipeline::compile_and_load(const CompiledPipeline& prog,
                    "' missing from " + so_path.string();
     return result;
   }
-  // The columnar entry is optional: absent from objects emitted before the
-  // columnar mode existed; callers probe has_columnar() and fall back to the
-  // kernel VM's columnar loops.
-  auto cols_fn = reinterpret_cast<NativeColsEntryFn>(
-      ::dlsym(handle, kNativeColsEntrySymbol));
 
   auto pipeline = std::shared_ptr<NativePipeline>(new NativePipeline());
   pipeline->handle_ = handle;
   pipeline->fn_ = fn;
-  pipeline->cols_fn_ = cols_fn;
   pipeline->num_fields_ = prog.num_fields();
   pipeline->state_names_ = prog.state_names();
   pipeline->so_path_ = so_path.string();

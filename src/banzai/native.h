@@ -70,22 +70,11 @@ struct NativeAbi {
   NativeStageCounterRow* stage_counters = nullptr;
 };
 
-// Every generated pipeline exports this row-major entry point: process `n`
-// packets (one field array each) through the whole pipeline, in place.
+// Every generated pipeline exports this entry point: process `n` packets
+// (one field array each) through the whole pipeline, in place.
 using NativeEntryFn = void (*)(Value* const* pkts, std::uint64_t n,
                                const NativeAbi* abi);
 inline constexpr char kNativeEntrySymbol[] = "domino_pipeline_run";
-
-// …and the columnar twin: `cols[f]` is the dense column of field f (a
-// ColumnBatch's col_ptrs()), processed batch-major — maximal ALU runs as
-// fused column loops over __restrict__ pointers with intermediates in
-// registers, the auto-vectorizable shape.
-// Resolved optionally at load time: a .so emitted before the columnar mode
-// existed simply lacks the symbol and the Machine runs the kernel VM's
-// columnar loops instead (has_columnar() below).
-using NativeColsEntryFn = void (*)(Value* const* cols, std::uint64_t n,
-                                   const NativeAbi* abi);
-inline constexpr char kNativeColsEntrySymbol[] = "domino_pipeline_run_cols";
 
 // Where compiled pipelines land when neither NativeOptions::cache_dir nor
 // DOMINO_NATIVE_CACHE says otherwise.
@@ -109,9 +98,9 @@ inline constexpr char kDefaultNativeCacheDir[] = "/tmp/domino-native-cache";
 //
 // Tuning recipe: the default flags compile the emitted pipeline for a
 // generic host ISA.  Set DOMINO_NATIVE_CXXFLAGS="-march=native" (or
-// extra_flags) to let the columnar entry point use the full vector ISA of
-// the build machine — at the cost of a .so that may not run elsewhere; the
-// content hash keys on the flags, so both variants can share one cache.
+// extra_flags) to tune it for the build machine — at the cost of a .so that
+// may not run elsewhere; the content hash keys on the flags, so both
+// variants can share one cache.
 struct NativeOptions {
   std::optional<std::string> compiler;
   std::optional<std::string> extra_flags;
@@ -200,21 +189,6 @@ class NativePipeline {
     fn_(pkts, n, &abi);
   }
 
-  // Whether the loaded .so exports the columnar entry point.
-  bool has_columnar() const { return cols_fn_ != nullptr; }
-  // Runs the batch columnar: `cols[f]` is field f's dense column.  Only
-  // callable when has_columnar().
-  void run_columns(Value* const* cols, std::uint64_t n,
-                   const NativeStateView* views,
-                   NativeStageCounterRow* counters = nullptr) const {
-    NativeAbi abi;
-    abi.states = views;
-    abi.intrinsics = intrinsics_.data();
-    abi.luts = luts_.data();
-    abi.stage_counters = counters;
-    cols_fn_(cols, n, &abi);
-  }
-
   std::size_t num_fields() const { return num_fields_; }
   std::size_t num_state_vars() const { return state_names_.size(); }
   const std::vector<std::string>& state_names() const { return state_names_; }
@@ -225,7 +199,6 @@ class NativePipeline {
 
   void* handle_ = nullptr;
   NativeEntryFn fn_ = nullptr;
-  NativeColsEntryFn cols_fn_ = nullptr;
   std::vector<IntrinsicFn> intrinsics_;  // one per intrinsic-pool entry
   std::vector<LutFn> luts_;              // one per stateful-pool entry
   std::vector<std::string> state_names_;

@@ -29,7 +29,7 @@ FleetService::IngestScope::IngestScope(FleetService& svc)
 FleetService::FleetService(const Machine& prototype, ServiceConfig config)
     : config_(std::move(config)),
       core_(prototype, config_.num_slots, config_.num_shards,
-            config_.batch_size, config_.flow_key, config_.batch_dispatch),
+            config_.batch_size, config_.flow_key),
       width_(prototype.fields().size()) {
   config_.num_shards = core_.num_shards();
   config_.num_slots = core_.num_slots();

@@ -74,9 +74,6 @@ struct ServiceConfig {
   std::size_t batch_size = 256;
   std::size_t ring_capacity = 1024;  // per shard, rounded up to a power of two
   Backpressure backpressure = Backpressure::kBlock;
-  // Batch shape each slot's BatchSim hands to Machine::run_batch (see
-  // banzai/batch.h): kAuto keeps row-major ingress row-major.
-  BatchDispatch batch_dispatch = BatchDispatch::kAuto;
   // Packet fields hashed together to pick a slot (and thus a shard).  Must be
   // non-empty unless num_slots == 1.
   std::vector<FieldId> flow_key;

@@ -11,7 +11,7 @@
 // whole-pipeline kernel and native paths run.  Per-stage in-place execution
 // is legal because seal() verifies each stage's writes are disjoint with no
 // intra-stage read-after-write.  A kNative machine also runs the micro-op
-// program here: the dlopen'd pipeline exports whole-pipeline entry points
+// program here: the dlopen'd pipeline exports a whole-pipeline entry point
 // only, and the engines are bit-exact, so the VM is the per-stage truth.  A
 // machine with no pipeline attached is refused at construction
 // (Machine::require_kernel throws std::logic_error).

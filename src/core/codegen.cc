@@ -130,9 +130,8 @@ void lower_stateless(const TacStmt& stmt, FieldTable& ft,
         throw CompileError(
             CompilePhase::kMapping,
             "cannot lower intrinsic '" + stmt.intrinsic + "' to a micro-op");
-      // Tag the hash family so the native emitter can inline (and the
-      // columnar body vectorize) the mixer instead of calling through the
-      // ABI pointer table.
+      // Tag the hash family so the native emitter can inline the mixer
+      // instead of calling through the ABI pointer table.
       if (stmt.intrinsic == "hash2")
         io.kind = banzai::IntrinsicKind::kHash2;
       else if (stmt.intrinsic == "hash3")

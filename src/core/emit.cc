@@ -3,7 +3,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "banzai/native.h"
 
@@ -171,23 +170,10 @@ struct DominoNativeAbi {
 };
 )";
 
-// The two bodies one translation unit carries:
-//   kRows — the per-packet body: one outer packet loop, ops read/write
-//           `f[N]` of the current packet's field array.
-//   kColsFused — inside the fused columnar loop (emit_cols_body below):
-//           fields are the scalar locals `vN`, loaded from their column once
-//           at loop top and stored back once at loop bottom, so chained ops
-//           pass intermediates through registers instead of memory.  The
-//           whole columnar entry point is emitted this way — there is no
-//           one-loop-per-op columnar form.
-enum class EmitMode { kRows, kColsFused };
-
-std::string field_expr(EmitMode mode, std::uint32_t f) {
-  switch (mode) {
-    case EmitMode::kRows: return "f[" + std::to_string(f) + "]";
-    case EmitMode::kColsFused: return "v" + std::to_string(f);
-  }
-  return "";
+// Field N of the current packet: ops read and write `f[N]` of the packet's
+// field array.
+std::string field_expr(std::uint32_t f) {
+  return "f[" + std::to_string(f) + "]";
 }
 
 std::string literal(Value v) {
@@ -196,22 +182,22 @@ std::string literal(Value v) {
   return std::to_string(v);
 }
 
-std::string src_expr(EmitMode mode, const KSrc& s) {
-  return s.is_const ? literal(s.cst) : field_expr(mode, s.field);
+std::string src_expr(const KSrc& s) {
+  return s.is_const ? literal(s.cst) : field_expr(s.field);
 }
 
 // A stateful-template operand inside the op's block: `in0`/`in1` are the
 // pre-update state loads declared at the top of the block.
-std::string ref_expr(EmitMode mode, const KRef& r) {
+std::string ref_expr(const KRef& r) {
   switch (r.kind) {
     case KRef::Kind::kConst: return literal(r.cst);
-    case KRef::Kind::kField: return field_expr(mode, r.field);
+    case KRef::Kind::kField: return field_expr(r.field);
     case KRef::Kind::kState: return "in" + std::to_string(r.state_idx);
   }
   return "0";
 }
 
-std::string pred_expr(EmitMode mode, const KPred& p) {
+std::string pred_expr(const KPred& p) {
   const char* rel = "";
   switch (p.rel) {
     case KRel::kAlways: return "true";
@@ -222,15 +208,14 @@ std::string pred_expr(EmitMode mode, const KPred& p) {
     case KRel::kEq: rel = "=="; break;
     case KRel::kNe: rel = "!="; break;
   }
-  return ref_expr(mode, p.a) + " " + rel + " " + ref_expr(mode, p.b);
+  return ref_expr(p.a) + " " + rel + " " + ref_expr(p.b);
 }
 
 // The update-arm value for state k of one leaf; `x` is the pre-update value.
-std::string arm_expr(EmitMode mode, const KArmOp& arm, std::size_t k,
-                     std::uint32_t lut_idx) {
+std::string arm_expr(const KArmOp& arm, std::size_t k, std::uint32_t lut_idx) {
   const std::string x = "in" + std::to_string(k);
-  const std::string s1 = ref_expr(mode, arm.src1);
-  const std::string s2 = ref_expr(mode, arm.src2);
+  const std::string s1 = ref_expr(arm.src1);
+  const std::string s2 = ref_expr(arm.src2);
   switch (arm.mode) {
     case KArm::kKeep: return x;
     case KArm::kSet: return s1;
@@ -247,9 +232,9 @@ std::string arm_expr(EmitMode mode, const KArmOp& arm, std::size_t k,
   return x;
 }
 
-std::string alu_expr(EmitMode mode, const MicroOp& op) {
-  const std::string a = src_expr(mode, op.a);
-  const std::string b = src_expr(mode, op.b);
+std::string alu_expr(const MicroOp& op) {
+  const std::string a = src_expr(op.a);
+  const std::string b = src_expr(op.b);
   switch (op.code) {
     case KOp::kMov: return a;
     case KOp::kNeg: return "wrap_sub(0, " + a + ")";
@@ -274,7 +259,7 @@ std::string alu_expr(EmitMode mode, const MicroOp& op) {
     case KOp::kEq: return "(" + a + " == " + b + " ? 1 : 0)";
     case KOp::kNe: return "(" + a + " != " + b + " ? 1 : 0)";
     case KOp::kSelect:
-      return "(" + a + " != 0 ? " + b + " : " + src_expr(mode, op.c) + ")";
+      return "(" + a + " != 0 ? " + b + " : " + src_expr(op.c) + ")";
     case KOp::kIntrinsic:
     case KOp::kStateful:
       break;  // handled by their own emitters
@@ -297,33 +282,31 @@ const char* hash_seed_literal(IntrinsicKind kind) {
 
 // The inline twin of ir/intrinsics.cc's hash_n: seed, one hash_mix per
 // argument, mask to non-negative.  Straight-line integer ops instead of a
-// call through the ABI function-pointer table — both bodies get cheaper
-// hashing, and a columnar loop with no stateful ops stays vectorizable.
-void emit_inline_hash(std::ostringstream& os, EmitMode mode, const MicroOp& op,
+// call through the ABI function-pointer table.
+void emit_inline_hash(std::ostringstream& os, const MicroOp& op,
                       const IntrinsicOp& io, const std::string& ind) {
   os << ind << "{\n";
   os << ind << "  std::uint32_t h = " << hash_seed_literal(io.kind) << ";\n";
   for (std::size_t a = 0; a < io.num_args; ++a)
     os << ind << "  h = hash_mix(h, static_cast<std::uint32_t>("
-       << src_expr(mode, io.args[a]) << "));\n";
-  os << ind << "  " << field_expr(mode, op.dst)
+       << src_expr(io.args[a]) << "));\n";
+  os << ind << "  " << field_expr(op.dst)
      << " = static_cast<Value>(h & 0x7fffffffu);\n";
   os << ind << "}\n";
   if (io.mod > 0)
-    os << ind << field_expr(mode, op.dst) << " = total_mod("
-       << field_expr(mode, op.dst) << ", " << literal(io.mod) << ");\n";
+    os << ind << field_expr(op.dst) << " = total_mod(" << field_expr(op.dst)
+       << ", " << literal(io.mod) << ");\n";
 }
 
 // An opaque intrinsic: argument marshalling plus a call through the ABI
 // function-pointer table.
-void emit_opaque_intrinsic(std::ostringstream& os, EmitMode mode,
-                           const MicroOp& op, const IntrinsicOp& io,
-                           const std::string& ind) {
+void emit_opaque_intrinsic(std::ostringstream& os, const MicroOp& op,
+                           const IntrinsicOp& io, const std::string& ind) {
   os << ind << "{\n";
   if (io.num_args > 0) {
     os << ind << "  const Value argv[" << int(io.num_args) << "] = {";
     for (std::size_t a = 0; a < io.num_args; ++a)
-      os << (a ? ", " : "") << src_expr(mode, io.args[a]);
+      os << (a ? ", " : "") << src_expr(io.args[a]);
     os << "};\n";
     os << ind << "  Value v = abi->intrinsics[" << op.aux << "](argv, "
        << int(io.num_args) << ");\n";
@@ -333,40 +316,44 @@ void emit_opaque_intrinsic(std::ostringstream& os, EmitMode mode,
   }
   if (io.mod > 0)
     os << ind << "  v = total_mod(v, " << literal(io.mod) << ");\n";
-  os << ind << "  " << field_expr(mode, op.dst) << " = v;\n";
+  os << ind << "  " << field_expr(op.dst) << " = v;\n";
   os << ind << "}\n";
 }
 
-void emit_intrinsic(std::ostringstream& os, EmitMode mode, const MicroOp& op,
+void emit_intrinsic(std::ostringstream& os, const MicroOp& op,
                     const IntrinsicOp& io, const std::string& ind) {
   if (hash_seed_literal(io.kind) != nullptr)
-    emit_inline_hash(os, mode, op, io, ind);
+    emit_inline_hash(os, op, io, ind);
   else
-    emit_opaque_intrinsic(os, mode, op, io, ind);
+    emit_opaque_intrinsic(os, op, io, ind);
 }
 
 // One leaf of the decision tree: the update arms for every owned state.
 // Arms read only `in0`/`in1` (pre-update values), packet fields and
 // constants, so assignment order within a leaf is immaterial.
-void emit_leaf(std::ostringstream& os, EmitMode mode, const StatefulOp& so,
+void emit_leaf(std::ostringstream& os, const StatefulOp& so,
                std::size_t leaf, std::uint32_t lut_idx,
                const std::string& indent) {
   for (std::size_t k = 0; k < so.num_states; ++k) {
     const KArmOp& arm = so.arms[leaf][k];
     if (arm.mode == KArm::kKeep) continue;  // out{k} already holds in{k}
-    os << indent << "out" << k << " = " << arm_expr(mode, arm, k, lut_idx)
-       << ";\n";
+    os << indent << "out" << k << " = " << arm_expr(arm, k, lut_idx) << ";\n";
   }
 }
 
-// The per-packet body of one stateful op: state loads, decision tree, state
-// stores, live-out publication.  Expects `s0`/`s1` (the op's state views) to
-// be bound in the enclosing scope; the caller supplies that binding so the
-// columnar segment loop can hoist it out of the packet loop.
-void emit_stateful_body(std::ostringstream& os, EmitMode mode,
-                        const CompiledPipeline& prog, const MicroOp& op,
-                        const std::string& base) {
+// The per-packet block of one stateful op: state-view bindings, state
+// loads, decision tree, state stores, live-out publication.
+void emit_stateful(std::ostringstream& os, const CompiledPipeline& prog,
+                   const MicroOp& op) {
   const StatefulOp& so = prog.stateful_pool()[op.aux];
+  const std::string base = "      ";
+  os << "    {  // stateful #" << op.aux;
+  for (std::size_t k = 0; k < so.num_states; ++k)
+    os << " s" << k << "=" << prog.state_names()[so.slots[k].var];
+  os << "\n";
+  for (std::size_t k = 0; k < so.num_states; ++k)
+    os << base << "const DominoNativeStateView& s" << k << " = abi->states["
+       << so.slots[k].var << "];\n";
   // Loads: every arm and predicate sees the pre-update values.
   for (std::size_t k = 0; k < so.num_states; ++k) {
     const StatefulOp::Slot& slot = so.slots[k];
@@ -375,7 +362,7 @@ void emit_stateful_body(std::ostringstream& os, EmitMode mode,
       // hardware address lines.
       os << base << "const std::uint64_t x" << k
          << " = static_cast<std::uint64_t>(static_cast<std::uint32_t>("
-         << field_expr(mode, slot.index_field) << ")) % s" << k << ".size;\n";
+         << field_expr(slot.index_field) << ")) % s" << k << ".size;\n";
       os << base << "const Value in" << k << " = s" << k << ".cells[x" << k
          << "];\n";
     } else {
@@ -386,25 +373,25 @@ void emit_stateful_body(std::ostringstream& os, EmitMode mode,
     os << base << "Value out" << k << " = in" << k << ";\n";
   // The decision tree, as real branches.
   if (so.pred_levels == 0) {
-    emit_leaf(os, mode, so, 0, op.aux, base);
+    emit_leaf(os, so, 0, op.aux, base);
   } else if (so.pred_levels == 1) {
-    os << base << "if (" << pred_expr(mode, so.preds[0]) << ") {\n";
-    emit_leaf(os, mode, so, 0, op.aux, base + "  ");
+    os << base << "if (" << pred_expr(so.preds[0]) << ") {\n";
+    emit_leaf(os, so, 0, op.aux, base + "  ");
     os << base << "} else {\n";
-    emit_leaf(os, mode, so, 1, op.aux, base + "  ");
+    emit_leaf(os, so, 1, op.aux, base + "  ");
     os << base << "}\n";
   } else {
-    os << base << "if (" << pred_expr(mode, so.preds[0]) << ") {\n";
-    os << base << "  if (" << pred_expr(mode, so.preds[1]) << ") {\n";
-    emit_leaf(os, mode, so, 0, op.aux, base + "    ");
+    os << base << "if (" << pred_expr(so.preds[0]) << ") {\n";
+    os << base << "  if (" << pred_expr(so.preds[1]) << ") {\n";
+    emit_leaf(os, so, 0, op.aux, base + "    ");
     os << base << "  } else {\n";
-    emit_leaf(os, mode, so, 1, op.aux, base + "    ");
+    emit_leaf(os, so, 1, op.aux, base + "    ");
     os << base << "  }\n";
     os << base << "} else {\n";
-    os << base << "  if (" << pred_expr(mode, so.preds[2]) << ") {\n";
-    emit_leaf(os, mode, so, 2, op.aux, base + "    ");
+    os << base << "  if (" << pred_expr(so.preds[2]) << ") {\n";
+    emit_leaf(os, so, 2, op.aux, base + "    ");
     os << base << "  } else {\n";
-    emit_leaf(os, mode, so, 3, op.aux, base + "    ");
+    emit_leaf(os, so, 3, op.aux, base + "    ");
     os << base << "  }\n";
     os << base << "}\n";
   }
@@ -417,151 +404,9 @@ void emit_stateful_body(std::ostringstream& os, EmitMode mode,
   }
   for (std::uint32_t l = so.liveout_begin; l < so.liveout_end; ++l) {
     const banzai::KLiveOut& lo = prog.liveout_pool()[l];
-    os << base << field_expr(mode, lo.dst) << " = "
+    os << base << field_expr(lo.dst) << " = "
        << (lo.use_new ? "out" : "in") << int(lo.state_idx) << ";\n";
   }
-}
-
-// Row-body stateful op: bind the state views, then the body.
-void emit_stateful_rows(std::ostringstream& os, const CompiledPipeline& prog,
-                        const MicroOp& op) {
-  const StatefulOp& so = prog.stateful_pool()[op.aux];
-  os << "    {  // stateful #" << op.aux;
-  for (std::size_t k = 0; k < so.num_states; ++k)
-    os << " s" << k << "=" << prog.state_names()[so.slots[k].var];
-  os << "\n";
-  for (std::size_t k = 0; k < so.num_states; ++k)
-    os << "      const DominoNativeStateView& s" << k << " = abi->states["
-       << so.slots[k].var << "];\n";
-  emit_stateful_body(os, EmitMode::kRows, prog, op, "      ");
-  os << "    }\n";
-}
-
-// ---- Columnar body ---------------------------------------------------------
-//
-// The whole op stream as ONE `for (i < n)` loop over the columns with
-// per-field register locals (kColsFused): every field the program reads
-// before writing loads from its column once at loop top, every field it
-// writes stores back once at loop bottom, and all intermediates live in the
-// scalar locals `vN` — chained ops never round-trip through memory.  Fusing
-// across stage boundaries is legal because per-packet program order IS the
-// row semantics (seal() already rejected the intra-stage hazards that could
-// make them differ).  State views bind once above the loop (`sv<aux>_<k>`),
-// aliased to `s<k>` inside each stateful op's block.
-//
-// One fused loop measured uniformly at-or-ahead of every fissioned variant
-// tried (per-op loops, hash-run loops): corpus pipelines are short (3–14
-// ops) and stateful-dominated, so the columnar shape's win is dense
-// sequential column access plus register-carried intermediates, not SIMD —
-// loop fission only forces values back through memory.  A pipeline with no
-// stateful ops still auto-vectorizes whole, inlined hashes included.
-//
-// The read scan below must over-approximate exactly like
-// CompiledPipeline::compute_liveness (all predicates, all arms): any column
-// preloaded here that is not written earlier in the program is then in
-// live_in_fields(), so BatchSim's liveness-guided gather populated it.
-// `begin`/`end` bound the emitted op range: the whole program in the default
-// emission, one StageRange per call in the counted emission (stage fission
-// is legal by the same §2.3 state-locality argument as stage-major batching;
-// a field written by stage s and read by stage s+1 simply round-trips
-// through its column between the two loops).
-void emit_cols_body(std::ostringstream& os, const CompiledPipeline& prog,
-                    std::uint32_t begin, std::uint32_t end) {
-  enum : std::uint8_t { kUntouched, kLoad, kDefined };
-  std::vector<std::uint8_t> cls(prog.num_fields(), kUntouched);
-  std::vector<bool> written(prog.num_fields(), false);
-  auto read_field = [&](std::uint32_t f) {
-    if (cls[f] == kUntouched) cls[f] = kLoad;
-  };
-  auto read_src = [&](const KSrc& s) {
-    if (!s.is_const) read_field(s.field);
-  };
-  auto read_ref = [&](const KRef& r) {
-    if (r.kind == KRef::Kind::kField) read_field(r.field);
-  };
-  auto write_field = [&](std::uint32_t f) {
-    if (cls[f] == kUntouched) cls[f] = kDefined;
-    written[f] = true;
-  };
-  for (std::uint32_t i = begin; i < end; ++i) {
-    const MicroOp& op = prog.ops()[i];
-    switch (op.code) {
-      case KOp::kIntrinsic: {
-        const IntrinsicOp& io = prog.intrinsic_pool()[op.aux];
-        for (std::size_t a = 0; a < io.num_args; ++a) read_src(io.args[a]);
-        write_field(op.dst);
-        break;
-      }
-      case KOp::kStateful: {
-        const StatefulOp& so = prog.stateful_pool()[op.aux];
-        for (std::size_t k = 0; k < so.num_states; ++k)
-          if (so.slots[k].is_array) read_field(so.slots[k].index_field);
-        for (const KPred& pr : so.preds) {
-          read_ref(pr.a);
-          read_ref(pr.b);
-        }
-        for (const auto& leaf : so.arms)
-          for (const KArmOp& arm : leaf) {
-            read_ref(arm.src1);
-            read_ref(arm.src2);
-          }
-        for (std::uint32_t l = so.liveout_begin; l < so.liveout_end; ++l)
-          write_field(prog.liveout_pool()[l].dst);
-        break;
-      }
-      default:
-        read_src(op.a);
-        read_src(op.b);
-        read_src(op.c);
-        write_field(op.dst);
-        break;
-    }
-  }
-
-  os << "    // ---- fused columnar loop: ops [" << begin << ", " << end
-     << ") ----\n";
-  // Hoist state-view bindings above the loop, once per stateful op.
-  for (std::uint32_t i = begin; i < end; ++i) {
-    const MicroOp& op = prog.ops()[i];
-    if (op.code != KOp::kStateful) continue;
-    const StatefulOp& so = prog.stateful_pool()[op.aux];
-    for (std::size_t k = 0; k < so.num_states; ++k)
-      os << "    const DominoNativeStateView& sv" << op.aux << "_" << k
-         << " = abi->states[" << so.slots[k].var << "];  // "
-         << prog.state_names()[so.slots[k].var] << "\n";
-  }
-  os << "    for (std::uint64_t i = 0; i < n; ++i) {\n";
-  for (std::uint32_t f = 0; f < prog.num_fields(); ++f) {
-    if (cls[f] == kLoad)
-      os << "      Value v" << f << " = c" << f << "[i];\n";
-    else if (cls[f] == kDefined)
-      os << "      Value v" << f << ";\n";  // assigned before any use below
-  }
-  for (std::uint32_t i = begin; i < end; ++i) {
-    const MicroOp& op = prog.ops()[i];
-    switch (op.code) {
-      case KOp::kIntrinsic:
-        emit_intrinsic(os, EmitMode::kColsFused, op,
-                       prog.intrinsic_pool()[op.aux], "      ");
-        break;
-      case KOp::kStateful: {
-        const StatefulOp& so = prog.stateful_pool()[op.aux];
-        os << "      {  // stateful #" << op.aux << "\n";
-        for (std::size_t k = 0; k < so.num_states; ++k)
-          os << "        const DominoNativeStateView& s" << k << " = sv"
-             << op.aux << "_" << k << ";\n";
-        emit_stateful_body(os, EmitMode::kColsFused, prog, op, "        ");
-        os << "      }\n";
-        break;
-      }
-      default:
-        os << "      v" << op.dst << " = "
-           << alu_expr(EmitMode::kColsFused, op) << ";\n";
-        break;
-    }
-  }
-  for (std::uint32_t f = 0; f < prog.num_fields(); ++f)
-    if (written[f]) os << "      c" << f << "[i] = v" << f << ";\n";
   os << "    }\n";
 }
 
@@ -571,15 +416,13 @@ void emit_rows_ops(std::ostringstream& os, const CompiledPipeline& prog,
     const MicroOp& op = prog.ops()[i];
     switch (op.code) {
       case KOp::kIntrinsic:
-        emit_intrinsic(os, EmitMode::kRows, op, prog.intrinsic_pool()[op.aux],
-                       "    ");
+        emit_intrinsic(os, op, prog.intrinsic_pool()[op.aux], "    ");
         break;
       case KOp::kStateful:
-        emit_stateful_rows(os, prog, op);
+        emit_stateful(os, prog, op);
         break;
       default:
-        os << "    f[" << op.dst << "] = " << alu_expr(EmitMode::kRows, op)
-           << ";\n";
+        os << "    f[" << op.dst << "] = " << alu_expr(op) << ";\n";
         break;
     }
   }
@@ -623,22 +466,6 @@ void emit_rows_body_counted(std::ostringstream& os,
   }
 }
 
-// Counted columnar body: the fused loop fissions at stage boundaries, each
-// fragment wrapped in one timing bracket.  Cross-stage values round-trip
-// through their columns — the price of attribution; the uncounted emission
-// keeps the single fully-fused loop.
-void emit_cols_body_counted(std::ostringstream& os,
-                            const CompiledPipeline& prog) {
-  const auto& stages = prog.stage_ranges();
-  for (std::size_t si = 0; si < stages.size(); ++si) {
-    os << "  {  // ---- stage " << si << " ----\n"
-       << "    const std::uint64_t t0 = ctr ? domino_now_ns() : 0;\n";
-    emit_cols_body(os, prog, stages[si].begin, stages[si].end);
-    emit_counter_update(os, si, stages[si].end - stages[si].begin);
-    os << "  }\n";
-  }
-}
-
 }  // namespace
 
 std::string emit_native_cc(const CompiledPipeline& prog,
@@ -649,12 +476,10 @@ std::string emit_native_cc(const CompiledPipeline& prog,
   os << "// Generated by domino (core/emit.cc) — do not edit.\n"
      << "// One sealed CompiledPipeline as straight-line C++: " << prog.num_ops()
      << " ops over " << prog.num_stages() << " stages, " << prog.num_fields()
-     << " packet fields, " << prog.num_state_vars() << " state vars.\n"
-     << "// Two entry points over the same program: the per-packet row body\n"
-     << "// and the batch-major columnar body (one fused column loop).\n";
+     << " packet fields, " << prog.num_state_vars() << " state vars.\n";
   if (opts.stage_counters)
-    os << "// Emitted with per-stage counters (DOMINO_STAGE_COUNTERS): both\n"
-       << "// bodies run stage-major, bracketing each stage's batch loop\n"
+    os << "// Emitted with per-stage counters (DOMINO_STAGE_COUNTERS): the\n"
+       << "// body runs stage-major, bracketing each stage's batch loop\n"
        << "// with monotonic-clock reads against abi->stage_counters.\n";
   if (prog.num_state_vars() > 0) {
     os << "// State table:\n";
@@ -663,7 +488,7 @@ std::string emit_native_cc(const CompiledPipeline& prog,
   }
   os << (opts.stage_counters ? kPreludeCounters : kPrelude);
 
-  // Row-major entry: one outer packet loop, ops addressing f[N].  The
+  // The entry point: one outer packet loop, ops addressing f[N].  The
   // counted form inverts the nesting (stage-major) so each stage's wall time
   // covers the whole batch with two clock reads.
   os << "\nvoid " << banzai::kNativeEntrySymbol
@@ -677,27 +502,6 @@ std::string emit_native_cc(const CompiledPipeline& prog,
        << "    Value* const f = pkts[pi];\n";
     emit_rows_body(os, prog);
     os << "  }\n";
-  }
-  os << "}\n";
-
-  // Columnar entry: `cols[f]` is the dense column of field f (ColumnBatch's
-  // col_ptrs()).  Distinct columns never overlap — ColumnBatch carves them
-  // from disjoint slices of one allocation — so every pointer is __restrict__
-  // and the width is burned in at emit time; the whole op stream runs as one
-  // fused register-resident column loop (emit_cols_body above), fissioned at
-  // stage boundaries in the counted emission.
-  os << "\nvoid " << banzai::kNativeColsEntrySymbol
-     << "(Value* const* cols, std::uint64_t n,\n"
-     << "     const DominoNativeAbi* abi) {\n";
-  for (std::size_t f = 0; f < prog.num_fields(); ++f)
-    os << "  Value* __restrict__ const c" << f << " = cols[" << f << "];\n";
-  for (std::size_t f = 0; f < prog.num_fields(); ++f)
-    os << "  (void)c" << f << ";\n";
-  if (opts.stage_counters) {
-    os << "  DominoStageCounterRow* const ctr = abi->stage_counters;\n";
-    emit_cols_body_counted(os, prog);
-  } else {
-    emit_cols_body(os, prog, 0, static_cast<std::uint32_t>(prog.num_ops()));
   }
   os << "}\n"
      << "\n}  // extern \"C\"\n";

@@ -422,48 +422,46 @@ void WorkerServer::handle_restore(Conn& conn, const Message& req) {
   const RestoreReq restore =
       decode_restore_req(req.payload.data(), req.payload.size());
   std::lock_guard<std::mutex> lock(mu_);
-  svc_->flush();
-  svc_->stop();
-  // Validate the WHOLE payload before touching ANY slot: decode every blob
-  // and shape-check it against the live store.  A corrupt migration payload
-  // must reject cleanly with the worker's state untouched — this is the
-  // guard tests/dist_test.cc pins.
+  // Validate the WHOLE payload before the service is paused or ANY slot is
+  // touched: decode every blob and shape-check it against the prototype's
+  // initial state, which every slot shares because each is a clone of the
+  // prototype.  A corrupt migration payload must reject cleanly with the
+  // worker's state untouched — this is the guard tests/dist_test.cc pins.
   std::vector<banzai::StateStore> stores;
   stores.reserve(restore.slots.size());
+  std::string reject;
   for (const SlotState& s : restore.slots) {
     if (s.slot >= svc_cfg_.num_slots) {
-      svc_->start();
-      ++stats_.restore_rejects;
-      reply_error(conn, "restore: slot out of range");
-      return;
+      reject = "restore: slot out of range";
+      break;
     }
-    banzai::StateStore store;
     if (s.state.empty()) {
       // The explicit "start from scratch" restore: the front has no
       // checkpoint for the slot and orders a reset to the prototype's
       // initial state, so the target starts from a known point even if it
-      // silently kept stale state for the slot (it trivially matches the
-      // live shape — it IS the live shape).
-      store = initial_state_;
-    } else {
-      try {
-        store = deserialize_state_store(s.state.data(), s.state.size());
-      } catch (const FramingError& e) {
-        svc_->start();
-        ++stats_.restore_rejects;
-        reply_error(conn, std::string("restore: corrupt state blob: ") +
-                              e.what());
-        return;
-      }
-      if (!store.same_shape(svc_->slot_machine(s.slot).snapshot_state())) {
-        svc_->start();
-        ++stats_.restore_rejects;
-        reply_error(conn, "restore: state shape mismatch");
-        return;
-      }
+      // silently kept stale state for the slot.
+      stores.push_back(initial_state_);
+      continue;
     }
-    stores.push_back(std::move(store));
+    try {
+      stores.push_back(
+          deserialize_state_store(s.state.data(), s.state.size()));
+    } catch (const FramingError& e) {
+      reject = std::string("restore: corrupt state blob: ") + e.what();
+      break;
+    }
+    if (!stores.back().same_shape(initial_state_)) {
+      reject = "restore: state shape mismatch";
+      break;
+    }
   }
+  if (!reject.empty()) {
+    ++stats_.restore_rejects;
+    reply_error(conn, reject);
+    return;
+  }
+  svc_->flush();
+  svc_->stop();
   for (std::size_t i = 0; i < restore.slots.size(); ++i) {
     const SlotState& s = restore.slots[i];
     svc_->slot_machine(s.slot).restore_state(stores[i]);

@@ -19,9 +19,10 @@
 //     verdict exactly and the front's tombstone stays redeliverable even
 //     after a later frame in the slot moved the watermark past it.
 //   * Corrupt migration payloads reject cleanly: a RestoreReq is fully
-//     validated (framing decode, state-shape check against the live store,
-//     slot bounds) BEFORE any slot is touched; on any failure the worker
-//     answers kError and keeps serving with its state untouched.  An EMPTY
+//     validated (framing decode, state-shape check against the
+//     prototype's initial state, slot bounds) BEFORE the service is paused
+//     or any slot is touched; on any failure the worker answers kError and
+//     keeps serving with its state untouched.  An EMPTY
 //     state blob is the one exception to "blob must decode": it is the
 //     front's explicit "start from scratch" order, resetting the slot to
 //     the prototype's initial state (and applied_seq to the given value) so

@@ -92,83 +92,6 @@ std::string TacProgram::str() const {
   return os.str();
 }
 
-Value TacEvaluator::read_field(
-    const std::vector<std::pair<std::string, Value>>& fields,
-    const std::string& name) {
-  for (const auto& [k, v] : fields)
-    if (k == name) return v;
-  return 0;
-}
-
-void TacEvaluator::write_field(
-    std::vector<std::pair<std::string, Value>>& fields,
-    const std::string& name, Value v) {
-  for (auto& [k, val] : fields) {
-    if (k == name) {
-      val = v;
-      return;
-    }
-  }
-  fields.emplace_back(name, v);
-}
-
-Value TacEvaluator::eval_operand(
-    const Operand& op,
-    const std::vector<std::pair<std::string, Value>>& fields) {
-  return op.is_const() ? op.cst : read_field(fields, op.field);
-}
-
-void TacEvaluator::exec(const TacStmt& stmt,
-                        std::vector<std::pair<std::string, Value>>& fields,
-                        banzai::StateStore& state) {
-  switch (stmt.kind) {
-    case TacStmt::Kind::kCopy:
-      write_field(fields, stmt.dst, eval_operand(stmt.a, fields));
-      break;
-    case TacStmt::Kind::kUnary:
-      write_field(fields, stmt.dst,
-                  eval_unop(stmt.un_op, eval_operand(stmt.a, fields)));
-      break;
-    case TacStmt::Kind::kBinary:
-      write_field(fields, stmt.dst,
-                  eval_binop(stmt.op, eval_operand(stmt.a, fields),
-                             eval_operand(stmt.b, fields)));
-      break;
-    case TacStmt::Kind::kTernary:
-      write_field(fields, stmt.dst,
-                  eval_operand(stmt.a, fields) != 0
-                      ? eval_operand(stmt.b, fields)
-                      : eval_operand(stmt.c, fields));
-      break;
-    case TacStmt::Kind::kIntrinsic: {
-      std::vector<Value> argv;
-      argv.reserve(stmt.args.size());
-      for (const auto& a : stmt.args) argv.push_back(eval_operand(a, fields));
-      Value v = eval_intrinsic(stmt.intrinsic, argv);
-      if (stmt.intrinsic_mod > 0) v = banzai::total_mod(v, stmt.intrinsic_mod);
-      write_field(fields, stmt.dst, v);
-      break;
-    }
-    case TacStmt::Kind::kReadState: {
-      auto& var = state.var(stmt.state_var);
-      Value v = stmt.state_is_array
-                    ? var.load(eval_operand(stmt.index, fields))
-                    : var.load_scalar();
-      write_field(fields, stmt.dst, v);
-      break;
-    }
-    case TacStmt::Kind::kWriteState: {
-      auto& var = state.var(stmt.state_var);
-      Value v = eval_operand(stmt.a, fields);
-      if (stmt.state_is_array)
-        var.store(eval_operand(stmt.index, fields), v);
-      else
-        var.store_scalar(v);
-      break;
-    }
-  }
-}
-
 std::uint32_t CompiledTac::intern(const std::string& name) {
   auto it = index_.find(name);
   if (it != index_.end()) return it->second;

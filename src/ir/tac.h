@@ -111,37 +111,11 @@ struct TacProgram {
 
 // --- Evaluation -------------------------------------------------------------
 
-// Field environment used by TAC evaluation; missing fields read as zero
-// (packet temporaries start uninitialized-as-zero, matching the simulator).
-using FieldEnv = std::vector<std::pair<std::string, Value>>;
-
-// Name-based evaluator: every operand access scans the FieldEnv linearly.
-// Convenient for one-off executions and golden tests; hot paths should build
-// a CompiledTac instead, which resolves names to dense indices once.
-class TacEvaluator {
- public:
-  // Executes `stmt` against a field map and the full state store (arrays
-  // supported; index operands are looked up in the field map).
-  static void exec(const TacStmt& stmt,
-                   std::vector<std::pair<std::string, Value>>& fields,
-                   banzai::StateStore& state);
-
-  static Value read_field(
-      const std::vector<std::pair<std::string, Value>>& fields,
-      const std::string& name);
-  static void write_field(std::vector<std::pair<std::string, Value>>& fields,
-                          const std::string& name, Value v);
-  static Value eval_operand(
-      const Operand& op,
-      const std::vector<std::pair<std::string, Value>>& fields);
-};
-
-// Per-program compiled form of the TAC evaluator.  Construction walks the
-// statements once, interning every packet-field name into a dense index;
-// execution then reads and writes a flat Value array, so each operand access
-// is O(1) instead of the O(fields) scan TacEvaluator pays per access.
-// Semantics are identical to running TacEvaluator::exec over the same
-// statements: unwritten fields read as zero.
+// Per-program compiled TAC evaluator.  Construction walks the statements
+// once, interning every packet-field name into a dense index; execution then
+// reads and writes a flat Value array, so each operand access is O(1).
+// Fields start at zero (packet temporaries start uninitialized-as-zero,
+// matching the simulator).
 class CompiledTac {
  public:
   struct ROperand {

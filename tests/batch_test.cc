@@ -3,19 +3,15 @@
 // PipelineSim and to sequential Machine::process — every egress field of
 // every packet and the full final StateStore — on every mappable algorithm in
 // the corpus, across batch sizes including ones that straddle the trace
-// length, and across both batch shapes (row-major and the columnar
-// ColumnBatch currency of banzai/column.h).
+// length.
 #include <gtest/gtest.h>
 
 #include "banzai/batch.h"
-#include "banzai/column.h"
 #include "test_util.h"
 
 namespace {
 
 using algorithms::AlgorithmInfo;
-using banzai::BatchDispatch;
-using banzai::ColumnBatch;
 using banzai::Packet;
 
 std::vector<Packet> make_workload(const AlgorithmInfo& alg,
@@ -36,19 +32,9 @@ std::vector<Packet> make_workload(const AlgorithmInfo& alg,
   return trace;
 }
 
-const char* dispatch_name(BatchDispatch d) {
-  switch (d) {
-    case BatchDispatch::kAuto: return "auto";
-    case BatchDispatch::kRows: return "rows";
-    case BatchDispatch::kColumnar: return "cols";
-  }
-  return "?";
-}
-
 struct BatchCase {
   std::string algorithm;
   std::size_t batch_size;
-  BatchDispatch dispatch;
 };
 
 class BatchEquivalenceTest : public ::testing::TestWithParam<BatchCase> {};
@@ -77,7 +63,7 @@ TEST_P(BatchEquivalenceTest, BatchMatchesPipelineAndSequential) {
   for (const Packet& p : trace) pipe.enqueue(p);
   pipe.drain();
 
-  banzai::BatchSim batch(batch_machine, tc.batch_size, tc.dispatch);
+  banzai::BatchSim batch(batch_machine, tc.batch_size);
   std::vector<Packet> batch_in = trace;
   batch.enqueue(std::move(batch_in));
   batch.run();
@@ -91,10 +77,6 @@ TEST_P(BatchEquivalenceTest, BatchMatchesPipelineAndSequential) {
   }
   EXPECT_EQ(batch_machine.state(), seq_machine.state());
   EXPECT_EQ(batch_machine.state(), pipe_machine.state());
-  // A forced-columnar run actually took the columnar path for every batch.
-  if (tc.dispatch == BatchDispatch::kColumnar) {
-    EXPECT_EQ(batch.stats().columnar_batches, batch.stats().batches);
-  }
   // Replicas have independent StateStores: running all three engines must
   // leave the prototype machine's state untouched.
   EXPECT_EQ(compiled.machine().state(), pristine_state);
@@ -106,8 +88,7 @@ std::vector<BatchCase> all_cases() {
     if (alg.paper_least_atom == "Doesn't map") continue;
     // 1 = degenerate batches; 64 = interior; 377 leaves a ragged tail batch.
     for (std::size_t bs : {std::size_t{1}, std::size_t{64}, std::size_t{377}})
-      for (BatchDispatch d : {BatchDispatch::kRows, BatchDispatch::kColumnar})
-        cases.push_back({alg.name, bs, d});
+      cases.push_back({alg.name, bs});
   }
   return cases;
 }
@@ -116,61 +97,8 @@ INSTANTIATE_TEST_SUITE_P(
     Corpus, BatchEquivalenceTest, ::testing::ValuesIn(all_cases()),
     [](const ::testing::TestParamInfo<BatchCase>& info) {
       return info.param.algorithm + "_bs" +
-             std::to_string(info.param.batch_size) + "_" +
-             dispatch_name(info.param.dispatch);
+             std::to_string(info.param.batch_size);
     });
-
-TEST(ColumnBatchTest, GatherScatterRoundTripsAndPreservesExtraFields) {
-  // Packets wider than the batch keep their trailing fields across a
-  // round-trip; the first num_fields columns transpose faithfully.
-  const std::size_t kFields = 3, kWide = 5, kN = 17;
-  std::vector<Packet> pkts;
-  for (std::size_t i = 0; i < kN; ++i) {
-    Packet p(kWide);
-    for (std::size_t f = 0; f < kWide; ++f)
-      p.set(f, static_cast<banzai::Value>(100 * i + f));
-    pkts.push_back(std::move(p));
-  }
-  const std::vector<Packet> original = pkts;
-
-  ColumnBatch cb;
-  cb.gather(pkts.data(), kN, kFields);
-  EXPECT_EQ(cb.size(), kN);
-  EXPECT_EQ(cb.num_fields(), kFields);
-  for (std::size_t f = 0; f < kFields; ++f)
-    for (std::size_t i = 0; i < kN; ++i)
-      EXPECT_EQ(cb.col(f)[i], original[i].get(f)) << "col " << f << " i " << i;
-
-  // Mutate one column, scatter back: only that field changes, and the two
-  // fields beyond the batch width stay untouched.
-  for (std::size_t i = 0; i < kN; ++i) cb.col(1)[i] = -1;
-  cb.scatter(pkts.data());
-  for (std::size_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(pkts[i].get(0), original[i].get(0));
-    EXPECT_EQ(pkts[i].get(1), -1);
-    EXPECT_EQ(pkts[i].get(2), original[i].get(2));
-    EXPECT_EQ(pkts[i].get(3), original[i].get(3));
-    EXPECT_EQ(pkts[i].get(4), original[i].get(4));
-  }
-}
-
-TEST(ColumnBatchTest, NarrowPacketsAreRejected) {
-  std::vector<Packet> pkts(3, Packet(2));
-  ColumnBatch cb;
-  EXPECT_THROW(cb.gather(pkts.data(), pkts.size(), 4), std::invalid_argument);
-  cb.gather(pkts.data(), pkts.size(), 2);
-  std::vector<Packet> narrow(3, Packet(1));
-  EXPECT_THROW(cb.scatter(narrow.data()), std::invalid_argument);
-}
-
-TEST(ColumnBatchTest, ReshapeReusesCapacityAcrossBatches) {
-  ColumnBatch cb(4, 256);
-  const banzai::Value* col0 = cb.col(0);
-  cb.reshape(4, 100);  // shrink within capacity: pointers stable
-  EXPECT_EQ(cb.col(0), col0);
-  EXPECT_EQ(cb.size(), 100u);
-  EXPECT_EQ(cb.capacity(), 256u);
-}
 
 TEST(BatchSimTest, StatsCountBatchesAndPackets) {
   const AlgorithmInfo& alg = algorithms::algorithm("flowlets");
@@ -184,34 +112,7 @@ TEST(BatchSimTest, StatsCountBatchesAndPackets) {
   sim.run();
   EXPECT_EQ(sim.stats().packets, 250u);
   EXPECT_EQ(sim.stats().batches, 3u);  // 100 + 100 + 50
-  // kAuto keeps row-major ingress row-major (see batch.h): no transposes.
-  EXPECT_EQ(sim.stats().columnar_batches, 0u);
   EXPECT_EQ(sim.egress().size(), 250u);
-}
-
-TEST(BatchSimTest, DispatchKnobControlsColumnarBatches) {
-  const AlgorithmInfo& alg = algorithms::algorithm("flowlets");
-  auto target = test_util::least_target(alg.source);
-  ASSERT_TRUE(target.has_value());
-  domino::CompileResult compiled = domino::compile(alg.source, *target);
-  const auto trace = make_workload(alg, compiled.machine(), 40, 9u);
-
-  // kAuto never transposes: BatchSim ingress is row-major, and the
-  // measured transpose cost exceeds the column-loop win on corpus-scale
-  // pipelines (EXPERIMENTS.md, "Batch shape").
-  banzai::Machine autod = compiled.machine().clone();
-  banzai::BatchSim asim(autod, 16);
-  asim.enqueue(std::vector<Packet>(trace));
-  asim.run();
-  EXPECT_EQ(asim.stats().columnar_batches, 0u);
-
-  // kColumnar is the explicit opt-in: every batch transposes.
-  banzai::Machine kernel = compiled.machine().clone();
-  banzai::BatchSim ksim(kernel, 16, banzai::BatchDispatch::kColumnar);
-  ksim.enqueue(std::vector<Packet>(trace));
-  ksim.run();
-  EXPECT_EQ(ksim.stats().columnar_batches, ksim.stats().batches);
-  EXPECT_GT(ksim.stats().columnar_batches, 0u);
 }
 
 TEST(BatchSimTest, EnqueueMovesWholeTracesAndAppends) {
@@ -247,10 +148,10 @@ TEST(BatchSimTest, EnqueueMovesWholeTracesAndAppends) {
   EXPECT_EQ(m.state(), seq.state());
 }
 
-TEST(BatchSimTest, SnapshotRestoreMidStreamUnderColumnarDispatch) {
-  // The reshard cycle of FleetService, exercised through the columnar
-  // dispatch path: drain half columnar, snapshot, keep draining, restore,
-  // drain the rest — must match a sequential machine driven identically.
+TEST(BatchSimTest, SnapshotRestoreMidStream) {
+  // The reshard cycle of FleetService, exercised through BatchSim: drain a
+  // third, snapshot, keep draining, restore, drain the rest — must match a
+  // sequential machine driven identically.
   const AlgorithmInfo& alg = algorithms::algorithm("flowlets");
   auto target = test_util::least_target(alg.source);
   ASSERT_TRUE(target.has_value());
@@ -260,7 +161,7 @@ TEST(BatchSimTest, SnapshotRestoreMidStreamUnderColumnarDispatch) {
 
   banzai::Machine ref = compiled.machine().clone();
   banzai::Machine m = compiled.machine().clone();
-  banzai::BatchSim sim(m, 64, BatchDispatch::kColumnar);
+  banzai::BatchSim sim(m, 64);
 
   std::vector<Packet> want, got;
   banzai::StateStore ref_snap, snap;
@@ -282,7 +183,6 @@ TEST(BatchSimTest, SnapshotRestoreMidStreamUnderColumnarDispatch) {
   for (std::size_t i = 0; i < got.size(); ++i)
     ASSERT_EQ(got[i], want[i]) << "packet " << i;
   EXPECT_EQ(m.state(), ref.state());
-  EXPECT_EQ(sim.stats().columnar_batches, sim.stats().batches);
 }
 
 TEST(BatchSimTest, ZeroBatchSizeIsClampedToOne) {

@@ -5,6 +5,7 @@
 // where one shard runs hot — with worker threads on and off.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -205,6 +206,38 @@ TEST(FleetTest, StatePersistsAcrossRuns) {
     EXPECT_EQ(split_runs.shard_machine(s).state(),
               one_run.shard_machine(s).state())
         << "shard " << s;
+}
+
+TEST(FleetTest, NarrowPacketIsRefusedBeforeAnyShardRuns) {
+  // A packet narrower than the field table throws on the caller's thread in
+  // both modes, before any shard runs: no replica state moves, and a
+  // parallel run does not terminate the process from a shard worker thread.
+  FlowletSetup setup;
+  netsim::FlowTraceConfig cfg;
+  cfg.num_packets = 400;
+  cfg.num_flows = 32;
+  cfg.seed = 5;
+  const auto good = setup.to_packets(netsim::generate_flow_trace(cfg));
+  // Narrow, but still wide enough to carry the flow key it is routed by.
+  const std::size_t width = std::max(setup.f_sport, setup.f_dport) + 1;
+  ASSERT_LT(width, setup.compiled.machine().fields().size());
+  Packet narrow(width);
+  narrow.set(setup.f_sport, 1000);
+  narrow.set(setup.f_dport, 80);
+  std::vector<Packet> bad = good;
+  bad.insert(bad.begin() + bad.size() / 2, narrow);
+
+  for (bool parallel : {false, true}) {
+    Fleet fleet(setup.compiled.machine(), setup.fleet_config(4, parallel));
+    EXPECT_THROW(fleet.run(bad), std::invalid_argument);
+    for (std::size_t s = 0; s < fleet.num_shards(); ++s)
+      EXPECT_EQ(fleet.shard_machine(s).state(),
+                setup.compiled.machine().state())
+          << "shard " << s << (parallel ? " parallel" : " serial");
+    // The refused run leaves the fleet serving.
+    const FleetResult result = fleet.run(good);
+    expect_shards_match_single_machines(setup, good, fleet, result);
+  }
 }
 
 TEST(FleetTest, ShardingRequiresFlowKey) {

@@ -16,7 +16,6 @@
 #include <string>
 
 #include "algorithms/corpus.h"
-#include "banzai/batch.h"
 #include "banzai/native.h"
 #include "banzai/native_io.h"
 #include "core/compiler.h"
@@ -258,39 +257,6 @@ TEST(NativeLoaderTest, HostTunedFlagsViaEnvProduceADistinctAgreeingObject) {
     ASSERT_EQ(m.process(p), ref.process(p));
   EXPECT_TRUE(m.state() == ref.state());
   std::filesystem::remove_all(*nopts.cache_dir);
-}
-
-TEST(NativeLoaderTest, ColumnarEntryPointIsExportedAndAgreesWithRows) {
-  // Both entry points live in one emitted TU, so a freshly built .so always
-  // exports the columnar symbol; has_columnar() observes it, and columnar
-  // dispatch through the native engine matches row dispatch packet for
-  // packet and state cell for state cell.
-  if (!toolchain_available()) GTEST_SKIP() << "no host C++ compiler";
-  domino::CompileOptions opts;
-  opts.engine = ExecEngine::kNative;
-  auto compiled = compile_flowlets(opts);
-  ASSERT_NE(compiled.machine().native(), nullptr)
-      << compiled.machine().native_fallback_reason();
-  EXPECT_TRUE(compiled.machine().native()->has_columnar());
-  const std::string source =
-      domino::emit_native_cc(*compiled.machine().kernel());
-  EXPECT_NE(source.find(banzai::kNativeColsEntrySymbol), std::string::npos);
-
-  Machine rows = compiled.machine().clone();
-  Machine cols = compiled.machine().clone();
-  banzai::BatchSim rsim(rows, 64, banzai::BatchDispatch::kRows);
-  banzai::BatchSim csim(cols, 64, banzai::BatchDispatch::kColumnar);
-  const auto trace = flowlet_workload(compiled, 2000);
-  rsim.enqueue(trace);
-  csim.enqueue(trace);
-  rsim.run();
-  csim.run();
-  EXPECT_EQ(csim.stats().columnar_batches, csim.stats().batches);
-  EXPECT_EQ(rsim.stats().columnar_batches, 0u);
-  ASSERT_EQ(rsim.egress().size(), csim.egress().size());
-  for (std::size_t i = 0; i < rsim.egress().size(); ++i)
-    ASSERT_EQ(rsim.egress()[i], csim.egress()[i]) << "packet " << i;
-  EXPECT_TRUE(rows.state() == cols.state());
 }
 
 TEST(NativeLoaderTest, SecondLoadOfTheSameProgramHitsTheSoCache) {

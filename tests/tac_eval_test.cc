@@ -1,11 +1,14 @@
 // Direct semantic-preservation test for the whole normalization pipeline at
 // the TAC level: executing the optimized three-address code sequentially
-// (TacEvaluator + a real StateStore, arrays included) must match the AST
+// (CompiledTac + a real StateStore, arrays included) must match the AST
 // reference interpreter packet for packet and state cell for state cell —
 // isolating the passes from scheduling and code generation.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "algorithms/corpus.h"
 #include "core/interp.h"
@@ -16,6 +19,30 @@
 namespace domino {
 namespace {
 
+using Fields = std::map<std::string, banzai::Value>;
+
+// Runs one packet through `tac` on a fresh field environment seeded from
+// `in`; fields the program never touches are not in the environment.
+std::vector<banzai::Value> run_packet(const CompiledTac& tac, const Fields& in,
+                                      banzai::StateStore& state) {
+  std::vector<banzai::Value> env = tac.make_env();
+  for (const auto& [k, v] : in)
+    if (auto idx = tac.index_of(k)) env[*idx] = v;
+  tac.exec(env, state);
+  return env;
+}
+
+// The value of `name` after run_packet: the program's result when it touches
+// the field, otherwise the packet's input value, or 0 when the packet does
+// not carry the field either.
+banzai::Value read_field(const CompiledTac& tac,
+                         const std::vector<banzai::Value>& env,
+                         const Fields& in, const std::string& name) {
+  if (auto idx = tac.index_of(name)) return env[*idx];
+  auto it = in.find(name);
+  return it == in.end() ? 0 : it->second;
+}
+
 class TacPreservationTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(TacPreservationTest, OptimizedTacMatchesInterpreter) {
@@ -23,6 +50,7 @@ TEST_P(TacPreservationTest, OptimizedTacMatchesInterpreter) {
   Program prog = parse(alg.source);
   analyze(prog);
   Normalized norm = normalize(prog);
+  const CompiledTac tac(norm.tac);
 
   Interpreter interp(prog);
 
@@ -44,16 +72,13 @@ TEST_P(TacPreservationTest, OptimizedTacMatchesInterpreter) {
     interp.run(pkt);
 
     // TAC execution: fresh field environment per packet, persistent state.
-    std::map<std::string, banzai::Value> fields2;
+    Fields fields2;
     alg.workload(rng2, i, fields2);
-    std::vector<std::pair<std::string, banzai::Value>> env;
-    for (const auto& [k, v] : fields2) env.emplace_back(k, v);
-    for (const auto& s : norm.tac.stmts)
-      TacEvaluator::exec(s, env, tac_state);
+    const auto env = run_packet(tac, fields2, tac_state);
 
     for (const auto& f : prog.packet_fields) {
       const auto& final_name = norm.final_names.at(f.name);
-      ASSERT_EQ(TacEvaluator::read_field(env, final_name),
+      ASSERT_EQ(read_field(tac, env, fields2, final_name),
                 interp.get(pkt, f.name))
           << GetParam() << " packet " << i << " field " << f.name;
     }
@@ -77,6 +102,7 @@ TEST_P(TacOptimizerTest, OptimizerPreservesObservables) {
   analyze(prog);
   Normalized norm = normalize(prog);
   EXPECT_LE(norm.tac.stmts.size(), norm.tac_raw.stmts.size());
+  const CompiledTac raw(norm.tac_raw), opt(norm.tac);
 
   banzai::StateStore s_raw, s_opt;
   for (const auto& d : prog.state_vars) {
@@ -87,16 +113,13 @@ TEST_P(TacOptimizerTest, OptimizerPreservesObservables) {
   }
   std::mt19937 rng(31415), rng2(31415);
   for (int i = 0; i < 500; ++i) {
-    std::map<std::string, banzai::Value> f1, f2;
+    Fields f1, f2;
     alg.workload(rng, i, f1);
     alg.workload(rng2, i, f2);
-    std::vector<std::pair<std::string, banzai::Value>> e1(f1.begin(), f1.end());
-    std::vector<std::pair<std::string, banzai::Value>> e2(f2.begin(), f2.end());
-    for (const auto& s : norm.tac_raw.stmts) TacEvaluator::exec(s, e1, s_raw);
-    for (const auto& s : norm.tac.stmts) TacEvaluator::exec(s, e2, s_opt);
+    const auto e1 = run_packet(raw, f1, s_raw);
+    const auto e2 = run_packet(opt, f2, s_opt);
     for (const auto& [user, ssa] : norm.final_names)
-      ASSERT_EQ(TacEvaluator::read_field(e1, ssa),
-                TacEvaluator::read_field(e2, ssa))
+      ASSERT_EQ(read_field(raw, e1, f1, ssa), read_field(opt, e2, f2, ssa))
           << GetParam() << " field " << user << " packet " << i;
   }
   EXPECT_TRUE(s_raw == s_opt);
@@ -105,57 +128,6 @@ TEST_P(TacOptimizerTest, OptimizerPreservesObservables) {
 INSTANTIATE_TEST_SUITE_P(
     Corpus, TacOptimizerTest,
     ::testing::Values("bloom_filter", "flowlets", "hull", "avq", "stfq",
-                      "dns_ttl_tracker", "conga", "codel"));
-
-// The compiled (index-resolved) evaluator must agree with the by-name
-// evaluator statement for statement: CompiledTac is the hot path (synthesis
-// inner loop), TacEvaluator the readable reference.
-class CompiledTacTest : public ::testing::TestWithParam<std::string> {};
-
-TEST_P(CompiledTacTest, CompiledMatchesByNameEvaluator) {
-  const auto& alg = algorithms::algorithm(GetParam());
-  Program prog = parse(alg.source);
-  analyze(prog);
-  Normalized norm = normalize(prog);
-  CompiledTac compiled(norm.tac);
-
-  banzai::StateStore s_name, s_idx;
-  for (const auto& d : prog.state_vars) {
-    s_name.declare(d.name, static_cast<std::size_t>(d.size), !d.is_array,
-                   d.init);
-    s_idx.declare(d.name, static_cast<std::size_t>(d.size), !d.is_array,
-                  d.init);
-  }
-  std::mt19937 rng(1618), rng2(1618);
-  for (int i = 0; i < 500; ++i) {
-    std::map<std::string, banzai::Value> f1, f2;
-    alg.workload(rng, i, f1);
-    alg.workload(rng2, i, f2);
-
-    std::vector<std::pair<std::string, banzai::Value>> env_name(f1.begin(),
-                                                                f1.end());
-    for (const auto& s : norm.tac.stmts)
-      TacEvaluator::exec(s, env_name, s_name);
-
-    std::vector<banzai::Value> env_idx = compiled.make_env();
-    for (const auto& [k, v] : f2)
-      if (auto idx = compiled.index_of(k)) env_idx[*idx] = v;
-    compiled.exec(env_idx, s_idx);
-
-    for (const auto& name : compiled.field_names()) {
-      const auto idx = compiled.index_of(name);
-      ASSERT_TRUE(idx.has_value());
-      ASSERT_EQ(env_idx[*idx], TacEvaluator::read_field(env_name, name))
-          << GetParam() << " packet " << i << " field " << name;
-    }
-  }
-  EXPECT_TRUE(s_name == s_idx) << GetParam();
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Corpus, CompiledTacTest,
-    ::testing::Values("bloom_filter", "heavy_hitters", "flowlets", "rcp",
-                      "sampled_netflow", "hull", "avq", "stfq",
                       "dns_ttl_tracker", "conga", "codel"));
 
 }  // namespace
