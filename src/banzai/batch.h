@@ -6,8 +6,7 @@
 // pipeline advances it through each stage before moving to the next
 // ("stage-major" order, op-major within a stage): each op's configuration
 // and the state it touches stay hot in cache across the batch, per-op
-// dispatch is paid once per batch, and the whole batch runs in place.
-// run_rows() runs rows the caller owns, allocating nothing; the
+// dispatch is paid once per batch, and the whole batch runs in place.  The
 // enqueue()/run()/take_egress() queue form moves packets through.
 //
 // Stage-major order is observationally identical to packet-major order
@@ -55,22 +54,16 @@ class BatchSim {
   // Drains the entire ingress through the pipeline, batch by batch, in
   // arrival order.  Egress packets appear in the same order.
   void run() {
-    egress_.reserve(egress_.size() + ingress_.size());
-    run_rows(ingress_.data(), ingress_.size());
-    for (Packet& p : ingress_) egress_.push_back(std::move(p));
-    ingress_.clear();
-  }
-
-  // Runs rows[0, n) through the pipeline in place, batch by batch, in
-  // order, bypassing the ingress and egress queues: the caller keeps the
-  // rows (ShardCore runs FleetService's ring rows where they lie).
-  void run_rows(Packet* rows, std::size_t n) {
+    const std::size_t n = ingress_.size();
     for (std::size_t start = 0; start < n; start += batch_size_) {
       const std::size_t k = std::min(batch_size_, n - start);
-      machine_.run_batch(BatchView::rows(rows + start, k));
+      machine_.run_batch(BatchView::rows(ingress_.data() + start, k));
       ++stats_.batches;
       stats_.packets += k;
     }
+    egress_.reserve(egress_.size() + n);
+    for (Packet& p : ingress_) egress_.push_back(std::move(p));
+    ingress_.clear();
   }
 
   // Moves the accumulated egress out, leaving the queue empty (capacity

@@ -1,5 +1,6 @@
 #include "banzai/fleet.h"
 
+#include <algorithm>
 #include <iterator>
 #include <stdexcept>
 #include <thread>
@@ -13,7 +14,9 @@ ShardCore::ShardCore(const Machine& prototype, std::size_t num_slots,
                      std::size_t num_shards, std::size_t batch_size,
                      std::vector<FieldId> flow_key)
     : num_shards_(num_shards == 0 ? 1 : num_shards),
-      flow_key_(std::move(flow_key)) {
+      batch_size_(batch_size == 0 ? 1 : batch_size),
+      flow_key_(std::move(flow_key)),
+      shards_(num_shards_) {
   if (num_slots == 0) num_slots = num_shards_;
   if (num_slots < num_shards_)
     throw std::invalid_argument(
@@ -24,7 +27,6 @@ ShardCore::ShardCore(const Machine& prototype, std::size_t num_slots,
         "ShardCore: flow_key must name at least one packet field when "
         "partitioning state across slots");
   slots_.reserve(num_slots);
-  sims_.reserve(num_slots);
   for (std::size_t v = 0; v < num_slots; ++v) {
     slots_.push_back(prototype.clone());
     // Size each replica's stage-counter table now, before workers may read
@@ -33,13 +35,8 @@ ShardCore::ShardCore(const Machine& prototype, std::size_t num_slots,
     // core's aggregated totals.
     slots_.back().prepare_stage_counters();
     slots_.back().reset_stage_counters();
-    sims_.emplace_back(slots_.back(), batch_size);
   }
-  scratch_.resize(num_shards_);
-  for (Scratch& sc : scratch_) {
-    sc.count.resize(num_slots);
-    sc.next.resize(num_slots);
-  }
+  for (Shard& sh : shards_) sh.owners.resize(batch_size_);
 }
 
 std::uint64_t ShardCore::flow_hash(const Packet& pkt) const {
@@ -56,46 +53,21 @@ std::size_t ShardCore::slot_of(const Packet& pkt) const {
 }
 
 BatchStats ShardCore::shard_stats(std::size_t shard) const {
-  BatchStats sum;
-  for (std::size_t v = shard; v < sims_.size(); v += num_shards_) {
-    sum.batches += sims_[v].stats().batches;
-    sum.packets += sims_[v].stats().packets;
-  }
-  return sum;
+  return shards_[shard].stats;
 }
 
 void ShardCore::drain(std::size_t shard, const std::size_t* slot_ids,
                       Packet* rows, std::size_t n) {
-  if (n == 0) return;
-  std::size_t same = 1;
-  while (same < n && slot_ids[same] == slot_ids[0]) ++same;
-  if (same == n) {  // one slot: the rows already form its batch
-    sims_[slot_ids[0]].run_rows(rows, n);
-    return;
+  Shard& sh = shards_[shard];
+  Machine& runner = slots_[shard];
+  for (std::size_t start = 0; start < n; start += batch_size_) {
+    const std::size_t k = std::min(batch_size_, n - start);
+    for (std::size_t i = 0; i < k; ++i)
+      sh.owners[i] = &slots_[slot_ids[start + i]];
+    runner.run_batch(BatchView::owned_rows(rows + start, sh.owners.data(), k));
+    ++sh.stats.batches;
+    sh.stats.packets += k;
   }
-  // Counting sort by slot, stable, so each slot's rows stay in arrival order.
-  Scratch& sc = scratch_[shard];
-  for (std::size_t i = 0; i < n; ++i)
-    if (sc.count[slot_ids[i]]++ == 0) sc.touched.push_back(slot_ids[i]);
-  std::size_t begin = 0;
-  for (std::size_t slot : sc.touched) {
-    sc.next[slot] = begin;
-    begin += sc.count[slot];
-  }
-  if (sc.staged.size() < n) sc.staged.resize(n);
-  sc.pos.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    sc.pos[i] = sc.next[slot_ids[i]]++;
-    std::swap(rows[i], sc.staged[sc.pos[i]]);
-  }
-  for (std::size_t slot : sc.touched) {
-    const std::size_t k = sc.count[slot];
-    sims_[slot].run_rows(&sc.staged[sc.next[slot] - k], k);
-    sc.count[slot] = 0;
-  }
-  for (std::size_t i = 0; i < n; ++i)
-    std::swap(rows[i], sc.staged[sc.pos[i]]);
-  sc.touched.clear();
 }
 
 std::vector<StageCounterRow> ShardCore::stage_counter_rows() const {

@@ -31,16 +31,17 @@
 namespace banzai {
 
 // The partition/drain core.  Thread-safety contract: calls for different
-// shards may run concurrently (a shard's slots, BatchSims and scratch buffers
-// are touched by no other shard because slot % num_shards is a partition);
-// calls for the same shard must be serialized by the caller.
+// shards may run concurrently (a shard's slots, the replica it runs on and
+// its owner buffer are touched by no other shard because slot % num_shards
+// is a partition); calls for the same shard must be serialized by the
+// caller.
 class ShardCore {
  public:
   ShardCore(const Machine& prototype, std::size_t num_slots,
             std::size_t num_shards, std::size_t batch_size,
             std::vector<FieldId> flow_key);
-  // Machines are copyable, but sims_ binds Machine& into this core's slots_:
-  // a copy would silently execute against the source's state.
+  // Copies are refused: a core is the one owner of its slots' state, and a
+  // silent copy would fork every slot's store.
   ShardCore(const ShardCore&) = delete;
   ShardCore& operator=(const ShardCore&) = delete;
 
@@ -58,16 +59,18 @@ class ShardCore {
   Machine& slot_machine(std::size_t slot) { return slots_[slot]; }
   const Machine& slot_machine(std::size_t slot) const { return slots_[slot]; }
 
-  // Cumulative batch statistics summed over the shard's slots.
+  // Cumulative batch statistics of the shard's drains.
   BatchStats shard_stats(std::size_t shard) const;
 
-  // Runs rows[0, n), all belonging to `shard`, through their slot replicas
-  // in place, preserving arrival order per slot.  slot_ids[i] must equal
-  // slot_of(rows[i]) and map to `shard`.  A batch that spans several slots
-  // is grouped by swapping its rows through the shard's staging buffer and
-  // back, so the rows keep their storage and nothing is allocated once the
-  // buffers have grown to the batch size.  Grouping is legal because slots
-  // share no state: the per-slot sub-batches commute.
+  // Runs rows[0, n), all belonging to `shard`, through the pipeline in
+  // place, each row against its own slot replica's state.  slot_ids[i] must
+  // equal slot_of(rows[i]) and map to `shard`.  The rows run in chunks of
+  // batch_size, one engine call per chunk, however many slots a chunk
+  // spans: the call runs on the shard's first replica (slot `shard`) with
+  // an owner array built from slot_ids (BatchView::owned_rows), so the rows
+  // never move and nothing is allocated once the owner buffer exists.
+  // Mixing slots in one call is legal because slots share no state and
+  // each slot's rows keep their arrival order in both engines' loops.
   void drain(std::size_t shard, const std::size_t* slot_ids, Packet* rows,
              std::size_t n);
 
@@ -78,6 +81,7 @@ class ShardCore {
   void restore_state(const std::vector<StateStore>& snap);
 
   // Per-stage observability totals summed over every slot replica (stats.h).
+  // A shard's batches count on the replica they run on, so the sum is exact.
   // Safe to call while shards drain concurrently: the constructor prepared
   // (and reset) each replica's table, so readers only race relaxed counter
   // loads — the result is a point-in-time snapshot that may trail in-flight
@@ -86,17 +90,14 @@ class ShardCore {
 
  private:
   std::size_t num_shards_;
+  std::size_t batch_size_;
   std::vector<FieldId> flow_key_;
   std::vector<Machine> slots_;   // one replica per slot
-  std::vector<BatchSim> sims_;   // one per slot, bound to slots_[i]
-  struct Scratch {
-    std::vector<std::size_t> count;    // per slot: rows in this drain
-    std::vector<std::size_t> next;     // per slot: next staging position
-    std::vector<std::size_t> touched;  // slots seen this drain
-    std::vector<std::size_t> pos;      // per row: its staging position
-    std::vector<Packet> staged;        // rows grouped by slot
+  struct Shard {
+    std::vector<Machine*> owners;  // one chunk's row owners, reused
+    BatchStats stats;
   };
-  std::vector<Scratch> scratch_;  // one per shard, reused across drains
+  std::vector<Shard> shards_;
 };
 
 struct FleetConfig {

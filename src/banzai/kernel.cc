@@ -303,10 +303,7 @@ void CompiledPipeline::verify_in_place_safe() const {
   }
 }
 
-void CompiledPipeline::run_batch(Packet* pkts, std::size_t n,
-                                 StateStore& state) const {
-  if (n == 0) return;
-  // One state resolution per batch.
+void CompiledPipeline::run(Packet& pkt, StateStore& state) const {
   StateVar* inline_vars[kInlineStateVars];
   std::vector<StateVar*> heap_vars;
   StateVar** vars = inline_vars;
@@ -315,11 +312,12 @@ void CompiledPipeline::run_batch(Packet* pkts, std::size_t n,
     vars = heap_vars.data();
   }
   resolve_state(state, vars);
-  run_batch_bound(pkts, n, vars);
+  StateVar* const* const row_vars[1] = {vars};
+  run_batch_bound(&pkt, 1, row_vars);
 }
 
 void CompiledPipeline::run_batch_bound(Packet* pkts, std::size_t n,
-                                       StateVar* const* vars) const {
+                                       StateVar* const* const* row_vars) const {
   if (n == 0) return;
   if (!sealed_)
     throw std::logic_error("CompiledPipeline: run before seal()");
@@ -328,7 +326,8 @@ void CompiledPipeline::run_batch_bound(Packet* pkts, std::size_t n,
       throw std::invalid_argument(
           "CompiledPipeline: packet narrower than the compiled program's "
           "field table");
-  run_ops_bound(0, static_cast<std::uint32_t>(ops_.size()), pkts, n, vars);
+  run_ops_bound(0, static_cast<std::uint32_t>(ops_.size()), pkts, n,
+                row_vars);
 }
 
 void CompiledPipeline::run_stage(std::size_t stage, Packet& pkt,
@@ -355,12 +354,12 @@ void CompiledPipeline::run_stage_bound(std::size_t stage, Packet& pkt,
         "CompiledPipeline: packet narrower than the compiled program's "
         "field table");
   const StageRange& r = stages_[stage];
-  run_ops_bound(r.begin, r.end, &pkt, 1, vars);
+  run_ops_bound(r.begin, r.end, &pkt, 1, &vars);
 }
 
 void CompiledPipeline::run_ops_bound(std::uint32_t first, std::uint32_t last,
                                      Packet* pkts, std::size_t n,
-                                     StateVar* const* vars) const {
+                                     StateVar* const* const* row_vars) const {
   // Op-major: one dispatch per op per batch, packets innermost.
   for (std::uint32_t oi = first; oi < last; ++oi) {
     const MicroOp& op = ops_[oi];
@@ -464,10 +463,13 @@ void CompiledPipeline::run_ops_bound(std::uint32_t first, std::uint32_t last,
       }
       case KOp::kStateful: {
         const StatefulOp& so = stateful_[op.aux];
-        StateVar* const sv[2] = {vars[so.slots[0].var],
-                           so.num_states > 1 ? vars[so.slots[1].var] : nullptr};
         for (std::size_t i = 0; i < n; ++i) {
           Packet& p = pkts[i];
+          // Each row reaches state through its owner's bindings.
+          StateVar* const* const vars = row_vars[i];
+          StateVar* const sv[2] = {
+              vars[so.slots[0].var],
+              so.num_states > 1 ? vars[so.slots[1].var] : nullptr};
           Value states_in[2] = {0, 0}, states_out[2] = {0, 0};
           Value idx[2] = {0, 0};
           for (std::size_t k = 0; k < so.num_states; ++k) {
@@ -512,7 +514,7 @@ void CompiledPipeline::run_ops_bound(std::uint32_t first, std::uint32_t last,
 }
 
 void CompiledPipeline::run_batch_counted(Packet* pkts, std::size_t n,
-                                         StateVar* const* vars,
+                                         StateVar* const* const* row_vars,
                                          StageCounters& counters) const {
   if (n == 0) return;
   if (!sealed_)
@@ -527,7 +529,7 @@ void CompiledPipeline::run_batch_counted(Packet* pkts, std::size_t n,
   for (std::size_t si = 0; si < stages_.size(); ++si) {
     const StageRange& st = stages_[si];
     const auto t0 = clock::now();
-    run_ops_bound(st.begin, st.end, pkts, n, vars);
+    run_ops_bound(st.begin, st.end, pkts, n, row_vars);
     const auto ns = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(clock::now() - t0)
             .count());

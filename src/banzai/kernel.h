@@ -8,16 +8,17 @@
 // dense FieldIds, owned state variables are dense slots into a per-program
 // state table, intrinsics and LUTs are raw function pointers, and stateful
 // operand selectors address the packet directly (no input-field gather).  A
-// branch-light switch dispatches opcodes; the batch form resolves state
-// variables once per batch and iterates packets innermost, so a stage's
-// whole configuration stays in registers across the batch.  This mirrors how
-// the paper's Banzai emits straight-line C++ per atom, and how
-// fixed-function P4 targets assume index-addressed, fixed-layout metadata.
+// branch-light switch dispatches opcodes; the batch form takes state
+// bindings resolved ahead of time (one binding array per row's owner) and
+// iterates packets innermost, so a stage's whole configuration stays in
+// registers across the batch.  This mirrors how the paper's Banzai emits
+// straight-line C++ per atom, and how fixed-function P4 targets assume
+// index-addressed, fixed-layout metadata.
 //
 // Semantic contract: sequential execution of the packet transaction
 // (core/interp, §3.1) is the ground truth.  For every program the lowering
-// accepts, CompiledPipeline::run / run_batch — and the native AOT form of
-// the same program (banzai/native.h) — agree with it on every output field
+// accepts, CompiledPipeline::run / run_batch_bound — and the native AOT form
+// of the same program (banzai/native.h) — agree with it on every output field
 // and every state cell, for any input, including wrap-around arithmetic,
 // division by zero, and hostile array indices.
 // tests/kernel_test.cc holds this contract over the whole algorithm corpus
@@ -33,7 +34,11 @@
 // packets through op k, then op k+1) additionally relies on every state
 // variable being local to exactly one atom (§2.3), so per-atom state
 // sequences see packets in arrival order — the same argument that makes
-// BatchSim's stage-major order legal.
+// BatchSim's stage-major order legal.  The same argument lets one batch mix
+// rows of several replicas of the program (ShardCore's slots): each row
+// reaches state through its own replica's bindings, replicas share no
+// state, and every replica's rows keep their arrival order within the
+// batch, so the batch commits what per-replica batches would.
 #pragma once
 
 #include <cstddef>
@@ -233,17 +238,17 @@ class CompiledPipeline {
   void seal(std::size_t num_fields);
 
   // --- Execution ----------------------------------------------------------
-  // Runs one packet through the whole pipeline, in place.
-  void run(Packet& pkt, StateStore& state) const { run_batch(&pkt, 1, state); }
-  // Runs `n` packets through the whole pipeline, in place, op-major: state
-  // variables are resolved once per batch and packets iterate innermost, so
-  // each op's configuration is loaded once per batch rather than per packet.
-  void run_batch(Packet* pkts, std::size_t n, StateStore& state) const;
-  // Same, with the by-name state resolution already done by the caller:
-  // `vars[k]` must be the StateVar for state_names()[k].  This is the
-  // zero-lookup path behind Machine's generation-keyed binding cache.
+  // Runs one packet through the whole pipeline, in place, resolving the
+  // state table by name.
+  void run(Packet& pkt, StateStore& state) const;
+  // Runs `n` packets through the whole pipeline, in place, op-major: packets
+  // iterate innermost, so each op's configuration is loaded once per batch
+  // rather than per packet.  State is bound per row: `row_vars[i][k]` must
+  // be the StateVar for state_names()[k] in the store that owns packet i.
+  // Rows of one store may share one binding array; this is the zero-lookup
+  // path behind Machine's generation-keyed binding cache.
   void run_batch_bound(Packet* pkts, std::size_t n,
-                       StateVar* const* vars) const;
+                       StateVar* const* const* row_vars) const;
   // Runs exactly one stage's ops over one packet, in place — the per-stage
   // entry point the cycle-accurate PipelineSim uses to execute the same
   // micro-op program the whole-pipeline paths run (there is one StageRange
@@ -258,7 +263,8 @@ class CompiledPipeline {
   // `counters` (prepared for num_stages() by the caller; see stats.h for the
   // concurrency contract).  Machine routes through these only when built
   // with -DDOMINO_STAGE_COUNTERS — the default hot path never pays for them.
-  void run_batch_counted(Packet* pkts, std::size_t n, StateVar* const* vars,
+  void run_batch_counted(Packet* pkts, std::size_t n,
+                         StateVar* const* const* row_vars,
                          StageCounters& counters) const;
   // Resolves this program's state table against `state`, in slot order.
   // `vars` must have room for num_state_vars() pointers.
@@ -297,9 +303,10 @@ class CompiledPipeline {
  private:
   void require_open_stage() const;
   void verify_in_place_safe() const;
-  // The op-major execution core: ops [first, last) over `n` packets.
+  // The op-major execution core: ops [first, last) over `n` packets, row i
+  // bound to row_vars[i].
   void run_ops_bound(std::uint32_t first, std::uint32_t last, Packet* pkts,
-                     std::size_t n, StateVar* const* vars) const;
+                     std::size_t n, StateVar* const* const* row_vars) const;
 
   std::vector<MicroOp> ops_;
   std::vector<StageRange> stages_;

@@ -24,6 +24,12 @@ void Machine::run_batch(BatchView batch) {
   require_kernel();
   rebind_state_if_stale();
   Packet* pkts = batch.row_data();
+  // Row i's bindings are its owner's, checked for every row before any row
+  // runs.
+  Machine* const* owners = batch.owners();
+  auto bind_of = [&](std::size_t i) -> const BindingCache& {
+    return owners != nullptr ? binding_of(*owners[i]) : bind_;
+  };
 
   switch (active_engine()) {
     case ExecEngine::kNative: {
@@ -38,24 +44,32 @@ void Machine::run_batch(BatchView batch) {
 #else
       NativeStageCounterRow* const ctr = nullptr;
 #endif
-      for (std::size_t i = 0; i < n; ++i)
+      row_tables_.pkt_ptrs.resize(n);
+      row_tables_.views.resize(n);
+      for (std::size_t i = 0; i < n; ++i) {
         if (pkts[i].num_fields() < nat->num_fields())
           throw std::invalid_argument(
               "native pipeline: packet narrower than the compiled program's "
               "field table");
-      bind_.pkt_ptrs.resize(n);
-      for (std::size_t i = 0; i < n; ++i) bind_.pkt_ptrs[i] = pkts[i].data();
-      nat->run(bind_.pkt_ptrs.data(), n, bind_.views.data(), ctr);
+        row_tables_.pkt_ptrs[i] = pkts[i].data();
+        row_tables_.views[i] = bind_of(i).views.data();
+      }
+      nat->run(row_tables_.pkt_ptrs.data(), n, row_tables_.views.data(),
+               ctr);
 #if defined(DOMINO_STAGE_COUNTERS)
       fold_native_rows(ctr, kernel_->num_stages(), stage_counters_);
 #endif
       return;
     }
     case ExecEngine::kKernel:
+      row_tables_.vars.resize(n);
+      for (std::size_t i = 0; i < n; ++i)
+        row_tables_.vars[i] = bind_of(i).vars.data();
 #if defined(DOMINO_STAGE_COUNTERS)
-      kernel_->run_batch_counted(pkts, n, bind_.vars.data(), stage_counters_);
+      kernel_->run_batch_counted(pkts, n, row_tables_.vars.data(),
+                                 stage_counters_);
 #else
-      kernel_->run_batch_bound(pkts, n, bind_.vars.data());
+      kernel_->run_batch_bound(pkts, n, row_tables_.vars.data());
 #endif
       return;
   }

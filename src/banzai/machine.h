@@ -17,23 +17,41 @@
 
 namespace banzai {
 
+class Machine;
+
 // The batch currency of Machine::run_batch: a borrowed view of row-major
-// packets, processed in place.
+// packets, processed in place, each row bound to the state of the machine
+// that owns it.
 class BatchView {
  public:
+  // Every row belongs to the running machine.
   static BatchView rows(Packet* pkts, std::size_t n) {
+    return owned_rows(pkts, nullptr, n);
+  }
+  // Row i belongs to owners[i]: a replica of the running machine's program
+  // whose StateStore that row reads and writes.  Every owner must share the
+  // running machine's CompiledPipeline (run_batch checks, before any row
+  // runs, and throws std::invalid_argument otherwise).  The batch executes
+  // on the running machine's engine and counts in its stage counters.
+  // ShardCore runs a shard's slots this way, one call per batch.
+  static BatchView owned_rows(Packet* pkts, Machine* const* owners,
+                              std::size_t n) {
     BatchView v;
     v.pkts_ = pkts;
+    v.owners_ = owners;
     v.n_ = n;
     return v;
   }
 
   std::size_t size() const { return n_; }
   Packet* row_data() const { return pkts_; }
+  // Per-row owners, or null when every row belongs to the running machine.
+  Machine* const* owners() const { return owners_; }
 
  private:
   BatchView() = default;
   Packet* pkts_ = nullptr;
+  Machine* const* owners_ = nullptr;
   std::size_t n_ = 0;
 };
 
@@ -169,8 +187,10 @@ class Machine {
 
   // The single typed batch entry point: runs the view's packets through the
   // whole pipeline, in place, on whichever engine active_engine() resolves
-  // to.  Throws std::logic_error (require_kernel) on a machine with no
-  // pipeline attached.
+  // to, each row against its owner's state (BatchView).  Throws
+  // std::logic_error (require_kernel) on a machine with no pipeline
+  // attached, and std::invalid_argument, before any row runs, on an owner
+  // with a different pipeline or a packet narrower than the program.
   void run_batch(BatchView batch);
 
   // Checkpoint and restore of the mutable half of the machine.  The pipeline
@@ -184,8 +204,10 @@ class Machine {
   // engines *increment* it is a build-time decision (-DDOMINO_STAGE_COUNTERS)
   // so the default hot path pays nothing — stage_counters_enabled() reports
   // which build this is.  The counters are per-replica (cloning copies, then
-  // ShardCore resets each slot's copy), so hot-path increments never share a
-  // cache line across workers; aggregation sums rows() at stats() time.
+  // ShardCore resets each slot's copy) and count every batch the replica
+  // runs, owned rows of other replicas included, so hot-path increments
+  // never share a cache line across workers; aggregation sums rows() at
+  // stats() time.
   static constexpr bool stage_counters_enabled() {
 #if defined(DOMINO_STAGE_COUNTERS)
     return true;
@@ -223,8 +245,26 @@ class Machine {
     const CompiledPipeline* prog = nullptr;
     std::vector<StateVar*> vars;        // slot order of kernel state table
     std::vector<NativeStateView> views; // same order, for the native ABI
-    std::vector<Value*> pkt_ptrs;       // scratch for native batch calls
   };
+  // Per-batch scratch of the running machine: each row's field array and
+  // its owner's bindings, in the form each engine takes.
+  struct RowTables {
+    std::vector<Value*> pkt_ptrs;
+    std::vector<StateVar* const*> vars;
+    std::vector<const NativeStateView*> views;
+  };
+
+  // The bindings an owned row runs against: `owner`'s, checked to run this
+  // machine's pipeline and rebound if its store changed since last use.
+  const BindingCache& binding_of(Machine& owner) {
+    if (&owner == this) return bind_;
+    if (owner.kernel_ != kernel_)
+      throw std::invalid_argument(
+          "Machine::run_batch: a row's owner runs a different compiled "
+          "pipeline");
+    owner.rebind_state_if_stale();
+    return owner.bind_;
+  }
 
   void rebind_state_if_stale() {
     if (bind_.prog == kernel_.get() && bind_.gen == state_.generation())
@@ -252,6 +292,7 @@ class Machine {
   std::shared_ptr<const NativePipeline> native_;
   std::string native_fallback_;
   BindingCache bind_;
+  RowTables row_tables_;
   StageCounters stage_counters_;    // per-stage packets/ops/ns (stats.h)
   // Scratch rows the native ABI fills per batch before folding into
   // stage_counters_ (the .so writes plain uint64s, not atomics).

@@ -16,7 +16,10 @@
 // nothing.  Everything host-resident — state cells, intrinsic bodies, LUT
 // ROMs — reaches the generated code through one fixed ABI struct of raw
 // pointers, resolved once at load time (functions) or once per binding
-// generation (state views; see Machine's binding cache in machine.h).
+// generation (state views; see Machine's binding cache in machine.h).  State
+// is bound per row: row `pi` of a batch reaches state slot `k` through
+// `abi->states[pi][k]`, so one call can run rows owned by different
+// replicas of the program (ShardCore's slots), each against its own store.
 //
 // Fallback contract: loading is best-effort.  No host toolchain, a disabled
 // engine (DOMINO_NATIVE_DISABLE), an emission or compile or dlopen failure —
@@ -39,7 +42,7 @@ namespace banzai {
 
 // One bound state variable as the generated code sees it: raw cells plus the
 // cell count for index clamping.  Layout must match the POD the emitter
-// prints into every generated translation unit (core/emit.cc, kAbiPrelude).
+// prints into every generated translation unit (core/emit.cc, kPrelude).
 struct NativeStateView {
   Value* cells = nullptr;
   std::uint64_t size = 0;
@@ -56,15 +59,17 @@ struct NativeStageCounterRow {
 };
 
 // The fixed ABI struct passed to every generated entry point.  `states` is
-// indexed by the program's dense state-slot ids, `intrinsics` by position in
-// the CompiledPipeline intrinsic pool, `luts` by position in the stateful
-// pool.  Layout must match the emitter's POD (core/emit.cc, kAbiPrelude).
-// `stage_counters` (one row per stage, or null) is only read by objects
-// emitted with counter support (NativeEmitOptions::stage_counters); the
-// default prelude's POD is a strict layout prefix of this struct, so old
-// objects and counterless builds are mutually compatible in both directions.
+// the per-row state table: `states[pi]` is the view array of the replica
+// that owns row `pi`, indexed by the program's dense state-slot ids.
+// `intrinsics` is indexed by position in the CompiledPipeline intrinsic
+// pool, `luts` by position in the stateful pool.  Layout must match the
+// emitter's POD (core/emit.cc, kPrelude).  `stage_counters` (one row per
+// stage, or null) is only read by objects emitted with counter support
+// (NativeEmitOptions::stage_counters); the default prelude's POD is a strict
+// layout prefix of this struct, so counted and counterless objects take the
+// same struct.
 struct NativeAbi {
-  const NativeStateView* states = nullptr;
+  const NativeStateView* const* states = nullptr;
   const IntrinsicFn* intrinsics = nullptr;
   const LutFn* luts = nullptr;
   NativeStageCounterRow* stage_counters = nullptr;
@@ -175,14 +180,16 @@ class NativePipeline {
   ~NativePipeline();
 
   // Runs `n` packets (raw field arrays, one per packet) through the whole
-  // pipeline in place.  `views[k]` must be the bound view of
-  // state_names()[k] — callers hold them in Machine's binding cache.
-  // `counters`, when non-null, must point at one row per stage; only objects
-  // emitted with counter support write it (others leave the rows untouched).
-  void run(Value* const* pkts, std::uint64_t n, const NativeStateView* views,
+  // pipeline in place.  `row_views[i][k]` must be the bound view of
+  // state_names()[k] in the store that owns packet i — callers hold the
+  // view arrays in Machine's binding cache.  `counters`, when non-null,
+  // must point at one row per stage; only objects emitted with counter
+  // support write it (others leave the rows untouched).
+  void run(Value* const* pkts, std::uint64_t n,
+           const NativeStateView* const* row_views,
            NativeStageCounterRow* counters = nullptr) const {
     NativeAbi abi;
-    abi.states = views;
+    abi.states = row_views;
     abi.intrinsics = intrinsics_.data();
     abi.luts = luts_.data();
     abi.stage_counters = counters;

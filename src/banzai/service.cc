@@ -7,9 +7,19 @@
 namespace banzai {
 
 namespace {
-constexpr std::chrono::microseconds kIdleNap{200};   // worker idle wait slice
+// The worker's idle nap.  Ingest wakes a sleeping worker only once its ring
+// holds a ready batch (wake_rows_), so this slice is also the longest a
+// partial batch that nobody flushes waits before the worker runs it.
+constexpr std::chrono::microseconds kIdleNap{200};
 constexpr std::chrono::microseconds kBlockNap{50};   // blocked-ingest wait
 constexpr int kSpinsBeforeNap = 64;
+
+// The ingest thread is the only writer of its counters: a plain store
+// replaces a locked read-modify-write.
+void bump(std::atomic<std::uint64_t>& counter, std::uint64_t by) {
+  counter.store(counter.load(std::memory_order_relaxed) + by,
+                std::memory_order_relaxed);
+}
 }  // namespace
 
 FleetService::IngestScope::IngestScope(FleetService& svc)
@@ -37,6 +47,8 @@ FleetService::FleetService(const Machine& prototype, ServiceConfig config)
   for (std::size_t s = 0; s < core_.num_shards(); ++s)
     shards_.push_back(std::make_unique<Shard>(config_.ring_capacity));
   config_.ring_capacity = shards_[0]->ring.capacity();
+  wake_rows_ = std::max<std::size_t>(
+      1, std::min(config_.batch_size, config_.ring_capacity / 2));
   if (config_.heavy_hitter_capacity > 0)
     hh_ = std::make_unique<SpaceSaving>(config_.heavy_hitter_capacity);
 }
@@ -85,7 +97,10 @@ void FleetService::flush() {
 }
 
 void FleetService::wake(Shard& shard) {
-  if (shard.sleeping.load(std::memory_order_relaxed)) {
+  // Clearing the flag makes this one notify per nap: ingest, which checks
+  // the flag on every publish, stops notifying until the worker naps again.
+  if (shard.sleeping.load(std::memory_order_relaxed) &&
+      shard.sleeping.exchange(false, std::memory_order_relaxed)) {
     std::lock_guard<std::mutex> lock(shard.mu);
     shard.cv.notify_one();
   }
@@ -111,8 +126,9 @@ bool FleetService::offer(Packet& row) {
   }
   const std::size_t slot = core_.slot_of(row);
   Shard& shard = *shards_[slot % core_.num_shards()];
-  const std::uint64_t seq =
-      seq_counter_.fetch_add(1, std::memory_order_acq_rel);
+  const std::uint64_t seq = seq_counter_.load(std::memory_order_relaxed);
+  // Release: flush() and the workers read the ingest clock with acquire.
+  seq_counter_.store(seq + 1, std::memory_order_release);
   std::size_t index = 0;
   if (!shard.ring.claim(index)) {
     if (config_.backpressure == Backpressure::kDropTail) {
@@ -134,7 +150,11 @@ bool FleetService::offer(Packet& row) {
   shard.seq[index] = seq;
   shard.slot[index] = slot;
   shard.ring.publish();
-  wake(shard);
+  // One wake per ready batch, not per frame; a partial batch waits for
+  // flush(), stop() or the worker's timed nap.
+  if (shard.sleeping.load(std::memory_order_relaxed) &&
+      shard.ring.size() >= wake_rows_)
+    wake(shard);
   return true;
 }
 
@@ -174,19 +194,19 @@ FleetService::FrameIngest FleetService::ingest_frame(const std::uint8_t* data,
   if (!out.parse.ok()) {
     switch (out.parse.status) {
       case wire::ParseStatus::kTruncated:
-        reject_truncated_.fetch_add(1, std::memory_order_relaxed);
+        bump(reject_truncated_, 1);
         break;
       case wire::ParseStatus::kOversized:
-        reject_oversized_.fetch_add(1, std::memory_order_relaxed);
+        bump(reject_oversized_, 1);
         break;
       default:
-        reject_bad_value_.fetch_add(1, std::memory_order_relaxed);
+        bump(reject_bad_value_, 1);
         break;
     }
     return out;
   }
-  frames_parsed_.fetch_add(1, std::memory_order_relaxed);
-  wire_bytes_in_.fetch_add(len, std::memory_order_relaxed);
+  bump(frames_parsed_, 1);
+  bump(wire_bytes_in_, len);
   out.accepted = offer(row);
   if (out.accepted) spares_.pop_back();  // its storage is in the ring now
   return out;
@@ -246,9 +266,10 @@ void FleetService::worker_loop(std::size_t shard_index) {
     if (stopping_.load() && ingest_inflight_.load() == 0 && shard.ring.empty())
       break;
 
-    // Idle: nap until the ingest thread pushes or stop() is requested.  The
-    // timed wait bounds the one benign race (a push landing between the last
-    // empty poll and the wait).
+    // Idle: nap until ingest has a batch ready, flush() or stop() wakes us,
+    // or the nap runs out.  The timed wait bounds both the wait of a
+    // partial batch nobody flushes and the one benign race (a push landing
+    // between the last empty poll and the wait).
     std::unique_lock<std::mutex> lock(shard.mu);
     shard.sleeping.store(true, std::memory_order_relaxed);
     shard.cv.wait_for(lock, kIdleNap, [&] {

@@ -15,6 +15,15 @@
 // them strictly in arrival order (DropTail losses leave tombstones so the
 // order watermark never stalls on a shed packet).
 //
+// Wake rule: a worker runs whatever its ring holds, one engine call per
+// batch_size rows (ShardCore::drain), and naps when the ring is empty.
+// Ingest wakes a napping worker once its ring holds a ready batch —
+// min(batch_size, ring capacity / 2) rows, the half-ring cap keeping a
+// DropTail ring from filling while its worker sleeps unwoken — not on every
+// frame.  flush(), stop() and a kBlock ingest waiting on a full ring wake it
+// at once.  Otherwise a partial batch waits at most the worker's timed nap,
+// 200 us, before it runs.
+//
 // Rows: like the header vector of a Banzai pipeline, a packet travels as a
 // fixed-width row — exactly as wide as the prototype's FieldTable — that is
 // allocated once and reused.  ingest_frame zeroes a spare row, parses the
@@ -367,7 +376,8 @@ class FleetService {
     std::vector<std::size_t> slot;
     std::mutex mu;
     std::condition_variable cv;        // worker idle-sleep / wake-up
-    std::atomic<bool> sleeping{false};
+    std::atomic<bool> sleeping{false};  // set by the napping worker; wake()
+                                        // clears it as it notifies
     std::thread worker;
     // Per-shard latency histogram: the worker records one sample per
     // delivered packet (batched, under lat_mu — uncontended except when
@@ -387,6 +397,8 @@ class FleetService {
   ServiceConfig config_;
   ShardCore core_;
   std::size_t width_;  // the prototype's FieldTable size: every row's width
+  // Ring occupancy at which ingest wakes a napping worker (the wake rule).
+  std::size_t wake_rows_ = 1;
   OrderedEgress egress_;
   std::vector<std::unique_ptr<Shard>> shards_;
   // Rows ingest_frame parses into, the back one first; refilled from the
@@ -394,8 +406,11 @@ class FleetService {
   std::vector<Packet> spares_;
 
   // Byte-stream front end.  Codecs are immutable after set_wire (which
-  // requires a stopped service); counters are atomics because deparse
-  // (drain_egress_frames) may run on a different thread than ingest_frame.
+  // requires a stopped service); counters are atomics because stats() and
+  // deparse (drain_egress_frames) may run on other threads than
+  // ingest_frame.  Only the ingest thread writes frames_parsed_,
+  // wire_bytes_in_ and the reject counters, so it bumps them with a load and
+  // a store (successive ingest threads are ordered by IngestScope).
   std::shared_ptr<const wire::WireCodec> wire_rx_, wire_tx_;
   std::atomic<std::uint64_t> frames_parsed_{0};
   std::atomic<std::uint64_t> reject_truncated_{0};
@@ -412,7 +427,9 @@ class FleetService {
   // increment is ordered before the stopping_ check on the producer, so a
   // worker that reads 0 after stopping_ was set cannot miss a push).
   std::atomic<std::uint64_t> ingest_inflight_{0};
-  std::atomic<std::uint64_t> seq_counter_{0};  // ingest clock: offered packets
+  // Ingest clock: offered packets.  Written only by the ingest thread, with
+  // a release store; flush() and the workers read it with acquire.
+  std::atomic<std::uint64_t> seq_counter_{0};
   std::atomic<std::uint64_t> delivered_{0};
   std::atomic<std::uint64_t> dropped_{0};
   std::atomic<std::uint64_t> latency_ticks_sum_{0};

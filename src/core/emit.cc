@@ -27,9 +27,10 @@ namespace {
 // The self-contained prelude of every generated translation unit: the total
 // arithmetic of banzai/value.h and the hash mixer of ir/intrinsics.cc
 // (duplicated textually — the .so must link against nothing) and the ABI
-// PODs, layout-identical to NativeStateView / NativeAbi in banzai/native.h.
-// Keep the four in sync; the corpus differentials (native vs kernel VM) pin
-// the duplicated arithmetic bit-exactly.
+// PODs, layout-identical to NativeStateView / NativeAbi in banzai/native.h:
+// `states` is the per-row table, so row `pi` reaches state slot `k` through
+// `abi->states[pi][k]`.  Keep the four in sync; the corpus differentials
+// (native vs kernel VM) pin the duplicated arithmetic bit-exactly.
 constexpr const char* kPrelude = R"(#include <cstddef>
 #include <cstdint>
 
@@ -83,7 +84,7 @@ struct DominoNativeStateView {
 };
 
 struct DominoNativeAbi {
-  const DominoNativeStateView* states;
+  const DominoNativeStateView* const* states;
   Value (*const* intrinsics)(const Value*, std::size_t);
   Value (*const* luts)(Value);
 };
@@ -94,8 +95,9 @@ struct DominoNativeAbi {
 // by the stage-counters pointer — layout-identical to the 4-member NativeAbi
 // of banzai/native.h, of which the default POD above is a strict prefix.
 // Kept as a verbatim second constant rather than assembled from fragments:
-// the default prelude's bytes must never change (content-hash cache), and a
-// reviewer diffing the two raw strings sees exactly the counted additions.
+// the default prelude's bytes must not depend on the counters option
+// (content-hash cache), and a reviewer diffing the two raw strings sees
+// exactly the counted additions.
 // Keep the shared middle in sync with kPrelude.
 constexpr const char* kPreludeCounters = R"(#include <chrono>
 #include <cstddef>
@@ -163,7 +165,7 @@ struct DominoStageCounterRow {
 };
 
 struct DominoNativeAbi {
-  const DominoNativeStateView* states;
+  const DominoNativeStateView* const* states;
   Value (*const* intrinsics)(const Value*, std::size_t);
   Value (*const* luts)(Value);
   DominoStageCounterRow* stage_counters;
@@ -341,8 +343,9 @@ void emit_leaf(std::ostringstream& os, const StatefulOp& so,
   }
 }
 
-// The per-packet block of one stateful op: state-view bindings, state
-// loads, decision tree, state stores, live-out publication.
+// The per-packet block of one stateful op: state-view bindings (through the
+// row's own view array, abi->states[pi]), state loads, decision tree, state
+// stores, live-out publication.
 void emit_stateful(std::ostringstream& os, const CompiledPipeline& prog,
                    const MicroOp& op) {
   const StatefulOp& so = prog.stateful_pool()[op.aux];
@@ -352,8 +355,8 @@ void emit_stateful(std::ostringstream& os, const CompiledPipeline& prog,
     os << " s" << k << "=" << prog.state_names()[so.slots[k].var];
   os << "\n";
   for (std::size_t k = 0; k < so.num_states; ++k)
-    os << base << "const DominoNativeStateView& s" << k << " = abi->states["
-       << so.slots[k].var << "];\n";
+    os << base << "const DominoNativeStateView& s" << k
+       << " = abi->states[pi][" << so.slots[k].var << "];\n";
   // Loads: every arm and predicate sees the pre-update values.
   for (std::size_t k = 0; k < so.num_states; ++k) {
     const StatefulOp::Slot& slot = so.slots[k];
@@ -482,15 +485,16 @@ std::string emit_native_cc(const CompiledPipeline& prog,
        << "// body runs stage-major, bracketing each stage's batch loop\n"
        << "// with monotonic-clock reads against abi->stage_counters.\n";
   if (prog.num_state_vars() > 0) {
-    os << "// State table:\n";
+    os << "// State table (row pi reads slot k as abi->states[pi][k]):\n";
     for (std::size_t k = 0; k < prog.state_names().size(); ++k)
       os << "//   states[" << k << "] = " << prog.state_names()[k] << "\n";
   }
   os << (opts.stage_counters ? kPreludeCounters : kPrelude);
 
-  // The entry point: one outer packet loop, ops addressing f[N].  The
-  // counted form inverts the nesting (stage-major) so each stage's wall time
-  // covers the whole batch with two clock reads.
+  // The entry point: one outer packet loop, ops addressing f[N] and state
+  // through the row's views.  The counted form inverts the nesting
+  // (stage-major) so each stage's wall time covers the whole batch with two
+  // clock reads.
   os << "\nvoid " << banzai::kNativeEntrySymbol
      << "(Value* const* pkts, std::uint64_t n,\n"
      << "     const DominoNativeAbi* abi) {\n";

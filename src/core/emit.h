@@ -4,10 +4,11 @@
 // self-contained translation unit exporting one `extern "C"` function,
 // banzai::kNativeEntrySymbol: an outer packet loop of straight-line per-op
 // code over each packet's field array.  Stage barriers are comments, state
-// slots are addressed through a raw view array, intrinsics and LUT ROMs are
-// called through the fixed ABI struct of banzai/native.h.  The loader there
-// compiles and dlopens the result; `dominoc --emit-cc` dumps it as an
-// artifact.
+// slots are addressed through the row's own raw view array (a per-row
+// table, so one call can serve rows of several replicas), intrinsics and
+// LUT ROMs are called through the fixed ABI struct of banzai/native.h.  The
+// loader there compiles and dlopens the result; `dominoc --emit-cc` dumps
+// it as an artifact.
 //
 // Determinism: the emitted text is a pure function of the program, so the
 // loader's content-hash cache turns repeated compiles of one program into a
@@ -20,9 +21,10 @@
 
 namespace domino {
 
-// Emission knobs.  The default-constructed value reproduces the historical
-// emission byte-for-byte — the loader's content-hash cache (and the docs'
-// "flag-off build is untouched" contract) depend on that.
+// Emission knobs.  The default-constructed value emits no counter code, so
+// a counterless build's text does not depend on this option — the loader's
+// content-hash cache (and the docs' "flag-off build is untouched" contract)
+// depend on that.
 struct NativeEmitOptions {
   // Emit per-stage packets/ops/ns increments against the ABI's
   // stage_counters rows (banzai::NativeStageCounterRow): the entry point

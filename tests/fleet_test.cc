@@ -7,7 +7,10 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
+#include <random>
 #include <set>
+#include <utility>
 
 #include "banzai/fleet.h"
 #include "sim/partition.h"
@@ -16,11 +19,14 @@
 
 namespace {
 
+using banzai::ExecEngine;
 using banzai::FieldId;
 using banzai::Fleet;
 using banzai::FleetConfig;
 using banzai::FleetResult;
+using banzai::Machine;
 using banzai::Packet;
+using banzai::ShardCore;
 
 struct FlowletSetup {
   domino::CompileResult compiled;
@@ -248,6 +254,165 @@ TEST(FleetTest, ShardingRequiresFlowKey) {
   cfg.num_shards = 1;  // single shard needs no key
   EXPECT_NO_THROW(Fleet(setup.compiled.machine(), cfg));
 }
+
+// ---------------------------------------------------------------------------
+// ShardCore runs a chunk of rows from many slots in one engine call, each row
+// against its own slot replica's state.  These pin that contract on both
+// engines against one sequential Machine::process replica per slot.
+// ---------------------------------------------------------------------------
+
+class MixedSlotTest : public ::testing::TestWithParam<ExecEngine> {
+ protected:
+  static constexpr std::size_t kSlots = 64;
+  static constexpr std::size_t kBatch = 16;
+
+  void SetUp() override {
+    domino::CompileOptions opts;
+    opts.engine = ExecEngine::kNative;
+    const auto& alg = algorithms::algorithm("flowlets");
+    compiled_ = std::make_unique<domino::CompileResult>(domino::compile(
+        alg.source, *test_util::least_target(alg.source), opts));
+    proto_ = compiled_->machine().clone();
+    if (GetParam() == ExecEngine::kNative && proto_.native() == nullptr)
+      GTEST_SKIP() << "native engine unavailable on this host.  Reason: "
+                   << proto_.native_fallback_reason();
+    proto_.set_engine(GetParam());
+    const auto& ft = proto_.fields();
+    f_sport_ = ft.id_of("sport");
+    f_dport_ = ft.id_of("dport");
+    f_arrival_ = ft.id_of("arrival");
+    core_ = std::make_unique<ShardCore>(proto_, kSlots, 1, kBatch,
+                                        std::vector<FieldId>{f_sport_,
+                                                             f_dport_});
+    for (std::size_t s = 0; s < kSlots; ++s) {
+      ref_.push_back(compiled_->machine().clone());
+      ref_.back().set_engine(ExecEngine::kKernel);
+    }
+    // Three flows per slot, found by walking source ports.
+    flows_.resize(kSlots);
+    std::size_t short_slots = kSlots;
+    for (banzai::Value sport = 1000; short_slots > 0; ++sport) {
+      auto& f = flows_[core_->slot_of(packet(sport, 0))];
+      if (f.size() == 3) continue;
+      f.push_back(sport);
+      if (f.size() == 3) --short_slots;
+    }
+  }
+
+  Packet packet(banzai::Value sport, banzai::Value arrival) const {
+    Packet p(proto_.fields().size());
+    p.set(f_sport_, sport);
+    p.set(f_dport_, 80);
+    p.set(f_arrival_, arrival);
+    return p;
+  }
+
+  // Appends a row of `slot`'s flow `flow`, arriving 1-7 ticks after the
+  // previous row: gaps on both sides of the flowlet threshold (5), so each
+  // row's next_hop depends on its slot's state and its rows' order.
+  void add(std::size_t slot, std::size_t flow) {
+    now_ += 1 + static_cast<banzai::Value>(rng_() % 7);
+    rows_.push_back(packet(flows_[slot][flow], now_));
+    slot_ids_.push_back(slot);
+  }
+
+  // Drains the rows staged by add() in one ShardCore::drain and checks every
+  // field of every row, and every slot's state, against the references.
+  void drain_and_check(const std::string& what) {
+    SCOPED_TRACE(what);
+    std::vector<Packet> rows = std::exchange(rows_, {});
+    const std::vector<std::size_t> slot_ids = std::exchange(slot_ids_, {});
+    std::vector<Packet> expected;
+    for (std::size_t i = 0; i < rows.size(); ++i)
+      expected.push_back(ref_[slot_ids[i]].process(rows[i]));
+    const std::uint64_t batches = core_->shard_stats(0).batches;
+    core_->drain(0, slot_ids.data(), rows.data(), rows.size());
+    // One engine call per batch-size chunk, however many slots it spans.
+    EXPECT_EQ(core_->shard_stats(0).batches - batches,
+              (rows.size() + kBatch - 1) / kBatch);
+    for (std::size_t i = 0; i < rows.size(); ++i)
+      ASSERT_EQ(rows[i], expected[i])
+          << "row " << i << ", slot " << slot_ids[i];
+    for (std::size_t s = 0; s < kSlots; ++s)
+      ASSERT_EQ(core_->slot_machine(s).state(), ref_[s].state())
+          << "slot " << s;
+  }
+
+  void every_row_a_different_slot() {
+    for (std::size_t i = 0; i < kSlots; ++i) add(i * 37 % kSlots, i % 3);
+  }
+  void one_slot_interleaved(std::size_t slot) {
+    for (std::size_t i = 0; i < 24; ++i) {
+      add(slot, 0);
+      add((slot + 1 + i % 5) % kSlots, i % 3);
+    }
+  }
+  void single_slot(std::size_t slot) {
+    for (std::size_t i = 0; i < 40; ++i) add(slot, i % 3);
+  }
+
+  std::unique_ptr<domino::CompileResult> compiled_;
+  Machine proto_;
+  FieldId f_sport_ = 0, f_dport_ = 0, f_arrival_ = 0;
+  std::unique_ptr<ShardCore> core_;
+  std::vector<Machine> ref_;
+  std::vector<std::vector<banzai::Value>> flows_;
+  std::mt19937 rng_{17};
+  banzai::Value now_ = 0;
+  std::vector<Packet> rows_;
+  std::vector<std::size_t> slot_ids_;
+};
+
+TEST_P(MixedSlotTest, EveryBatchShapeMatchesPerSlotSequentialMachines) {
+  for (int round = 0; round < 3; ++round) {
+    every_row_a_different_slot();
+    drain_and_check("every row in a different slot");
+    one_slot_interleaved(5);
+    drain_and_check("one slot interleaved with others");
+    single_slot(12);
+    drain_and_check("a single slot");
+  }
+}
+
+TEST_P(MixedSlotTest, NextDrainReadsARestoredSlotStore) {
+  one_slot_interleaved(5);
+  drain_and_check("before the restore");
+  // Restore a pristine store into slot 5 between two drains: the next
+  // drain must run against it, not against bindings of the replaced store.
+  const banzai::StateStore pristine = proto_.snapshot_state();
+  ASSERT_NE(core_->slot_machine(5).state(), pristine);
+  core_->slot_machine(5).restore_state(pristine);
+  ref_[5].restore_state(pristine);
+  one_slot_interleaved(5);
+  drain_and_check("after the restore");
+}
+
+TEST_P(MixedSlotTest, RefusesAnOwnerOfAnotherPipeline) {
+  // A second compile of the same source is another CompiledPipeline: its
+  // rows may not share a call, and nothing runs when one is offered.
+  auto other = domino::compile(algorithms::algorithm("flowlets").source,
+                               *test_util::least_target(
+                                   algorithms::algorithm("flowlets").source));
+  Machine& runner = core_->slot_machine(0);
+  std::vector<Packet> rows = {packet(flows_[0][0], 9), packet(1000, 9)};
+  const std::vector<Packet> before = rows;
+  Machine* const owners[] = {&runner, &other.machine()};
+  EXPECT_THROW(runner.run_batch(banzai::BatchView::owned_rows(
+                   rows.data(), owners, rows.size())),
+               std::invalid_argument);
+  EXPECT_EQ(rows, before);
+  EXPECT_EQ(runner.state(), proto_.state());
+  EXPECT_EQ(other.machine().state(), proto_.state());
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, MixedSlotTest,
+                         ::testing::Values(ExecEngine::kKernel,
+                                           ExecEngine::kNative),
+                         [](const auto& info) {
+                           return info.param == ExecEngine::kKernel
+                                      ? std::string("kernel")
+                                      : std::string("native");
+                         });
 
 TEST(PartitionTest, StableAndFlowConsistent) {
   netsim::FlowTraceConfig cfg;

@@ -247,7 +247,9 @@ TEST_P(MetricsExactnessTest, SequentialCountersExactPerEngine) {
     for (std::size_t s = 0; s < rows.size(); ++s) {
       EXPECT_EQ(rows[s].packets, static_cast<std::uint64_t>(kPackets))
           << "engine " << static_cast<int>(engine) << " stage " << s;
-      if (m.num_stages() > 0) EXPECT_GT(rows[s].ops, 0u);
+      if (m.num_stages() > 0) {
+        EXPECT_GT(rows[s].ops, 0u);
+      }
     }
     if (engine == ExecEngine::kKernel) kernel_rows = rows;
     if (engine == ExecEngine::kNative && !kernel_rows.empty()) {

@@ -10,11 +10,13 @@
 // snapshot → reshard → restore cycle.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
 #include <memory>
 #include <random>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "banzai/service.h"
@@ -432,16 +434,18 @@ TEST(ServiceLifecycleTest, ServiceRequiresEnoughSlotsAndAFlowKey) {
   EXPECT_THROW(FleetService(ca.machine(), cfg), std::invalid_argument);
 }
 
-TEST(ServiceBackpressureTest, DropTailAccountsForEveryOfferedPacket) {
+// Single-flow flood into a deliberately tiny DropTail ring (8 rows): the
+// first scenario class where the system may lose packets.  Every offered
+// packet must be delivered or dropped, and the delivered ones processed in
+// order.
+void expect_droptail_accounts_for_every_packet(std::size_t batch_size) {
   CompiledAlg ca("flowlets");
   const auto& alg = algorithms::algorithm("flowlets");
-  // Single-flow flood into a deliberately tiny ring: the first scenario class
-  // where the system may lose packets.
   const auto trace = make_trace(alg, ca.machine(), ca.flow_field,
                                 Burst::kSingleFlow, 20000, 33u);
   ServiceConfig cfg = ca.service_config(4, 8);
   cfg.ring_capacity = 8;
-  cfg.batch_size = 8;
+  cfg.batch_size = batch_size;
   cfg.backpressure = Backpressure::kDropTail;
 
   FleetService svc(ca.machine(), cfg);
@@ -468,6 +472,49 @@ TEST(ServiceBackpressureTest, DropTailAccountsForEveryOfferedPacket) {
   ASSERT_EQ(egress.size(), expected.size());
   for (std::size_t i = 0; i < egress.size(); ++i)
     ASSERT_EQ(egress[i], expected[i]) << "packet " << i;
+}
+
+TEST(ServiceBackpressureTest, DropTailAccountsForEveryOfferedPacket) {
+  expect_droptail_accounts_for_every_packet(8);
+}
+
+// The wake rule caps the ready batch at half the ring: with batch_size 256
+// an 8-row ring wakes its worker at 4 rows, so the ring cannot fill while
+// the worker sleeps unwoken, and the accounting stays exact.
+TEST(ServiceWakeRuleTest, DropTailTinyRingWithALargeBatchAccountsForAll) {
+  expect_droptail_accounts_for_every_packet(256);
+}
+
+// Fewer packets than a batch never make a batch ready, so ingest never wakes
+// the worker for them; with no flush they must still all be delivered, by
+// the worker's timed nap, under either backpressure policy.
+TEST(ServiceWakeRuleTest, UnflushedPartialBatchIsDelivered) {
+  CompiledAlg ca("flowlets");
+  const auto& alg = algorithms::algorithm("flowlets");
+  const auto trace =
+      make_trace(alg, ca.machine(), ca.flow_field, Burst::kSteady, 40, 45u);
+  for (Backpressure bp : {Backpressure::kBlock, Backpressure::kDropTail}) {
+    SCOPED_TRACE(bp == Backpressure::kBlock ? "kBlock" : "kDropTail");
+    ServiceConfig cfg = ca.service_config(2, 8);
+    cfg.batch_size = 256;
+    cfg.ring_capacity = 1024;
+    cfg.backpressure = bp;
+    FleetService svc(ca.machine(), cfg);
+    svc.start();
+    ASSERT_EQ(svc.ingest_all(trace), trace.size());
+    std::vector<Packet> egress;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (egress.size() < trace.size() &&
+           std::chrono::steady_clock::now() < deadline) {
+      for (Packet& p : svc.drain_egress()) egress.push_back(std::move(p));
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    svc.stop();
+    SlotReference ref(ca.machine(), 8, {ca.flow_field});
+    EXPECT_EQ(egress, ref.process_all(trace));
+    EXPECT_EQ(svc.stats().delivered, trace.size());
+  }
 }
 
 // Full-trace equivalence against ONE sequential machine over the whole trace,
