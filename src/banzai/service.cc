@@ -7,9 +7,11 @@
 namespace banzai {
 
 namespace {
-// The worker's idle nap.  Ingest wakes a sleeping worker only once its ring
-// holds a ready batch (wake_rows_), so this slice is also the longest a
-// partial batch that nobody flushes waits before the worker runs it.
+// The worker's idle nap, and the wake rule's yardstick (service.h): a shard
+// is busy while its rows arrive at a ready batch per nap or faster.  A busy
+// shard's worker naps until a batch is ready, so this slice is also the
+// longest a partial batch that nobody flushes waits before the worker runs
+// it.
 constexpr std::chrono::microseconds kIdleNap{200};
 constexpr std::chrono::microseconds kBlockNap{50};   // blocked-ingest wait
 constexpr int kSpinsBeforeNap = 64;
@@ -97,8 +99,9 @@ void FleetService::flush() {
 }
 
 void FleetService::wake(Shard& shard) {
-  // Clearing the flag makes this one notify per nap: ingest, which checks
-  // the flag on every publish, stops notifying until the worker naps again.
+  // Clearing the flag makes this one notify per wait: ingest, which checks
+  // the flag on every publish, stops notifying until the worker waits
+  // again.
   if (shard.sleeping.load(std::memory_order_relaxed) &&
       shard.sleeping.exchange(false, std::memory_order_relaxed)) {
     std::lock_guard<std::mutex> lock(shard.mu);
@@ -150,10 +153,10 @@ bool FleetService::offer(Packet& row) {
   shard.seq[index] = seq;
   shard.slot[index] = slot;
   shard.ring.publish();
-  // One wake per ready batch, not per frame; a partial batch waits for
-  // flush(), stop() or the worker's timed nap.
+  // The wake rule: the first row wakes a quiet shard's worker, a ready batch
+  // a busy one's.
   if (shard.sleeping.load(std::memory_order_relaxed) &&
-      shard.ring.size() >= wake_rows_)
+      shard.ring.size() >= shard.wake_at.load(std::memory_order_relaxed))
     wake(shard);
   return true;
 }
@@ -228,6 +231,12 @@ std::vector<std::vector<std::uint8_t>> FleetService::drain_egress_frames() {
 void FleetService::worker_loop(std::size_t shard_index) {
   Shard& shard = *shards_[shard_index];
   const std::size_t batch = config_.batch_size ? config_.batch_size : 1;
+  // The wake rule (service.h) is decided here and published in wake_at.
+  // `window_rows` counts the rows run since `window`, which opens at the
+  // last nap before the first of them.
+  auto window = std::chrono::steady_clock::now();
+  std::size_t window_rows = 0;
+  shard.wake_at.store(1, std::memory_order_relaxed);
 
   for (;;) {
     std::size_t first = 0;
@@ -255,6 +264,7 @@ void FleetService::worker_loop(std::size_t shard_index) {
       delivered_.fetch_add(n, std::memory_order_acq_rel);
       egress_.deliver_batch(seqs, rows, n);
       shard.ring.release(n);
+      window_rows += n;
       continue;
     }
 
@@ -266,15 +276,31 @@ void FleetService::worker_loop(std::size_t shard_index) {
     if (stopping_.load() && ingest_inflight_.load() == 0 && shard.ring.empty())
       break;
 
-    // Idle: nap until ingest has a batch ready, flush() or stop() wakes us,
-    // or the nap runs out.  The timed wait bounds both the wait of a
-    // partial batch nobody flushes and the one benign race (a push landing
-    // between the last empty poll and the wait).
+    // The shard is busy while its rows arrive at a batch per nap or faster,
+    // judged over a batch of rows or a nap's time, whichever ends first.
+    const auto now = std::chrono::steady_clock::now();
+    if (window_rows == 0) {
+      window = now;
+    } else if (window_rows >= wake_rows_ || now - window > kIdleNap) {
+      const bool busy = kIdleNap * static_cast<std::int64_t>(window_rows) >=
+                        (now - window) * static_cast<std::int64_t>(wake_rows_);
+      shard.wake_at.store(busy ? wake_rows_ : 1, std::memory_order_relaxed);
+      window = now;
+      window_rows = 0;
+    }
+
+    // Idle: nap until ingest wakes us by the wake rule, flush() or stop()
+    // wakes us, or the nap runs out.  The timed wait bounds both the wait
+    // of a partial batch nobody flushes and the one benign race (a push
+    // landing between the last empty poll and the wait).  The predicate
+    // re-arms `sleeping` before every wait, so a wake that finds nothing to
+    // run (a flush() of other shards' rows) leaves the next one armed.
     std::unique_lock<std::mutex> lock(shard.mu);
-    shard.sleeping.store(true, std::memory_order_relaxed);
     shard.cv.wait_for(lock, kIdleNap, [&] {
-      return !shard.ring.empty() ||
-             stopping_.load(std::memory_order_acquire);
+      if (!shard.ring.empty() || stopping_.load(std::memory_order_acquire))
+        return true;
+      shard.sleeping.store(true, std::memory_order_relaxed);
+      return false;
     });
     shard.sleeping.store(false, std::memory_order_relaxed);
   }

@@ -16,13 +16,17 @@
 // order watermark never stalls on a shed packet).
 //
 // Wake rule: a worker runs whatever its ring holds, one engine call per
-// batch_size rows (ShardCore::drain), and naps when the ring is empty.
-// Ingest wakes a napping worker once its ring holds a ready batch —
-// min(batch_size, ring capacity / 2) rows, the half-ring cap keeping a
-// DropTail ring from filling while its worker sleeps unwoken — not on every
-// frame.  flush(), stop() and a kBlock ingest waiting on a full ring wake it
-// at once.  Otherwise a partial batch waits at most the worker's timed nap,
-// 200 us, before it runs.
+// batch_size rows (ShardCore::drain), and naps when the ring is empty.  How
+// soon ingest wakes a napping worker depends on the shard's arrival rate,
+// which the worker measures over a ready batch's worth of rows —
+// min(batch_size, ring capacity / 2), the half-ring cap keeping a DropTail
+// ring from filling while its worker sleeps unwoken — or one nap (200 us),
+// whichever ends first.  A quiet shard, whose rows arrive slower than a
+// ready batch per nap, has its worker woken by the first row, so a sparse
+// stream nobody flushes waits for no batch.  A busy shard has it woken once
+// the ring holds a ready batch, not on every frame; there a partial batch
+// waits at most one nap, unless flush(), stop() or a kBlock ingest waiting
+// on a full ring wakes the worker, which they always do at once.
 //
 // Rows: like the header vector of a Banzai pipeline, a packet travels as a
 // fixed-width row — exactly as wide as the prototype's FieldTable — that is
@@ -376,8 +380,13 @@ class FleetService {
     std::vector<std::size_t> slot;
     std::mutex mu;
     std::condition_variable cv;        // worker idle-sleep / wake-up
-    std::atomic<bool> sleeping{false};  // set by the napping worker; wake()
-                                        // clears it as it notifies
+    // Armed by the napping worker before every wait; wake() clears it as it
+    // notifies, so one nap takes one notify.
+    std::atomic<bool> sleeping{false};
+    // Ring occupancy at which ingest wakes the napping worker: 1 while the
+    // shard is quiet, wake_rows_ while it is busy (the wake rule).  Written
+    // by the worker only.
+    std::atomic<std::size_t> wake_at{1};
     std::thread worker;
     // Per-shard latency histogram: the worker records one sample per
     // delivered packet (batched, under lat_mu — uncontended except when
@@ -397,7 +406,8 @@ class FleetService {
   ServiceConfig config_;
   ShardCore core_;
   std::size_t width_;  // the prototype's FieldTable size: every row's width
-  // Ring occupancy at which ingest wakes a napping worker (the wake rule).
+  // A ready batch: the ring occupancy at which ingest wakes a busy shard's
+  // napping worker (the wake rule).
   std::size_t wake_rows_ = 1;
   OrderedEgress egress_;
   std::vector<std::unique_ptr<Shard>> shards_;

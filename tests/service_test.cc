@@ -6,10 +6,13 @@
 // same order (and literally one single machine when the service runs with
 // one slot, or when no flows alias in state).  Also pins the lifecycle
 // contracts: stop/start persistence, flush on an empty service, DropTail
-// drop accounting (delivered + dropped == ingested), and the
-// snapshot → reshard → restore cycle.
+// drop accounting (delivered + dropped == ingested), the
+// snapshot → reshard → restore cycle, and the wake rule (a quiet shard's
+// row is not held for the nap; a busy shard's unflushed rows are
+// delivered).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <map>
 #include <memory>
@@ -485,13 +488,16 @@ TEST(ServiceWakeRuleTest, DropTailTinyRingWithALargeBatchAccountsForAll) {
   expect_droptail_accounts_for_every_packet(256);
 }
 
-// Fewer packets than a batch never make a batch ready, so ingest never wakes
-// the worker for them; with no flush they must still all be delivered, by
-// the worker's timed nap, under either backpressure policy.
+// A busy shard's worker naps until a batch is ready, so fewer packets than
+// a batch never make ingest wake it; with no flush they must still all be
+// delivered, by the worker's timed nap, under either backpressure policy.
+// A flushed flood first makes the shards busy (a batch within one nap).
 TEST(ServiceWakeRuleTest, UnflushedPartialBatchIsDelivered) {
   CompiledAlg ca("flowlets");
   const auto& alg = algorithms::algorithm("flowlets");
-  const auto trace =
+  const auto flood =
+      make_trace(alg, ca.machine(), ca.flow_field, Burst::kSteady, 4096, 44u);
+  const auto tail =
       make_trace(alg, ca.machine(), ca.flow_field, Burst::kSteady, 40, 45u);
   for (Backpressure bp : {Backpressure::kBlock, Backpressure::kDropTail}) {
     SCOPED_TRACE(bp == Backpressure::kBlock ? "kBlock" : "kDropTail");
@@ -501,20 +507,68 @@ TEST(ServiceWakeRuleTest, UnflushedPartialBatchIsDelivered) {
     cfg.backpressure = bp;
     FleetService svc(ca.machine(), cfg);
     svc.start();
-    ASSERT_EQ(svc.ingest_all(trace), trace.size());
-    std::vector<Packet> egress;
+    std::vector<Packet> offered;
+    for (const Packet& p : flood)
+      if (svc.ingest(p)) offered.push_back(p);
+    svc.flush();
+    std::vector<Packet> egress = svc.drain_egress();
+    ASSERT_EQ(svc.ingest_all(tail), tail.size());
+    offered.insert(offered.end(), tail.begin(), tail.end());
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(2);
-    while (egress.size() < trace.size() &&
+    while (egress.size() < offered.size() &&
            std::chrono::steady_clock::now() < deadline) {
       for (Packet& p : svc.drain_egress()) egress.push_back(std::move(p));
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     svc.stop();
     SlotReference ref(ca.machine(), 8, {ca.flow_field});
-    EXPECT_EQ(egress, ref.process_all(trace));
-    EXPECT_EQ(svc.stats().delivered, trace.size());
+    EXPECT_EQ(egress, ref.process_all(offered));
+    EXPECT_EQ(svc.stats().delivered, offered.size());
   }
+}
+
+// A quiet shard's worker wakes on the first row: a sparse stream that nobody
+// flushes is not held for the worker's 200 us nap.  Before each timed packet
+// the other shard gets one that is flushed; the flush wakes both workers,
+// one with nothing to run, and must leave that worker's next wake armed.
+TEST(ServiceWakeRuleTest, QuietShardRunsARowWithoutWaitingOutTheNap) {
+  CompiledAlg ca("flowlets");
+  const auto& alg = algorithms::algorithm("flowlets");
+  const auto trace =
+      make_trace(alg, ca.machine(), ca.flow_field, Burst::kSteady, 64, 46u);
+  ServiceConfig cfg = ca.service_config(2, 8);
+  cfg.batch_size = 256;
+  cfg.ring_capacity = 1024;
+  FleetService svc(ca.machine(), cfg);
+  const Packet* timed = nullptr;
+  const Packet* flushed = nullptr;
+  for (const Packet& p : trace)
+    (svc.shard_of(p) == 0 ? timed : flushed) = &p;
+  ASSERT_NE(timed, nullptr);
+  ASSERT_NE(flushed, nullptr);
+
+  svc.start();
+  std::vector<double> waits_us;
+  for (int i = 0; i < 41; ++i) {
+    ASSERT_TRUE(svc.ingest(*flushed));
+    svc.flush();
+    ASSERT_EQ(svc.drain_egress().size(), 1u);
+    const auto t0 = std::chrono::steady_clock::now();
+    ASSERT_TRUE(svc.ingest(*timed));
+    while (svc.drain_egress().empty()) {
+      ASSERT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(2));
+    }
+    waits_us.push_back(std::chrono::duration<double, std::micro>(
+                           std::chrono::steady_clock::now() - t0)
+                           .count());
+  }
+  svc.stop();
+  // A lost wake costs the rest of a nap that began at most a flush earlier;
+  // an armed one costs the scheduler's wake-up.  The lower quartile is
+  // immune to descheduled iterations.
+  std::nth_element(waits_us.begin(), waits_us.begin() + 10, waits_us.end());
+  EXPECT_LT(waits_us[10], 120.0);
 }
 
 // Full-trace equivalence against ONE sequential machine over the whole trace,
