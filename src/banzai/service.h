@@ -276,6 +276,13 @@ class FleetService {
   // dropped: sleeps on the egress watermark and wakes when the delivery or
   // DropTail tombstone that settles the last of them lands.  Requires a
   // running service when packets are outstanding (std::logic_error).
+  //
+  // Quiescence: called from the ingest thread, flush() returns with no row
+  // in flight, and no shard worker touches slot state again until that
+  // thread's next ingest publishes a row (a release/acquire ring handoff).
+  // Until then the ingest thread may read or replace slot state through
+  // slot_machine() with the workers running: a checkpoint needs no
+  // stop()/start().
   void flush();
 
   // Offers one packet.  Returns true if accepted; false if shed (DropTail

@@ -41,10 +41,10 @@ void Writer::str(const std::string& s) {
   bytes(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
 }
 
-void Writer::blob(const std::vector<std::uint8_t>& b) {
-  if (b.size() > kMaxMessageBytes) throw FramingError("blob exceeds bound");
-  u32(static_cast<std::uint32_t>(b.size()));
-  bytes(b.data(), b.size());
+void Writer::blob(const std::uint8_t* p, std::size_t n) {
+  if (n > kMaxMessageBytes) throw FramingError("blob exceeds bound");
+  u32(static_cast<std::uint32_t>(n));
+  bytes(p, n);
 }
 
 void Reader::need(std::size_t n) const {
@@ -155,25 +155,6 @@ void write_state(Writer& w, const SortedVars& vars) {
   }
 }
 
-template <typename Frames>
-std::vector<std::uint8_t> encode_frames(const Frames& frames,
-                                        std::size_t begin, std::size_t count) {
-  std::size_t size = kIngestHeadBytes;
-  for (std::size_t i = begin; i < begin + count; ++i)
-    size += ingest_record_bytes(frames[i].bytes.size());
-  std::vector<std::uint8_t> out;
-  Writer w(out);
-  w.reserve(size);
-  w.u32(static_cast<std::uint32_t>(count));
-  for (std::size_t i = begin; i < begin + count; ++i) {
-    const FrameRecord& f = frames[i];
-    w.u64(f.seq);
-    w.u32(f.slot);
-    w.blob(f.bytes);
-  }
-  return out;
-}
-
 void write_egress(Writer& w, const std::vector<EgressRecord>& egress) {
   w.u32(static_cast<std::uint32_t>(egress.size()));
   for (const EgressRecord& e : egress) {
@@ -262,14 +243,28 @@ HelloAck decode_hello_ack(const std::uint8_t* p, std::size_t n) {
   return m;
 }
 
-std::vector<std::uint8_t> encode_ingest_batch(const IngestBatch& m) {
-  return encode_frames(m.frames, 0, m.frames.size());
+std::vector<std::uint8_t> encode_ingest_batch(
+    const std::vector<FrameView>& frames) {
+  std::size_t size = kIngestHeadBytes;
+  for (const FrameView& f : frames) size += ingest_record_bytes(f.len);
+  std::vector<std::uint8_t> out;
+  Writer w(out);
+  w.reserve(size);
+  w.u32(static_cast<std::uint32_t>(frames.size()));
+  for (const FrameView& f : frames) {
+    w.u64(f.seq);
+    w.u32(f.slot);
+    w.blob(f.data, f.len);
+  }
+  return out;
 }
 
-std::vector<std::uint8_t> encode_ingest_batch(
-    const std::deque<FrameRecord>& frames, std::size_t begin,
-    std::size_t count) {
-  return encode_frames(frames, begin, count);
+std::vector<std::uint8_t> encode_ingest_batch(const IngestBatch& m) {
+  std::vector<FrameView> views;
+  views.reserve(m.frames.size());
+  for (const FrameRecord& f : m.frames)
+    views.push_back({f.seq, f.slot, f.bytes.data(), f.bytes.size()});
+  return encode_ingest_batch(views);
 }
 
 IngestBatchView view_ingest_batch(const std::uint8_t* p, std::size_t n) {

@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -87,7 +86,8 @@ class Writer {
   // n values as consecutive u32 LE: one memcpy on a little-endian host.
   void u32s(const std::int32_t* p, std::size_t n);
   void str(const std::string& s);    // u16 length + bytes
-  void blob(const std::vector<std::uint8_t>& b);  // u32 length + bytes
+  void blob(const std::uint8_t* p, std::size_t n);  // u32 length + bytes
+  void blob(const std::vector<std::uint8_t>& b) { blob(b.data(), b.size()); }
 
  private:
   template <typename T>
@@ -155,8 +155,10 @@ struct IngestBatch {
   std::vector<FrameRecord> frames;
 };
 
-// An IngestBatch decoded in place: frame bytes point into the request
-// payload, which must outlive the view.  The worker applies straight from it.
+// One frame of an IngestBatch, left where its bytes lie: in a decoded
+// request payload (the worker applies straight from it) or in the front's
+// frame log (the front encodes batches from it).  The bytes must outlive
+// the view.
 struct FrameView {
   std::uint64_t seq = 0;
   std::uint32_t slot = 0;
@@ -260,12 +262,12 @@ std::vector<std::uint8_t> encode_hello(const Hello& m);
 Hello decode_hello(const std::uint8_t* p, std::size_t n);
 std::vector<std::uint8_t> encode_hello_ack(const HelloAck& m);
 HelloAck decode_hello_ack(const std::uint8_t* p, std::size_t n);
-std::vector<std::uint8_t> encode_ingest_batch(const IngestBatch& m);
-// The same bytes, encoded straight from frames [begin, begin + count) of the
-// front's outbox, with no FrameRecord copies.
+// The one batch encoder: frame bytes are copied from wherever the views
+// point (the front's frame logs) straight into the payload.
 std::vector<std::uint8_t> encode_ingest_batch(
-    const std::deque<FrameRecord>& frames, std::size_t begin,
-    std::size_t count);
+    const std::vector<FrameView>& frames);
+// The same bytes for a batch of owned records.
+std::vector<std::uint8_t> encode_ingest_batch(const IngestBatch& m);
 IngestBatch decode_ingest_batch(const std::uint8_t* p, std::size_t n);
 // Validates the whole batch (same checks as decode_ingest_batch) before
 // returning views into `p`.

@@ -64,6 +64,46 @@ std::vector<std::vector<std::uint8_t>> EgressWindow::drain() {
   return out;
 }
 
+// ---- FrameLog --------------------------------------------------------------
+
+std::uint64_t FrameLog::append(std::uint64_t seq, const std::uint8_t* data,
+                               std::size_t len) {
+  entries_.push_back({seq, bytes_.size(), len});
+  bytes_.insert(bytes_.end(), data, data + len);
+  return end() - 1;
+}
+
+std::size_t FrameLog::trim(std::uint64_t applied) {
+  const std::size_t from = head_;
+  while (head_ < entries_.size() && entries_[head_].seq <= applied) ++head_;
+  const std::size_t dropped = head_ - from;
+  trimmed_ += dropped;
+  const std::size_t dead =
+      head_ < entries_.size() ? entries_[head_].offset : bytes_.size();
+  // Compacting moves only the live tail, so at most once per half buffer
+  // it costs about what the appends that filled the buffer did.
+  if (2 * dead > bytes_.size() || 2 * head_ > entries_.size()) {
+    bytes_.erase(bytes_.begin(),
+                 bytes_.begin() + static_cast<std::ptrdiff_t>(dead));
+    entries_.erase(entries_.begin(),
+                   entries_.begin() + static_cast<std::ptrdiff_t>(head_));
+    for (Entry& e : entries_) e.offset -= dead;
+    head_ = 0;
+  }
+  return dropped;
+}
+
+bool FrameLog::get(std::uint64_t ordinal, FrameView& out) const {
+  if (ordinal < trimmed_ || ordinal >= end()) return false;
+  const Entry& e =
+      entries_[head_ + static_cast<std::size_t>(ordinal - trimmed_)];
+  out.seq = e.seq;
+  out.slot = 0;
+  out.data = bytes_.data() + e.offset;
+  out.len = e.len;
+  return true;
+}
+
 // ---- FrontTier -------------------------------------------------------------
 
 FrontTier::FrontTier(std::shared_ptr<const wire::WireCodec> rx,
@@ -74,7 +114,7 @@ FrontTier::FrontTier(std::shared_ptr<const wire::WireCodec> rx,
       scratch_(rx_->num_table_fields()) {
   if (cfg_.num_slots == 0) cfg_.num_slots = 1;
   if (cfg_.max_batch == 0) cfg_.max_batch = 1;
-  resend_.resize(cfg_.num_slots);
+  logs_.resize(cfg_.num_slots);
 }
 
 std::size_t FrontTier::add_worker(std::uint16_t port) {
@@ -110,28 +150,26 @@ std::size_t FrontTier::slot_of_frame(const std::uint8_t* data,
   return static_cast<std::size_t>(h % cfg_.num_slots);
 }
 
-void FrontTier::route(FrameRecord rec) {
-  WorkerLink& w = workers_[owner_[rec.slot]];
-  w.outbox_bytes += ingest_record_bytes(rec.bytes.size());
-  w.outbox.push_back(std::move(rec));
+void FrontTier::route(const FrameRef& ref) {
+  WorkerLink& w = workers_[owner_[ref.slot]];
+  w.outbox_bytes += ingest_record_bytes(ref.len);
+  w.outbox.push_back(ref);
 }
 
 void FrontTier::offer(const std::uint8_t* data, std::size_t len) {
-  FrameRecord rec;
-  rec.seq = next_seq_++;
+  const std::uint64_t seq = next_seq_++;
   ++stats_.frames_offered;
   if (kIngestHeadBytes + ingest_record_bytes(len) > kMaxMessageBytes) {
     // No message can carry it.  The worker would reject it kOversized
     // (parse_exact checks the length first), so settle that verdict here.
-    deliver_tombstone(rec.seq);
+    deliver_tombstone(seq);
     return;
   }
-  rec.slot = static_cast<std::uint32_t>(slot_of_frame(data, len));
-  rec.bytes.assign(data, data + len);
-  resend_[rec.slot].push_back(rec);
+  const auto slot = static_cast<std::uint32_t>(slot_of_frame(data, len));
+  const std::uint64_t ordinal = logs_[slot].append(seq, data, len);
   ++resend_total_;
-  const std::size_t wi = owner_[rec.slot];
-  route(std::move(rec));
+  const std::size_t wi = owner_[slot];
+  route({ordinal, slot, static_cast<std::uint32_t>(len)});
   if (resend_total_ >= cfg_.resend_limit) checkpoint();
   const WorkerLink& w = workers_[wi];
   if (w.outbox.size() >= cfg_.max_batch || w.outbox_bytes >= kBatchBytes)
@@ -267,17 +305,28 @@ void FrontTier::process_egress(std::vector<EgressRecord>&& egress) {
   }
 }
 
-std::pair<std::size_t, std::size_t> FrontTier::next_batch(
-    const WorkerLink& w) const {
+std::size_t FrontTier::next_batch(const WorkerLink& w) {
+  batch_.clear();
   std::size_t n = 0;
   std::size_t bytes = 0;
-  while (n < w.outbox.size() && n < cfg_.max_batch) {
-    const std::size_t b = ingest_record_bytes(w.outbox[n].bytes.size());
-    if (n > 0 && bytes + b > kBatchBytes) break;
+  for (; n < w.outbox.size() && batch_.size() < cfg_.max_batch; ++n) {
+    const FrameRef& ref = w.outbox[n];
+    FrameView v;
+    if (!logs_[ref.slot].get(ref.ordinal, v)) continue;
+    const std::size_t b = ingest_record_bytes(v.len);
+    if (!batch_.empty() && bytes + b > kBatchBytes) break;
     bytes += b;
-    ++n;
+    v.slot = ref.slot;
+    batch_.push_back(v);
   }
-  return {n, bytes};
+  return n;
+}
+
+void FrontTier::pop_refs(WorkerLink& w, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i)
+    w.outbox_bytes -= ingest_record_bytes(w.outbox[i].len);
+  w.outbox.erase(w.outbox.begin(),
+                 w.outbox.begin() + static_cast<std::ptrdiff_t>(n));
 }
 
 bool FrontTier::flush_worker(std::size_t wi) {
@@ -294,9 +343,14 @@ bool FrontTier::flush_worker(std::size_t wi) {
       return false;
     }
     if (!ensure_connected(w)) continue;
-    const auto [n, bytes] = next_batch(w);
-    const std::vector<std::uint8_t> wire_batch =
-        encode_ingest_batch(w.outbox, 0, n);
+    const std::size_t n = next_batch(w);
+    if (batch_.empty()) {  // every ref taken was trimmed: nothing to send
+      pop_refs(w, n);
+      attempts = 0;
+      continue;
+    }
+    const std::size_t frames = batch_.size();
+    const std::vector<std::uint8_t> wire_batch = encode_ingest_batch(batch_);
     IngestAck ack;
     try {
       ack = ingest(w, wire_batch);
@@ -314,12 +368,11 @@ bool FrontTier::flush_worker(std::size_t wi) {
       continue;
     }
     w.detector.on_success(Clock::now());
-    stats_.frames_sent += n;
+    stats_.frames_sent += frames;
+    ++stats_.ingest_batches;
     process_ack_frames(ack.seqs, ack.statuses);
     process_egress(std::move(ack.egress));
-    w.outbox.erase(w.outbox.begin(),
-                   w.outbox.begin() + static_cast<std::ptrdiff_t>(n));
-    w.outbox_bytes -= bytes;
+    pop_refs(w, n);
     attempts = 0;
     ++batches_sent_;
     if (cfg_.dup_every != 0 && batches_sent_ % cfg_.dup_every == 0) {
@@ -328,7 +381,8 @@ bool FrontTier::flush_worker(std::size_t wi) {
       // window must not emit anything twice.
       try {
         IngestAck again = ingest(w, wire_batch);
-        stats_.frames_sent += n;
+        stats_.frames_sent += frames;
+        ++stats_.ingest_batches;
         process_ack_frames(again.seqs, again.statuses);
         process_egress(std::move(again.egress));
         w.detector.on_success(Clock::now());
@@ -413,14 +467,8 @@ void FrontTier::checkpoint() {
       w.detector.on_success(Clock::now());
       process_egress(std::move(sr.egress));
       for (SlotState& ss : sr.slots) {
-        if (ss.slot >= resend_.size()) continue;
-        // Everything up to applied_seq is baked into the blob: the resend
-        // buffer only needs the unapplied tail from here on.
-        auto& buf = resend_[ss.slot];
-        while (!buf.empty() && buf.front().seq <= ss.applied_seq) {
-          buf.pop_front();
-          --resend_total_;
-        }
+        if (ss.slot >= logs_.size()) continue;
+        trim_log(ss.slot, ss.applied_seq);
         checkpoint_[ss.slot] = std::move(ss);
       }
     } catch (const RpcTimeout&) {
@@ -478,9 +526,19 @@ std::size_t FrontTier::pick_survivor(std::size_t excluding,
   return alive[salt % alive.size()];
 }
 
+void FrontTier::trim_log(std::size_t slot, std::uint64_t applied_seq) {
+  // Everything up to applied_seq is baked into the checkpoint's blob: the
+  // log only needs the unapplied tail from here on.
+  resend_total_ -= logs_[slot].trim(applied_seq);
+}
+
 void FrontTier::replay_slot(std::size_t slot) {
-  for (const FrameRecord& rec : resend_[slot]) {
-    route(rec);
+  const FrameLog& log = logs_[slot];
+  FrameView v;
+  for (std::uint64_t o = log.first(); o < log.end(); ++o) {
+    log.get(o, v);
+    route({o, static_cast<std::uint32_t>(slot),
+           static_cast<std::uint32_t>(v.len)});
     ++stats_.replays;
   }
 }
@@ -491,8 +549,8 @@ void FrontTier::migrate(std::size_t dead) {
   if (w.detector.alive()) w.detector.mark_dead(Clock::now());
   std::deque<std::size_t> pending;
   for (std::size_t s : owned_slots(dead)) pending.push_back(s);
-  // Unsent frames in the dead worker's outbox are all in the resend buffers
-  // (offer() stores before routing), so the replay below re-creates them.
+  // Unsent frames in the dead worker's outbox are all in the frame logs, so
+  // the replay below routes them again.
   w.outbox.clear();
   w.outbox_bytes = 0;
   if (pending.empty()) return;
@@ -611,11 +669,7 @@ void FrontTier::move_slot(std::size_t slot, std::size_t to_worker) {
         process_egress(std::move(sr.egress));
         for (SlotState& ss : sr.slots) {
           if (ss.slot != slot) continue;
-          auto& buf = resend_[slot];
-          while (!buf.empty() && buf.front().seq <= ss.applied_seq) {
-            buf.pop_front();
-            --resend_total_;
-          }
+          trim_log(slot, ss.applied_seq);
           checkpoint_[slot] = std::move(ss);
           barrier_ok = true;
         }
@@ -703,6 +757,8 @@ std::vector<std::vector<std::uint8_t>> FrontTier::drain_egress() {
 FrontStats FrontTier::stats() const {
   FrontStats s = stats_;
   s.egress_duplicates = window_.duplicates();
+  s.resend_frames = resend_total_;
+  for (const FrameLog& log : logs_) s.resend_bytes += log.bytes();
   return s;
 }
 

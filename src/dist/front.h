@@ -7,16 +7,20 @@
 //
 // The machinery, end to end:
 //
-//   offer(bytes) ──hash──► slot ──owner table──► per-worker outbox
-//        │                                             │ (batched RPC)
-//        └── per-slot resend buffer (at-least-once) ───┤
-//                                                      ▼
+//   offer(bytes) ──hash──► slot ──► per-slot FrameLog (the one copy; the
+//                                     │ resend buffer for at-least-once)
+//                     owner table ──► per-worker outbox of {slot, ordinal}
+//                                     │ refs into the logs (batched RPC)
+//                                     ▼
 //   EgressWindow ◄── seq-tagged egress piggybacked on every ack
 //   (dedup + global order + tombstones for rejects)
 //
 // Batches are cut at max_batch frames or kBatchBytes encoded bytes,
 // whichever comes first; a frame too large for any message is settled as a
-// reject on the spot, without an RPC.
+// reject on the spot, without an RPC.  There is no timer: offer() sends a
+// worker's batch only once it is full, so frames a caller offers and never
+// flushes wait, up to max_batch - 1 of them per worker, until more offers
+// fill the batch or the caller flushes.
 //
 // Fault model and the invariant it preserves: any RPC may time out or the
 // connection may die at any point.  The front then retries the same frames
@@ -74,10 +78,15 @@ struct FrontConfig {
   Millis backoff_max{200};
   std::uint64_t seed = 1;         // backoff jitter + chaos schedules
   std::uint32_t dead_after = 3;   // consecutive failures before migration
-  std::size_t max_batch = 64;     // frames per IngestBatch RPC
-  // Resend-buffer bound: when this many frames are buffered fleet-wide, the
-  // front forces a checkpoint (which trims every buffer to the unapplied
-  // tail).  At-least-once replay needs the buffer; the bound keeps it from
+  // Frames per IngestBatch RPC.  Each RPC costs a round trip (two sendmsg
+  // calls and the worker's wake-ups), so a fuller batch costs less per
+  // frame when the caller offers at least this many frames to one worker
+  // between flushes.  It is also how many frames, less one, an unflushed
+  // worker's outbox may hold (see above).
+  std::size_t max_batch = 256;
+  // Resend-buffer bound: when this many frames are logged fleet-wide, the
+  // front forces a checkpoint (which trims every log to the unapplied
+  // tail).  At-least-once replay needs the log; the bound keeps it from
   // growing without limit on a checkpoint-shy caller.
   std::size_t resend_limit = 8192;
   // Chaos knob: re-send every Nth ingest batch verbatim after its ack — the
@@ -100,13 +109,54 @@ struct FrontStats {
   std::uint64_t migrations = 0;       // dead-worker slot migrations
   std::uint64_t slot_moves = 0;       // slots moved (migration + rebalance)
   std::uint64_t checkpoints = 0;
-  std::uint64_t replays = 0;          // frames replayed from resend buffers
+  std::uint64_t ingest_batches = 0;   // acknowledged IngestBatch RPCs
+  std::uint64_t replays = 0;          // frames replayed from the frame logs
   std::uint64_t egress_frames = 0;    // settled egress drained so far
   std::uint64_t egress_duplicates = 0;  // dropped by the window dedup
   // Ack/egress seqs outside the issued range [1, next_seq): a corrupted (but
   // well-framed) worker reply; dropped before they can touch the window.
   std::uint64_t egress_corrupt = 0;
   std::uint64_t heartbeats = 0;
+  // Gauges of the resend buffer, read from the frame logs: the frames
+  // logged and not yet trimmed by a checkpoint, and the bytes the logs hold
+  // for them (a dead prefix not yet compacted included).
+  std::uint64_t resend_frames = 0;
+  std::uint64_t resend_bytes = 0;
+};
+
+// One slot's offered frames, each kept once: the resend buffer that replay
+// reads after a slot move, and the bytes the outboxes' refs point at.  The
+// frames lie back to back in one byte buffer, indexed by entries in seq
+// order.  An entry is named by its ordinal, the number of frames appended
+// to the log before it; trimming keeps the ordinals of the rest.
+class FrameLog {
+ public:
+  // Appends a frame and returns its ordinal.
+  std::uint64_t append(std::uint64_t seq, const std::uint8_t* data,
+                       std::size_t len);
+  // Drops every entry whose seq is at or below `applied`, and returns how
+  // many.  Compacts once the dead prefix passes half the buffer.
+  std::size_t trim(std::uint64_t applied);
+  // Views entry `ordinal` (slot left 0), or returns false when a trim has
+  // dropped it.  The view holds until the next append or trim.
+  bool get(std::uint64_t ordinal, FrameView& out) const;
+
+  std::uint64_t first() const { return trimmed_; }  // oldest live ordinal
+  std::uint64_t end() const { return trimmed_ + size(); }
+  std::size_t size() const { return entries_.size() - head_; }
+  // Bytes held, a dead prefix not yet compacted included.
+  std::size_t bytes() const { return bytes_.size(); }
+
+ private:
+  struct Entry {
+    std::uint64_t seq = 0;
+    std::size_t offset = 0;  // into bytes_
+    std::size_t len = 0;
+  };
+  std::vector<std::uint8_t> bytes_;
+  std::vector<Entry> entries_;  // entries_[head_] has ordinal trimmed_
+  std::size_t head_ = 0;
+  std::uint64_t trimmed_ = 0;   // entries trimmed so far
 };
 
 struct WorkerView {
@@ -168,9 +218,9 @@ class FrontTier {
   // is unreachable at startup (later failures are handled, not thrown).
   void connect();
 
-  // Offers one ingress frame: assigns the next global seq, buffers it for
-  // resend, routes it to its slot's owner, and flushes any outbox that
-  // reached a full batch.  Malformed frames still get a seq (the worker
+  // Offers one ingress frame: assigns the next global seq, logs it for
+  // resend, routes it to its slot's owner, and sends that owner's outbox
+  // once it holds a full batch.  Malformed frames still get a seq (the worker
   // rejects them with a typed status and the window tombstones the seq); one
   // too large for any message is tombstoned here, as the worker would reject
   // it kOversized.
@@ -185,7 +235,7 @@ class FrontTier {
   void flush();
 
   // Checkpoint barrier: snapshots every owned slot on every alive worker,
-  // stores the blobs as the migration fallback, trims resend buffers.
+  // stores the blobs as the migration fallback, trims the frame logs.
   void checkpoint();
 
   // Probes every alive worker (egress piggybacks on the acks); drives the
@@ -229,19 +279,26 @@ class FrontTier {
   WorkerView worker_view(std::size_t w) const;
 
  private:
+  // A logged frame routed to a worker: entry `ordinal` of logs_[slot].
+  struct FrameRef {
+    std::uint64_t ordinal = 0;
+    std::uint32_t slot = 0;
+    std::uint32_t len = 0;  // the frame's, for the outbox's byte count
+  };
+
   struct WorkerLink {
     std::uint16_t port = 0;
     Conn conn;
     FailureDetector detector;
     std::uint32_t attempt = 0;           // reconnect backoff exponent
-    std::deque<FrameRecord> outbox;      // routed here, not yet acked
+    std::deque<FrameRef> outbox;         // routed here, not yet acked
     std::size_t outbox_bytes = 0;        // their encoded record bytes
     std::uint64_t incarnation = 0;       // the worker's, at the last HELLO
     std::uint64_t hb_nonce = 0;
   };
 
   std::size_t slot_of_frame(const std::uint8_t* data, std::size_t len);
-  void route(FrameRecord rec);  // outbox only, no resend append
+  void route(const FrameRef& ref);
   // Reconnects + HELLOs when the connection is closed.  A worker found to
   // have restarted (new incarnation) while it still owns slots lost their
   // state unseen: it is marked dead and false returned, every time, until
@@ -259,8 +316,13 @@ class FrontTier {
   void process_ack_frames(const std::vector<std::uint64_t>& seqs,
                           const std::vector<FrameStatus>& statuses);
   void process_egress(std::vector<EgressRecord>&& egress);
-  // The outbox's next batch: {frames, record bytes}.
-  std::pair<std::size_t, std::size_t> next_batch(const WorkerLink& w) const;
+  // Views the outbox's next batch into batch_ and returns how many refs it
+  // takes.  A ref whose entry a checkpoint trimmed is taken but not viewed:
+  // the checkpoint proved that frame applied.
+  std::size_t next_batch(const WorkerLink& w);
+  void pop_refs(WorkerLink& w, std::size_t n);
+  // Drops log entries the slot's owner reports applied, up to applied_seq.
+  void trim_log(std::size_t slot, std::uint64_t applied_seq);
   // Drains one worker's outbox (batched, with retry/backoff); migrates and
   // re-routes if the worker dies.  Returns false if the worker died.
   bool flush_worker(std::size_t wi);
@@ -292,9 +354,10 @@ class FrontTier {
   Backoff backoff_;
   std::vector<WorkerLink> workers_;
   std::vector<std::size_t> owner_;               // slot -> worker index
-  std::vector<std::deque<FrameRecord>> resend_;  // per slot, seq order
+  std::vector<FrameLog> logs_;                   // per slot
   std::map<std::size_t, SlotState> checkpoint_;  // slot -> last checkpoint
-  std::size_t resend_total_ = 0;
+  std::size_t resend_total_ = 0;                 // live entries, all logs
+  std::vector<FrameView> batch_;                 // next_batch's views
   EgressWindow window_;
   std::uint64_t next_seq_ = 1;
   std::uint32_t batches_sent_ = 0;  // for the dup_every chaos knob

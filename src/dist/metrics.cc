@@ -75,9 +75,18 @@ void render_dist_metrics(std::ostream& os, const FrontStats& stats,
   help_line(os, "domino_dist_checkpoints_total", "counter",
             "Checkpoint barriers completed");
   os << "domino_dist_checkpoints_total " << stats.checkpoints << '\n';
+  help_line(os, "domino_dist_ingest_batches_total", "counter",
+            "Acknowledged IngestBatch RPCs");
+  os << "domino_dist_ingest_batches_total " << stats.ingest_batches << '\n';
   help_line(os, "domino_dist_replays_total", "counter",
-            "Frames replayed from resend buffers after a slot move");
+            "Frames replayed from the frame logs after a slot move");
   os << "domino_dist_replays_total " << stats.replays << '\n';
+  help_line(os, "domino_dist_resend_frames", "gauge",
+            "Frames logged for resend and not yet trimmed by a checkpoint");
+  os << "domino_dist_resend_frames " << stats.resend_frames << '\n';
+  help_line(os, "domino_dist_resend_bytes", "gauge",
+            "Bytes the frame logs hold for resend");
+  os << "domino_dist_resend_bytes " << stats.resend_bytes << '\n';
   help_line(os, "domino_dist_egress_frames_total", "counter",
             "Settled egress frames drained in global order");
   os << "domino_dist_egress_frames_total " << stats.egress_frames << '\n';

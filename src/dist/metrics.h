@@ -1,7 +1,8 @@
 // Prometheus rendering for the distributed fleet front tier: per-worker
-// health (the state machine as an enum gauge) and the fault-tolerance
+// health (the state machine as an enum gauge), the fault-tolerance
 // counters — retries, timeouts, reconnects, migrations, checkpoints,
-// duplicate suppression, replays.  Same exposition conventions as
+// duplicate suppression, replays — the ingest RPC count, and the resend
+// buffer's frames and bytes.  Same exposition conventions as
 // banzai/metrics.h; register via MetricsEndpoint::add_source:
 //
 //   endpoint.add_source([&](std::ostream& os) {

@@ -402,18 +402,18 @@ void WorkerServer::handle_snapshot(Conn& conn, const Message& req) {
   // Checkpoint barrier: settle everything accepted so far, so the snapshot
   // plus the returned egress together account for every applied frame —
   // applied_seq_[slot] is exact for the state in the blob.  Each slot's blob
-  // is serialized straight from its live store (the service is stopped)
-  // into the reply payload: no ServiceSnapshot, no per-slot blob copies.
+  // is serialized straight from its live store into the reply payload: no
+  // ServiceSnapshot, no per-slot blob copies.  The shard workers keep
+  // running: after flush() none touches slot state until this thread, the
+  // only ingest thread, offers its next frame (FleetService::flush).
   svc_->flush();
   harvest_egress();
-  svc_->stop();
   std::vector<SlotStateRef> slots;
   slots.reserve(ids.size());
   for (std::uint32_t s : ids)
     slots.push_back({s, applied_seq_[s], &svc_->slot_machine(s).state()});
   std::vector<EgressRecord> egress = take_egress();
   const std::vector<std::uint8_t> payload = encode_snapshot_resp(slots, egress);
-  svc_->start();
   hold(std::move(egress));
   reply(conn, MsgType::kSnapshotResp, payload);
 }
@@ -422,7 +422,7 @@ void WorkerServer::handle_restore(Conn& conn, const Message& req) {
   const RestoreReq restore =
       decode_restore_req(req.payload.data(), req.payload.size());
   std::lock_guard<std::mutex> lock(mu_);
-  // Validate the WHOLE payload before the service is paused or ANY slot is
+  // Validate the WHOLE payload before the service is flushed or ANY slot is
   // touched: decode every blob and shape-check it against the prototype's
   // initial state, which every slot shares because each is a clone of the
   // prototype.  A corrupt migration payload must reject cleanly with the
@@ -460,15 +460,15 @@ void WorkerServer::handle_restore(Conn& conn, const Message& req) {
     reply_error(conn, reject);
     return;
   }
+  // The same quiescence as a snapshot: once flushed, no shard worker
+  // touches slot state until the next ingest publishes a row.
   svc_->flush();
-  svc_->stop();
   for (std::size_t i = 0; i < restore.slots.size(); ++i) {
     const SlotState& s = restore.slots[i];
     svc_->slot_machine(s.slot).restore_state(stores[i]);
     applied_seq_[s.slot] = s.applied_seq;
     ++stats_.restores;
   }
-  svc_->start();
   reply(conn, MsgType::kRestoreAck, {});
 }
 

@@ -20,7 +20,7 @@
 //     after a later frame in the slot moved the watermark past it.
 //   * Corrupt migration payloads reject cleanly: a RestoreReq is fully
 //     validated (framing decode, state-shape check against the
-//     prototype's initial state, slot bounds) BEFORE the service is paused
+//     prototype's initial state, slot bounds) BEFORE the service is flushed
 //     or any slot is touched; on any failure the worker answers kError and
 //     keeps serving with its state untouched.  An EMPTY
 //     state blob is the one exception to "blob must decode": it is the

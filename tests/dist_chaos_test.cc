@@ -393,6 +393,17 @@ TEST(DistChaosTest, FaultCountersReachTheMetricsPage) {
   EXPECT_GT(sample_value(page, "domino_dist_retries_total"), 0u);
   EXPECT_GT(sample_value(page, "domino_dist_frames_offered_total"), 0u);
   EXPECT_GT(sample_value(page, "domino_dist_dup_acks_total"), 0u);
+  // Frames per RPC and the resend buffer's footprint, from the same
+  // snapshot the page was rendered from (the front is idle here).
+  const dist::FrontStats st = c.front->stats();
+  EXPECT_GT(st.ingest_batches, 0u);
+  EXPECT_EQ(sample_value(page, "domino_dist_ingest_batches_total"),
+            st.ingest_batches);
+  EXPECT_GT(st.resend_frames, 0u);
+  EXPECT_EQ(sample_value(page, "domino_dist_resend_frames"),
+            st.resend_frames);
+  EXPECT_GE(st.resend_bytes, st.resend_frames * c.rx->header_bytes());
+  EXPECT_EQ(sample_value(page, "domino_dist_resend_bytes"), st.resend_bytes);
   // Per-worker families: the health gauge for every worker, and at least one
   // worker with a nonzero timeout counter.
   EXPECT_NE(page.find("domino_dist_worker_health{worker=\"0\"}"),

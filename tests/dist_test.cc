@@ -7,9 +7,9 @@
 // reconnect storm) live in dist_chaos_test.cc.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <future>
 #include <map>
 #include <memory>
@@ -126,19 +126,23 @@ TEST(DistFramingTest, TruncatedAndTrailingBytesThrow) {
             99u);
 }
 
-// The worker reads batches in place and the front encodes them straight
-// from its outbox: both must agree byte for byte with the struct codec.
+// The worker reads batches in place and the front encodes them from views
+// into its frame logs: both must agree byte for byte with the struct codec.
 TEST(DistFramingTest, InPlaceBatchCodecsMatchTheStructCodec) {
-  std::deque<dist::FrameRecord> outbox;
+  std::vector<dist::FrameRecord> records;
   for (std::uint64_t i = 1; i <= 5; ++i) {
     const auto fill = static_cast<std::uint8_t>(i);
-    outbox.push_back({i, static_cast<std::uint32_t>(i % 3),
-                      std::vector<std::uint8_t>(i, fill)});
+    records.push_back({i, static_cast<std::uint32_t>(i % 3),
+                       std::vector<std::uint8_t>(i, fill)});
   }
   dist::IngestBatch b;
-  b.frames.assign(outbox.begin() + 1, outbox.begin() + 4);
+  b.frames.assign(records.begin() + 1, records.begin() + 4);
   const auto from_struct = dist::encode_ingest_batch(b);
-  EXPECT_EQ(dist::encode_ingest_batch(outbox, 1, 3), from_struct);
+  std::vector<dist::FrameView> views;
+  for (std::size_t i = 1; i < 4; ++i)
+    views.push_back({records[i].seq, records[i].slot, records[i].bytes.data(),
+                     records[i].bytes.size()});
+  EXPECT_EQ(dist::encode_ingest_batch(views), from_struct);
   EXPECT_EQ(from_struct.size(),
             dist::kIngestHeadBytes + dist::ingest_record_bytes(2) +
                 dist::ingest_record_bytes(3) + dist::ingest_record_bytes(4));
@@ -272,6 +276,96 @@ TEST(DistFramingTest, StateStoreDecoderRejectsSemanticGarbage) {
   }
 }
 
+// ---- frame log -------------------------------------------------------------
+
+std::vector<std::uint8_t> log_view_bytes(const dist::FrameLog& log,
+                                         std::uint64_t ordinal) {
+  dist::FrameView v;
+  if (!log.get(ordinal, v)) return {};
+  return {v.data, v.data + v.len};
+}
+
+TEST(DistFrameLogTest, AppendsAndViewsFramesByOrdinal) {
+  dist::FrameLog log;
+  EXPECT_EQ(log.append(10, std::vector<std::uint8_t>{1, 2, 3}.data(), 3), 0u);
+  EXPECT_EQ(log.append(12, nullptr, 0), 1u);  // an empty frame is a frame
+  EXPECT_EQ(log.append(15, std::vector<std::uint8_t>{4, 5}.data(), 2), 2u);
+  EXPECT_EQ(log.first(), 0u);
+  EXPECT_EQ(log.end(), 3u);
+  EXPECT_EQ(log.size(), 3u);
+  EXPECT_EQ(log.bytes(), 5u);
+  dist::FrameView v;
+  ASSERT_TRUE(log.get(1, v));
+  EXPECT_EQ(v.seq, 12u);
+  EXPECT_EQ(v.len, 0u);
+  ASSERT_TRUE(log.get(2, v));
+  EXPECT_EQ(v.seq, 15u);
+  EXPECT_EQ(log_view_bytes(log, 0), (std::vector<std::uint8_t>{1, 2, 3}));
+  EXPECT_EQ(log_view_bytes(log, 2), (std::vector<std::uint8_t>{4, 5}));
+  EXPECT_FALSE(log.get(3, v));  // not appended yet
+}
+
+TEST(DistFrameLogTest, TrimDropsAppliedEntriesAndKeepsOrdinals) {
+  dist::FrameLog log;
+  for (std::uint64_t seq = 1; seq <= 10; ++seq) {
+    const std::vector<std::uint8_t> frame(4, static_cast<std::uint8_t>(seq));
+    log.append(seq * 2, frame.data(), frame.size());  // seqs 2, 4, ..., 20
+  }
+  EXPECT_EQ(log.trim(1), 0u);  // below every entry
+  EXPECT_EQ(log.trim(5), 2u);  // seqs 2 and 4; 5 was never logged here
+  EXPECT_EQ(log.first(), 2u);
+  EXPECT_EQ(log.size(), 8u);
+  EXPECT_EQ(log.bytes(), 40u);  // a quarter dead: not compacted
+  // A ref to a trimmed entry is reported gone; the others still view their
+  // own bytes.
+  dist::FrameView v;
+  EXPECT_FALSE(log.get(0, v));
+  EXPECT_FALSE(log.get(1, v));
+  for (std::uint64_t o = 2; o < 10; ++o)
+    EXPECT_EQ(log_view_bytes(log, o),
+              std::vector<std::uint8_t>(4, static_cast<std::uint8_t>(o + 1)));
+  EXPECT_EQ(log.trim(5), 0u);  // trimming is idempotent
+}
+
+TEST(DistFrameLogTest, CompactsOncePastHalfDeadAndViewsStayExact) {
+  dist::FrameLog log;
+  for (std::uint64_t seq = 1; seq <= 10; ++seq) {
+    const std::vector<std::uint8_t> frame(static_cast<std::size_t>(11 - seq),
+                                          static_cast<std::uint8_t>(seq));
+    log.append(seq, frame.data(), frame.size());  // 10 + 9 + ... + 1 bytes
+  }
+  EXPECT_EQ(log.trim(3), 3u);  // 27 of 55 bytes dead: under half, kept
+  EXPECT_EQ(log.bytes(), 55u);
+  EXPECT_EQ(log.trim(4), 1u);  // 34 of 55 dead: compacted to the live tail
+  EXPECT_EQ(log.bytes(), 21u);
+  EXPECT_EQ(log.first(), 4u);
+  EXPECT_EQ(log.end(), 10u);
+  dist::FrameView v;
+  EXPECT_FALSE(log.get(3, v));
+  for (std::uint64_t o = 4; o < 10; ++o) {
+    ASSERT_TRUE(log.get(o, v));
+    EXPECT_EQ(v.seq, o + 1);
+    EXPECT_EQ(log_view_bytes(log, o),
+              std::vector<std::uint8_t>(static_cast<std::size_t>(10 - o),
+                                        static_cast<std::uint8_t>(o + 1)));
+  }
+  // Appends after a compaction land behind the live tail with the next
+  // ordinal; trimming everything empties the buffer.
+  const std::vector<std::uint8_t> last = {0xEE};
+  EXPECT_EQ(log.append(11, last.data(), last.size()), 10u);
+  EXPECT_EQ(log_view_bytes(log, 10), last);
+  EXPECT_EQ(log.trim(11), 7u);
+  EXPECT_EQ(log.size(), 0u);
+  EXPECT_EQ(log.bytes(), 0u);
+  EXPECT_EQ(log.first(), 11u);
+  // Empty frames hold no bytes; their entries are trimmed all the same.
+  for (std::uint64_t seq = 12; seq < 112; ++seq) log.append(seq, nullptr, 0);
+  EXPECT_EQ(log.trim(110), 99u);
+  ASSERT_TRUE(log.get(110, v));
+  EXPECT_EQ(v.seq, 111u);
+  EXPECT_FALSE(log.get(109, v));
+}
+
 // ---- backoff ---------------------------------------------------------------
 
 TEST(DistBackoffTest, BoundedExponentialWithDeterministicJitter) {
@@ -333,6 +427,27 @@ TEST(DistHealthTest, WalksHealthySuspectDeadRecovering) {
 
 constexpr std::size_t kSlots = 8;
 
+// The acceptance bar's reference: ONE sequential per-slot machine set fed
+// the same frames in offer order.
+std::vector<std::vector<std::uint8_t>> reference_egress(
+    const banzai::Machine& proto, const WireCodec& rx, const WireCodec& tx,
+    const std::vector<banzai::FieldId>& flow_key,
+    const std::vector<std::vector<std::uint8_t>>& frames) {
+  std::vector<banzai::Machine> slots;
+  for (std::size_t v = 0; v < kSlots; ++v) slots.push_back(proto.clone());
+  Packet scratch(proto.fields().size());
+  std::vector<std::vector<std::uint8_t>> out;
+  for (const auto& f : frames) {
+    if (!rx.parse_exact(f.data(), f.size(), scratch).ok()) continue;
+    std::uint64_t h = 0;
+    for (banzai::FieldId fk : flow_key)
+      h = netsim::mix64(h ^ static_cast<std::uint64_t>(
+                                static_cast<std::uint32_t>(scratch.get(fk))));
+    out.push_back(tx.deparse(slots[h % kSlots].process(scratch)));
+  }
+  return out;
+}
+
 struct Cluster {
   domino::CompileResult compiled;
   std::shared_ptr<const WireCodec> rx, tx;
@@ -384,25 +499,9 @@ struct Cluster {
     for (auto& w : workers) w->stop();
   }
 
-  // The acceptance bar's reference: ONE sequential per-slot machine set fed
-  // the same frames in offer order.
   std::vector<std::vector<std::uint8_t>> sequential_reference(
       const std::vector<std::vector<std::uint8_t>>& frames) {
-    std::vector<banzai::Machine> slots;
-    for (std::size_t v = 0; v < kSlots; ++v)
-      slots.push_back(compiled.machine().clone());
-    Packet scratch(compiled.machine().fields().size());
-    std::vector<std::vector<std::uint8_t>> out;
-    for (const auto& f : frames) {
-      if (!rx->parse_exact(f.data(), f.size(), scratch).ok()) continue;
-      std::uint64_t h = 0;
-      for (banzai::FieldId fk : flow_key)
-        h = netsim::mix64(h ^ static_cast<std::uint64_t>(
-                                  static_cast<std::uint32_t>(
-                                      scratch.get(fk))));
-      out.push_back(tx->deparse(slots[h % kSlots].process(scratch)));
-    }
-    return out;
+    return reference_egress(compiled.machine(), *rx, *tx, flow_key, frames);
   }
 
   std::vector<std::vector<std::uint8_t>> make_frames(std::size_t n,
@@ -994,6 +1093,10 @@ struct ScriptedWorker {
   bool close_on_restore = false;
   std::uint64_t inject_seq = 0;  // nonzero: prepend {inject_seq, junk} once
   std::atomic<bool> injected{false};
+  // Nonzero: a snapshot reports every requested slot applied up to this
+  // seq, and returns junk egress for seqs [1, snapshot_applied].
+  std::uint64_t snapshot_applied = 0;
+  std::atomic<std::uint64_t> frames_seen{0};
 
   explicit ScriptedWorker(std::uint32_t slots) : num_slots(slots) {
     listener.listen(0);
@@ -1050,6 +1153,7 @@ struct ScriptedWorker {
             dist::IngestAck ack;
             if (inject_seq != 0 && !injected.exchange(true))
               ack.egress.push_back({inject_seq, {0xEE}});
+            frames_seen += batch.frames.size();
             for (const auto& f : batch.frames) {
               ack.seqs.push_back(f.seq);
               ack.statuses.push_back(dist::FrameStatus::kAccepted);
@@ -1062,10 +1166,20 @@ struct ScriptedWorker {
             if (close_on_restore) return;  // die mid-restore
             reply(conn, MsgType::kRestoreAck, {});
             break;
-          case MsgType::kSnapshotReq:
+          case MsgType::kSnapshotReq: {
+            dist::SnapshotResp resp;
+            if (snapshot_applied != 0) {
+              const auto sreq = dist::decode_snapshot_req(req.payload.data(),
+                                                          req.payload.size());
+              for (std::uint32_t slot : sreq.slots)
+                resp.slots.push_back({slot, snapshot_applied, {}});
+              for (std::uint64_t seq = 1; seq <= snapshot_applied; ++seq)
+                resp.egress.push_back({seq, {0xAB}});
+            }
             reply(conn, MsgType::kSnapshotResp,
-                  dist::encode_snapshot_resp(dist::SnapshotResp{}));
+                  dist::encode_snapshot_resp(resp));
             break;
+          }
           case MsgType::kFlushReq:
             reply(conn, MsgType::kFlushAck,
                   dist::encode_flush_ack(dist::FlushAck{}));
@@ -1159,6 +1273,43 @@ TEST(DistFrontGuardTest, CorruptEgressSeqIsDroppedNotFatal) {
   EXPECT_EQ(front.stats().egress_corrupt, 1u);
 }
 
+// Outboxes hold refs into the frame logs, so a checkpoint that proves
+// queued frames applied trims the bytes those refs point at.  Such refs are
+// taken from the outbox unsent: the frames after them still go out, and
+// the stream settles.
+TEST(DistFrontGuardTest, RefsToTrimmedFramesAreDroppedUnsent) {
+  CodecRig rig;
+  ScriptedWorker fake(kSlots);
+  fake.echo_egress = true;
+  fake.snapshot_applied = 50;
+
+  FrontConfig fc;
+  fc.algorithm = "flowlets";
+  fc.num_slots = kSlots;
+  fc.flow_key = rig.flow_key;
+  fc.max_batch = 100;
+  FrontTier front(rig.rx, fc);
+  front.add_worker(fake.port());
+  front.connect();
+
+  const auto frames = rig.make_frames(60, 139);
+  for (const auto& f : frames) front.offer(f);  // under a batch: all queued
+  EXPECT_EQ(fake.frames_seen.load(), 0u);
+  front.checkpoint();
+  EXPECT_EQ(front.stats().resend_frames, 10u);
+  front.flush();
+
+  EXPECT_EQ(fake.frames_seen.load(), 10u);
+  const auto st = front.stats();
+  EXPECT_EQ(st.frames_sent, 10u);
+  EXPECT_EQ(st.ingest_batches, 1u);
+  EXPECT_TRUE(front.settled());
+  const auto got = front.drain_egress();
+  ASSERT_EQ(got.size(), frames.size());
+  for (std::size_t i = 50; i < got.size(); ++i)
+    ASSERT_EQ(got[i], frames[i]) << "frame " << i;
+}
+
 // A migration target dying mid-restore is a transport failure, not a fatal
 // error: restore_to must absorb the connection reset, burn the target's
 // failure budget, and let migrate() pick another survivor — the documented
@@ -1238,17 +1389,18 @@ TEST(DistFrontGuardTest, MigrationSurvivesTargetDyingMidRestore) {
   for (auto& w : workers) w->stop();
 }
 
-// ---- batch byte bound ------------------------------------------------------
+// ---- batch and resend bounds -----------------------------------------------
 
-// Two flowlets workers on the rig's codecs, and a front with the default
-// max_batch (64 frames) in front of them.
+// Flowlets workers (two unless asked) on the rig's codecs, and a front with
+// the default FrontConfig in front of them, its resend_limit aside.
 struct RigCluster {
   CodecRig rig;
   std::vector<std::unique_ptr<WorkerServer>> workers;
   std::unique_ptr<FrontTier> front;
 
-  RigCluster() {
-    for (int i = 0; i < 2; ++i) {
+  explicit RigCluster(std::size_t num_workers = 2,
+                      std::size_t resend_limit = FrontConfig{}.resend_limit) {
+    for (std::size_t i = 0; i < num_workers; ++i) {
       WorkerConfig wc;
       wc.algorithm = "flowlets";
       wc.num_slots = kSlots;
@@ -1262,6 +1414,7 @@ struct RigCluster {
     fc.algorithm = "flowlets";
     fc.num_slots = kSlots;
     fc.flow_key = rig.flow_key;
+    fc.resend_limit = resend_limit;
     front = std::make_unique<FrontTier>(rig.rx, fc);
     for (auto& w : workers) front->add_worker(w->port());
     front->connect();
@@ -1269,7 +1422,68 @@ struct RigCluster {
   ~RigCluster() {
     for (auto& w : workers) w->stop();
   }
+
+  std::uint64_t worker_requests() const {
+    std::uint64_t n = 0;
+    for (const auto& w : workers) n += w->stats().requests;
+    return n;
+  }
 };
+
+// The hold bound front.h and docs/DISTRIBUTED.md state: the front has no
+// timer, so max_batch - 1 frames offered to one worker send nothing, and the
+// next offer sends exactly one batch of max_batch.
+TEST(DistBatchBoundTest, AFullBatchAndNothingLessIsSentUnflushed) {
+  RigCluster c(1);
+  const std::size_t max_batch = FrontConfig{}.max_batch;
+  const auto frames = c.rig.make_frames(max_batch, 151);
+  const std::uint64_t requests_before = c.worker_requests();
+  for (std::size_t i = 0; i + 1 < max_batch; ++i) c.front->offer(frames[i]);
+  EXPECT_EQ(c.worker_requests(), requests_before);
+  EXPECT_EQ(c.front->stats().frames_sent, 0u);
+  EXPECT_EQ(c.front->stats().ingest_batches, 0u);
+  EXPECT_EQ(c.front->stats().resend_frames, max_batch - 1);
+
+  c.front->offer(frames.back());
+  EXPECT_EQ(c.worker_requests(), requests_before + 1);
+  const auto st = c.front->stats();
+  EXPECT_EQ(st.ingest_batches, 1u);
+  EXPECT_EQ(st.frames_sent, max_batch);
+  EXPECT_EQ(c.workers[0]->stats().frames_accepted, max_batch);
+  c.front->flush();
+  EXPECT_EQ(c.front->drain_egress().size(), max_batch);
+}
+
+// The resend buffer stays bounded in frames and in bytes while checkpoints
+// trim and compact the frame logs under traffic, and the frames sent from a
+// compacted log are still the frames offered: egress stays byte-exact.
+TEST(DistBatchBoundTest, ResendGaugesStayBoundedOverManyCheckpoints) {
+  constexpr std::size_t kLimit = 1000;
+  RigCluster c(2, kLimit);
+  const std::size_t max_batch = FrontConfig{}.max_batch;
+  const std::size_t frame_bytes = c.rig.rx->header_bytes();
+  const auto frames = c.rig.make_frames(10 * kLimit + 77, 157);
+  const auto expected = reference_egress(c.rig.compiled.machine(), *c.rig.rx,
+                                         *c.rig.tx, c.rig.flow_key, frames);
+  std::uint64_t peak_frames = 0, peak_bytes = 0;
+  std::vector<std::vector<std::uint8_t>> got;
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    c.front->offer(frames[i]);
+    const auto st = c.front->stats();
+    peak_frames = std::max(peak_frames, st.resend_frames);
+    peak_bytes = std::max(peak_bytes, st.resend_bytes);
+    if (i % 700 == 699 || i + 1 == frames.size()) {  // flushed bursts
+      c.front->flush();
+      for (auto& f : c.front->drain_egress()) got.push_back(std::move(f));
+    }
+  }
+  EXPECT_GE(c.front->stats().checkpoints, 9u);
+  EXPECT_LE(peak_frames, kLimit + max_batch);
+  EXPECT_LT(peak_bytes, 2 * kLimit * frame_bytes);
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < got.size(); ++i)
+    ASSERT_EQ(got[i], expected[i]) << "frame " << i;
+}
 
 // max_batch counts frames, not bytes: 64 frames of 1.1 MB would make one
 // ~70 MB IngestBatch, past kMaxMessageBytes, and a front that treated the
