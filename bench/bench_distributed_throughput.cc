@@ -7,8 +7,10 @@
 // Workers here are in-process WorkerServer instances behind real loopback
 // TCP, so the numbers measure the protocol cost (framing, batching, one
 // outstanding request per worker) and the scale-out win, not fork/exec
-// overhead.  Every run cross-checks the egress count so a fast-but-wrong
-// configuration cannot post a number.
+// overhead.  Every run's egress is checked byte for byte against the frames
+// the in-process baseline drained (the same slots, so the same state per
+// flow), and a mismatch exits 1: a fast-but-wrong configuration cannot post
+// a number.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -74,7 +76,9 @@ int main(int argc, char** argv) {
               num_frames, kSlots);
   std::printf("%-28s %12s %14s\n", "configuration", "seconds", "frames/sec");
 
-  // Baseline: one FleetService in-process, no RPC tier.
+  // Baseline: one FleetService in-process, no RPC tier.  Its egress is the
+  // reference every distributed run must reproduce.
+  std::vector<std::vector<std::uint8_t>> reference;
   {
     banzai::ServiceConfig cfg;
     cfg.num_shards = 2;
@@ -88,12 +92,12 @@ int main(int argc, char** argv) {
     const auto t0 = std::chrono::steady_clock::now();
     for (const auto& f : frames) svc.ingest_frame(f.data(), f.size());
     svc.flush();
-    const std::size_t egress = svc.drain_egress_frames().size();
+    reference = svc.drain_egress_frames();
     const double dt = seconds_since(t0);
     svc.stop();
-    if (egress != num_frames) {
-      std::fprintf(stderr, "baseline egress mismatch: %zu != %zu\n", egress,
-                   num_frames);
+    if (reference.size() != num_frames) {
+      std::fprintf(stderr, "baseline egress mismatch: %zu != %zu\n",
+                   reference.size(), num_frames);
       return 1;
     }
     std::printf("%-28s %12.3f %14.0f\n", "in-process (no RPC)", dt,
@@ -126,13 +130,22 @@ int main(int argc, char** argv) {
     const auto t0 = std::chrono::steady_clock::now();
     for (const auto& f : frames) front.offer(f);
     front.flush();
-    const std::size_t egress = front.drain_egress().size();
+    const auto egress = front.drain_egress();
     const double dt = seconds_since(t0);
     for (auto& w : workers) w->stop();
-    if (egress != num_frames) {
+    if (egress.size() != num_frames) {
       std::fprintf(stderr, "%zu-worker egress mismatch: %zu != %zu\n",
-                   n_workers, egress, num_frames);
+                   n_workers, egress.size(), num_frames);
       return 1;
+    }
+    for (std::size_t i = 0; i < num_frames; ++i) {
+      if (egress[i] != reference[i]) {
+        std::fprintf(stderr,
+                     "%zu-worker egress frame %zu differs from the "
+                     "in-process baseline\n",
+                     n_workers, i);
+        return 1;
+      }
     }
     char label[64];
     std::snprintf(label, sizeof(label), "%zu worker%s over TCP", n_workers,

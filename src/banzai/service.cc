@@ -215,17 +215,40 @@ FleetService::FrameIngest FleetService::ingest_frame(const std::uint8_t* data,
   return out;
 }
 
-std::vector<std::vector<std::uint8_t>> FleetService::drain_egress_frames() {
+template <typename Reserve, typename Emit>
+std::size_t FleetService::drain_frames(Reserve reserve, Emit emit) {
   if (wire_tx_ == nullptr)
     throw std::logic_error(
         "FleetService::drain_egress_frames: no wire codec (call set_wire "
         "first)");
-  std::vector<std::vector<std::uint8_t>> frames;
   const wire::WireCodec& tx = *wire_tx_;
-  egress_.drain(frames, [&tx](const Packet& row) { return tx.deparse(row); });
-  wire_bytes_out_.fetch_add(frames.size() * tx.header_bytes(),
+  std::size_t frames = 0;
+  egress_.drain(reserve, [&](const Packet& row) {
+    emit(tx, row);
+    ++frames;
+  });
+  wire_bytes_out_.fetch_add(frames * tx.header_bytes(),
                             std::memory_order_relaxed);
   return frames;
+}
+
+std::vector<std::vector<std::uint8_t>> FleetService::drain_egress_frames() {
+  std::vector<std::vector<std::uint8_t>> frames;
+  drain_frames([&frames](std::size_t n) { frames.reserve(n); },
+               [&frames](const wire::WireCodec& tx, const Packet& row) {
+                 frames.push_back(tx.deparse(row));
+               });
+  return frames;
+}
+
+std::size_t FleetService::drain_egress_frames(std::vector<std::uint8_t>& out) {
+  return drain_frames(
+      [](std::size_t) {},  // resize's geometric growth serves a reused buffer
+      [&out](const wire::WireCodec& tx, const Packet& row) {
+        const std::size_t at = out.size();
+        out.resize(at + tx.header_bytes());
+        tx.deparse_into(row, out.data() + at);
+      });
 }
 
 void FleetService::worker_loop(std::size_t shard_index) {

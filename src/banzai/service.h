@@ -36,9 +36,10 @@
 // egress window's cells; drain_egress_frames() deparses settled rows and
 // keeps them for the ingest side to take back as spares.  Each hand-off
 // moves a row's storage, never its values, so in steady state the byte
-// path allocates only the byte vector each egress frame is returned in,
-// and it holds no more rows than were ever in flight or settled and
-// undrained at once.  ingest() enforces the width on the caller's thread.
+// path allocates only the byte vector each egress frame is returned in
+// (nothing, for a caller that drains into one reused buffer), and it holds
+// no more rows than were ever in flight or settled and undrained at once.
+// ingest() enforces the width on the caller's thread.
 //
 // Lifecycle: start() spawns one worker per shard; stop() drains every ring
 // and joins (all accepted packets are delivered before stop returns);
@@ -165,19 +166,20 @@ class OrderedEgress {
     advance();
   }
 
-  // Appends take(row) to `out` for every delivered row whose order is
-  // settled (every earlier sequence number is delivered or dropped) and not
-  // yet drained, in arrival order, and frees their cells.  `take` runs
-  // under the sink's lock and may move the row out; a row it leaves in
-  // place goes to the free list.
-  template <typename Out, typename Take>
-  void drain(std::vector<Out>& out, Take take) {
+  // Calls take(row) for every delivered row whose order is settled (every
+  // earlier sequence number is delivered or dropped) and not yet drained,
+  // in arrival order, and frees their cells.  First, reserve(n) learns how
+  // many settled cells there are (delivered or dropped): a bound on the
+  // takes.  Both run under the sink's lock; `take` may move the row out,
+  // and a row it leaves in place goes to the free list.
+  template <typename Reserve, typename Take>
+  void drain(Reserve reserve, Take take) {
     std::lock_guard<std::mutex> lock(mu_);
-    out.reserve(out.size() + static_cast<std::size_t>(next_ - drained_));
+    reserve(static_cast<std::size_t>(next_ - drained_));
     for (; drained_ < next_; ++drained_) {
       Cell& c = cells_[drained_ & (cells_.size() - 1)];
       if (c.state == Cell::kDelivered) {
-        out.push_back(take(c.row));
+        take(c.row);
         if (c.row.num_fields() > 0) free_.push_back(std::move(c.row));
       }
       c.state = Cell::kPending;
@@ -330,11 +332,17 @@ class FleetService {
   // set_wire.
   std::vector<std::vector<std::uint8_t>> drain_egress_frames();
 
+  // The same frames, deparsed back to back onto the end of `out`, each
+  // exactly the egress codec's header_bytes(); returns how many.  A caller
+  // that reuses `out` drains with no allocation per frame.
+  std::size_t drain_egress_frames(std::vector<std::uint8_t>& out);
+
   // Order-settled egress so far, in arrival order (see OrderedEgress).  The
   // rows move out to the caller.
   std::vector<Packet> drain_egress() {
     std::vector<Packet> out;
-    egress_.drain(out, [](Packet& row) { return std::move(row); });
+    egress_.drain([&out](std::size_t n) { out.reserve(n); },
+                  [&out](Packet& row) { out.push_back(std::move(row)); });
     return out;
   }
 
@@ -402,6 +410,12 @@ class FleetService {
     std::mutex lat_mu;
     LatencyHistogram lat_hist;
   };
+
+  // The drain loop both drain_egress_frames forms share: emit(tx, row)
+  // deparses each settled row into the caller's output, after reserve(n)
+  // (see OrderedEgress::drain).  Counts the bytes and returns the frames.
+  template <typename Reserve, typename Emit>
+  std::size_t drain_frames(Reserve reserve, Emit emit);
 
   // Assigns `row` a sequence number and moves it into a slot of its shard's
   // ring (waiting for one under kBlock, shedding under kDropTail); a shed

@@ -26,10 +26,37 @@ const char* to_string(MsgType t) {
   return "unknown";
 }
 
+Writer::Writer(std::vector<std::uint8_t>& out)
+    : out_(out),
+      sized_(false),
+      p_(out.data() + out.size()),
+      end_(p_) {}
+
+Writer::Writer(std::vector<std::uint8_t>& out, std::size_t size)
+    : out_(out), sized_(true) {
+  // A reused buffer grows at least twofold, so payloads that creep up in
+  // size do not each reallocate it.
+  if (size > out.capacity()) {
+    out.clear();
+    out.reserve(std::max(size, 2 * out.capacity()));
+  }
+  out.resize(size);
+  p_ = out.data();
+  end_ = p_ + size;
+}
+
+void Writer::grow(std::size_t n) {
+  if (sized_)
+    throw std::logic_error("Writer: field past the payload's computed size");
+  const std::size_t at = out_.size();
+  out_.resize(at + n);
+  p_ = out_.data() + at;
+  end_ = p_ + n;
+}
+
 void Writer::u32s(const std::int32_t* p, std::size_t n) {
 #if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-  const auto* b = reinterpret_cast<const std::uint8_t*>(p);
-  out_.insert(out_.end(), b, b + 4 * n);
+  bytes(reinterpret_cast<const std::uint8_t*>(p), 4 * n);
 #else
   for (std::size_t i = 0; i < n; ++i) u32(static_cast<std::uint32_t>(p[i]));
 #endif
@@ -111,10 +138,16 @@ void Reader::expect_end() const {
 
 namespace {
 
+// The egress list every reply ends with, from either form: u32 count, then
+// per record u64 seq and a u32-length-prefixed frame.
 std::size_t egress_bytes(const std::vector<EgressRecord>& egress) {
   std::size_t n = 4;
   for (const EgressRecord& e : egress) n += 8 + 4 + e.bytes.size();
   return n;
+}
+
+std::size_t egress_bytes(const EgressColumns& egress) {
+  return 4 + egress.size() * (8 + 4) + egress.frames.size();
 }
 
 std::size_t slot_states_bytes(const std::vector<SlotState>& slots) {
@@ -163,17 +196,30 @@ void write_egress(Writer& w, const std::vector<EgressRecord>& egress) {
   }
 }
 
-std::vector<EgressRecord> read_egress(Reader& r) {
+void write_egress(Writer& w, const EgressColumns& egress) {
+  w.u32(static_cast<std::uint32_t>(egress.size()));
+  for (std::size_t i = 0; i < egress.size(); ++i) {
+    w.u64(egress.seqs[i]);
+    w.blob(egress.frames.data() + i * egress.frame_len, egress.frame_len);
+  }
+}
+
+// Appends the records to `out` (a reused vector keeps its capacity).
+void read_egress(Reader& r, std::vector<EgressRecord>& out) {
   const std::uint32_t n = r.u32();
   if (n > kMaxMessageBytes / 8) throw FramingError("egress count exceeds bound");
-  std::vector<EgressRecord> out;
-  out.reserve(n);
+  out.reserve(out.size() + n);
   for (std::uint32_t i = 0; i < n; ++i) {
     EgressRecord e;
     e.seq = r.u64();
     e.bytes = r.blob();
     out.push_back(std::move(e));
   }
+}
+
+std::vector<EgressRecord> read_egress(Reader& r) {
+  std::vector<EgressRecord> out;
+  read_egress(r, out);
   return out;
 }
 
@@ -205,7 +251,7 @@ std::vector<SlotState> read_slot_states(Reader& r) {
 
 std::vector<std::uint8_t> encode_hello(const Hello& m) {
   std::vector<std::uint8_t> out;
-  Writer w(out);
+  Writer w(out, 4 + 2 + m.algorithm.size() + 4 + 4);
   w.u32(m.version);
   w.str(m.algorithm);
   w.u32(m.num_slots);
@@ -226,7 +272,7 @@ Hello decode_hello(const std::uint8_t* p, std::size_t n) {
 
 std::vector<std::uint8_t> encode_hello_ack(const HelloAck& m) {
   std::vector<std::uint8_t> out;
-  Writer w(out);
+  Writer w(out, 4 + 1 + 8);
   w.u32(m.num_slots);
   w.u8(m.engine);
   w.u64(m.incarnation);
@@ -243,19 +289,23 @@ HelloAck decode_hello_ack(const std::uint8_t* p, std::size_t n) {
   return m;
 }
 
-std::vector<std::uint8_t> encode_ingest_batch(
-    const std::vector<FrameView>& frames) {
+void encode_ingest_batch(const std::vector<FrameView>& frames,
+                         std::vector<std::uint8_t>& out) {
   std::size_t size = kIngestHeadBytes;
   for (const FrameView& f : frames) size += ingest_record_bytes(f.len);
-  std::vector<std::uint8_t> out;
-  Writer w(out);
-  w.reserve(size);
+  Writer w(out, size);
   w.u32(static_cast<std::uint32_t>(frames.size()));
   for (const FrameView& f : frames) {
     w.u64(f.seq);
     w.u32(f.slot);
     w.blob(f.data, f.len);
   }
+}
+
+std::vector<std::uint8_t> encode_ingest_batch(
+    const std::vector<FrameView>& frames) {
+  std::vector<std::uint8_t> out;
+  encode_ingest_batch(frames, out);
   return out;
 }
 
@@ -298,24 +348,43 @@ IngestBatch decode_ingest_batch(const std::uint8_t* p, std::size_t n) {
   return m;
 }
 
-std::vector<std::uint8_t> encode_ingest_ack(const IngestAck& m) {
-  if (m.seqs.size() != m.statuses.size())
+namespace {
+
+template <typename Egress>
+void write_ingest_ack(const std::vector<std::uint64_t>& seqs,
+                      const std::vector<FrameStatus>& statuses,
+                      const Egress& egress, std::vector<std::uint8_t>& out) {
+  if (seqs.size() != statuses.size())
     throw FramingError("ingest ack: seqs/statuses size mismatch");
-  std::vector<std::uint8_t> out;
-  Writer w(out);
-  w.reserve(4 + 9 * m.seqs.size() + egress_bytes(m.egress));
-  w.u32(static_cast<std::uint32_t>(m.seqs.size()));
-  for (std::size_t i = 0; i < m.seqs.size(); ++i) {
-    w.u64(m.seqs[i]);
-    w.u8(static_cast<std::uint8_t>(m.statuses[i]));
+  Writer w(out, 4 + 9 * seqs.size() + egress_bytes(egress));
+  w.u32(static_cast<std::uint32_t>(seqs.size()));
+  for (std::size_t i = 0; i < seqs.size(); ++i) {
+    w.u64(seqs[i]);
+    w.u8(static_cast<std::uint8_t>(statuses[i]));
   }
-  write_egress(w, m.egress);
+  write_egress(w, egress);
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> encode_ingest_ack(const IngestAck& m) {
+  std::vector<std::uint8_t> out;
+  write_ingest_ack(m.seqs, m.statuses, m.egress, out);
   return out;
 }
 
-IngestAck decode_ingest_ack(const std::uint8_t* p, std::size_t n) {
+void encode_ingest_ack(const std::vector<std::uint64_t>& seqs,
+                       const std::vector<FrameStatus>& statuses,
+                       const EgressColumns& egress,
+                       std::vector<std::uint8_t>& out) {
+  write_ingest_ack(seqs, statuses, egress, out);
+}
+
+void decode_ingest_ack(const std::uint8_t* p, std::size_t n, IngestAck& m) {
   Reader r(p, n);
-  IngestAck m;
+  m.seqs.clear();
+  m.statuses.clear();
+  m.egress.clear();
   const std::uint32_t count = r.u32();
   if (count > kMaxMessageBytes / 8)
     throw FramingError("ack count exceeds bound");
@@ -328,14 +397,19 @@ IngestAck decode_ingest_ack(const std::uint8_t* p, std::size_t n) {
       throw FramingError("unknown frame status");
     m.statuses.push_back(static_cast<FrameStatus>(s));
   }
-  m.egress = read_egress(r);
+  read_egress(r, m.egress);
   r.expect_end();
+}
+
+IngestAck decode_ingest_ack(const std::uint8_t* p, std::size_t n) {
+  IngestAck m;
+  decode_ingest_ack(p, n, m);
   return m;
 }
 
 std::vector<std::uint8_t> encode_heartbeat(const Heartbeat& m) {
   std::vector<std::uint8_t> out;
-  Writer w(out);
+  Writer w(out, 8);
   w.u64(m.nonce);
   return out;
 }
@@ -348,14 +422,30 @@ Heartbeat decode_heartbeat(const std::uint8_t* p, std::size_t n) {
   return m;
 }
 
+namespace {
+
+template <typename Egress>
+void write_heartbeat_ack(std::uint64_t nonce, std::uint64_t delivered,
+                         const Egress& egress,
+                         std::vector<std::uint8_t>& out) {
+  Writer w(out, 16 + egress_bytes(egress));
+  w.u64(nonce);
+  w.u64(delivered);
+  write_egress(w, egress);
+}
+
+}  // namespace
+
 std::vector<std::uint8_t> encode_heartbeat_ack(const HeartbeatAck& m) {
   std::vector<std::uint8_t> out;
-  Writer w(out);
-  w.reserve(16 + egress_bytes(m.egress));
-  w.u64(m.nonce);
-  w.u64(m.delivered);
-  write_egress(w, m.egress);
+  write_heartbeat_ack(m.nonce, m.delivered, m.egress, out);
   return out;
+}
+
+void encode_heartbeat_ack(std::uint64_t nonce, std::uint64_t delivered,
+                          const EgressColumns& egress,
+                          std::vector<std::uint8_t>& out) {
+  write_heartbeat_ack(nonce, delivered, egress, out);
 }
 
 HeartbeatAck decode_heartbeat_ack(const std::uint8_t* p, std::size_t n) {
@@ -370,7 +460,7 @@ HeartbeatAck decode_heartbeat_ack(const std::uint8_t* p, std::size_t n) {
 
 std::vector<std::uint8_t> encode_snapshot_req(const SnapshotReq& m) {
   std::vector<std::uint8_t> out;
-  Writer w(out);
+  Writer w(out, 4 + 4 * m.slots.size());
   w.u32(static_cast<std::uint32_t>(m.slots.size()));
   for (std::uint32_t s : m.slots) w.u32(s);
   return out;
@@ -390,16 +480,18 @@ SnapshotReq decode_snapshot_req(const std::uint8_t* p, std::size_t n) {
 
 std::vector<std::uint8_t> encode_snapshot_resp(const SnapshotResp& m) {
   std::vector<std::uint8_t> out;
-  Writer w(out);
-  w.reserve(slot_states_bytes(m.slots) + egress_bytes(m.egress));
+  Writer w(out, slot_states_bytes(m.slots) + egress_bytes(m.egress));
   write_slot_states(w, m.slots);
   write_egress(w, m.egress);
   return out;
 }
 
-std::vector<std::uint8_t> encode_snapshot_resp(
-    const std::vector<SlotStateRef>& slots,
-    const std::vector<EgressRecord>& egress) {
+namespace {
+
+template <typename Egress>
+void write_snapshot_resp(const std::vector<SlotStateRef>& slots,
+                         const Egress& egress,
+                         std::vector<std::uint8_t>& out) {
   std::vector<SortedVars> vars;
   vars.reserve(slots.size());
   std::size_t size = 4 + egress_bytes(egress);
@@ -407,9 +499,7 @@ std::vector<std::uint8_t> encode_snapshot_resp(
     vars.push_back(sorted_vars(*s.state));
     size += 4 + 8 + 4 + state_bytes(vars.back());
   }
-  std::vector<std::uint8_t> out;
-  Writer w(out);
-  w.reserve(size);
+  Writer w(out, size);
   w.u32(static_cast<std::uint32_t>(slots.size()));
   for (std::size_t i = 0; i < slots.size(); ++i) {
     w.u32(slots[i].slot);
@@ -418,22 +508,56 @@ std::vector<std::uint8_t> encode_snapshot_resp(
     write_state(w, vars[i]);
   }
   write_egress(w, egress);
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> encode_snapshot_resp(
+    const std::vector<SlotStateRef>& slots,
+    const std::vector<EgressRecord>& egress) {
+  std::vector<std::uint8_t> out;
+  write_snapshot_resp(slots, egress, out);
   return out;
 }
 
-SnapshotResp decode_snapshot_resp(const std::uint8_t* p, std::size_t n) {
+void encode_snapshot_resp(const std::vector<SlotStateRef>& slots,
+                          const EgressColumns& egress,
+                          std::vector<std::uint8_t>& out) {
+  write_snapshot_resp(slots, egress, out);
+}
+
+SnapshotRespView view_snapshot_resp(const std::uint8_t* p, std::size_t n) {
   Reader r(p, n);
-  SnapshotResp m;
-  m.slots = read_slot_states(r);
-  m.egress = read_egress(r);
+  SnapshotRespView m;
+  const std::uint32_t count = r.u32();
+  if (count > kMaxMessageBytes / 8)
+    throw FramingError("slot count exceeds bound");
+  m.slots.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    SlotStateView s;
+    s.slot = r.u32();
+    s.applied_seq = r.u64();
+    s.state = r.blob_view(s.len);
+    m.slots.push_back(s);
+  }
+  read_egress(r, m.egress);
   r.expect_end();
+  return m;
+}
+
+SnapshotResp decode_snapshot_resp(const std::uint8_t* p, std::size_t n) {
+  SnapshotRespView view = view_snapshot_resp(p, n);
+  SnapshotResp m;
+  m.slots.reserve(view.slots.size());
+  for (const SlotStateView& s : view.slots)
+    m.slots.push_back({s.slot, s.applied_seq, {s.state, s.state + s.len}});
+  m.egress = std::move(view.egress);
   return m;
 }
 
 std::vector<std::uint8_t> encode_restore_req(const RestoreReq& m) {
   std::vector<std::uint8_t> out;
-  Writer w(out);
-  w.reserve(slot_states_bytes(m.slots));
+  Writer w(out, slot_states_bytes(m.slots));
   write_slot_states(w, m.slots);
   return out;
 }
@@ -448,7 +572,7 @@ RestoreReq decode_restore_req(const std::uint8_t* p, std::size_t n) {
 
 std::vector<std::uint8_t> encode_swap_engine(const SwapEngine& m) {
   std::vector<std::uint8_t> out;
-  Writer w(out);
+  Writer w(out, 1);
   w.u8(m.engine);
   return out;
 }
@@ -463,7 +587,7 @@ SwapEngine decode_swap_engine(const std::uint8_t* p, std::size_t n) {
 
 std::vector<std::uint8_t> encode_swap_ack(const SwapAck& m) {
   std::vector<std::uint8_t> out;
-  Writer w(out);
+  Writer w(out, 1);
   w.u8(m.active_engine);
   return out;
 }
@@ -478,10 +602,15 @@ SwapAck decode_swap_ack(const std::uint8_t* p, std::size_t n) {
 
 std::vector<std::uint8_t> encode_flush_ack(const FlushAck& m) {
   std::vector<std::uint8_t> out;
-  Writer w(out);
-  w.reserve(egress_bytes(m.egress));
+  Writer w(out, egress_bytes(m.egress));
   write_egress(w, m.egress);
   return out;
+}
+
+void encode_flush_ack(const EgressColumns& egress,
+                      std::vector<std::uint8_t>& out) {
+  Writer w(out, egress_bytes(egress));
+  write_egress(w, egress);
 }
 
 FlushAck decode_flush_ack(const std::uint8_t* p, std::size_t n) {
@@ -494,7 +623,7 @@ FlushAck decode_flush_ack(const std::uint8_t* p, std::size_t n) {
 
 std::vector<std::uint8_t> encode_error(const ErrorMsg& m) {
   std::vector<std::uint8_t> out;
-  Writer w(out);
+  Writer w(out, 2 + m.message.size());
   w.str(m.message);
   return out;
 }
@@ -510,8 +639,7 @@ ErrorMsg decode_error(const std::uint8_t* p, std::size_t n) {
 std::vector<std::uint8_t> serialize_state_store(const banzai::StateStore& s) {
   const SortedVars vars = sorted_vars(s);
   std::vector<std::uint8_t> out;
-  Writer w(out);
-  w.reserve(state_bytes(vars));
+  Writer w(out, state_bytes(vars));
   write_state(w, vars);
   return out;
 }

@@ -69,19 +69,23 @@ class FramingError : public std::runtime_error {
 
 // ---- little-endian primitives ----------------------------------------------
 
-// Append-only writer over a byte vector.  Encoders reserve() the payload's
-// exact size first, and every field goes in as one bulk append.
+// Little-endian writer.  The encoders size a payload once: they compute its
+// exact size, Writer(out, size) sizes `out` to it (a reused buffer keeps its
+// capacity), and every field is stored in place; a write past that size
+// throws std::logic_error, since the encoder's size formula is wrong.
+// Writer(out) instead appends to `out` field by field, growing it — for
+// payloads built by hand, such as a test's malformed one.
 class Writer {
  public:
-  explicit Writer(std::vector<std::uint8_t>& out) : out_(out) {}
+  explicit Writer(std::vector<std::uint8_t>& out);
+  Writer(std::vector<std::uint8_t>& out, std::size_t size);
 
-  void reserve(std::size_t n) { out_.reserve(out_.size() + n); }
-  void u8(std::uint8_t v) { out_.push_back(v); }
+  void u8(std::uint8_t v) { *room(1) = v; }
   void u16(std::uint16_t v) { le(v); }
   void u32(std::uint32_t v) { le(v); }
   void u64(std::uint64_t v) { le(v); }
   void bytes(const std::uint8_t* p, std::size_t n) {
-    out_.insert(out_.end(), p, p + n);
+    if (n > 0) std::memcpy(room(n), p, n);
   }
   // n values as consecutive u32 LE: one memcpy on a little-endian host.
   void u32s(const std::int32_t* p, std::size_t n);
@@ -90,15 +94,24 @@ class Writer {
   void blob(const std::vector<std::uint8_t>& b) { blob(b.data(), b.size()); }
 
  private:
+  std::uint8_t* room(std::size_t n) {
+    if (static_cast<std::size_t>(end_ - p_) < n) grow(n);
+    std::uint8_t* at = p_;
+    p_ += n;
+    return at;
+  }
+  void grow(std::size_t n);
   template <typename T>
   void le(T v) {
-    const std::size_t at = out_.size();
-    out_.resize(at + sizeof(T));
+    std::uint8_t* at = room(sizeof(T));
     for (std::size_t i = 0; i < sizeof(T); ++i)
-      out_[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+      at[i] = static_cast<std::uint8_t>(v >> (8 * i));
   }
 
   std::vector<std::uint8_t>& out_;
+  bool sized_;
+  std::uint8_t* p_;
+  std::uint8_t* end_;
 };
 
 // Bounds-checked reader; every accessor throws FramingError on underrun.
@@ -193,6 +206,22 @@ struct EgressRecord {
   std::vector<std::uint8_t> bytes;
 };
 
+// Egress as the worker holds it, in two columns: record i is seqs[i] and
+// the frame_len bytes at frames.data() + i * frame_len (every egress frame
+// is one deparsed header).  Encodes to the same bytes as the EgressRecord
+// list it stands for, and moves between buffers without a copy per frame.
+struct EgressColumns {
+  std::size_t frame_len = 0;
+  std::vector<std::uint64_t> seqs;
+  std::vector<std::uint8_t> frames;
+
+  std::size_t size() const { return seqs.size(); }
+  void clear() {
+    seqs.clear();
+    frames.clear();
+  }
+};
+
 struct IngestAck {
   std::vector<std::uint64_t> seqs;        // parallel to statuses
   std::vector<FrameStatus> statuses;
@@ -222,6 +251,20 @@ struct SlotState {
 struct SnapshotResp {
   std::vector<SlotState> slots;
   std::vector<EgressRecord> egress;  // settled by the snapshot barrier
+};
+
+// One slot of a SnapshotResp left in the payload: the blob is `len` bytes at
+// `state`, valid while the payload is.
+struct SlotStateView {
+  std::uint32_t slot = 0;
+  std::uint64_t applied_seq = 0;
+  const std::uint8_t* state = nullptr;
+  std::size_t len = 0;
+};
+
+struct SnapshotRespView {
+  std::vector<SlotStateView> slots;
+  std::vector<EgressRecord> egress;
 };
 
 // One slot of a SnapshotResp as the worker encodes it: the state blob is
@@ -255,8 +298,9 @@ struct ErrorMsg {
 // ---- encoders / decoders ---------------------------------------------------
 //
 // encode_* produce the payload only; the (length, type) envelope is written
-// by rpc::Conn::send_msg.  decode_* consume the payload and throw
-// FramingError on any malformation.
+// by rpc::Conn::send_msg.  The forms that take an `out` buffer write the
+// payload over it, reusing its capacity.  decode_* consume the payload and
+// throw FramingError on any malformation.
 
 std::vector<std::uint8_t> encode_hello(const Hello& m);
 Hello decode_hello(const std::uint8_t* p, std::size_t n);
@@ -266,6 +310,8 @@ HelloAck decode_hello_ack(const std::uint8_t* p, std::size_t n);
 // point (the front's frame logs) straight into the payload.
 std::vector<std::uint8_t> encode_ingest_batch(
     const std::vector<FrameView>& frames);
+void encode_ingest_batch(const std::vector<FrameView>& frames,
+                         std::vector<std::uint8_t>& out);
 // The same bytes for a batch of owned records.
 std::vector<std::uint8_t> encode_ingest_batch(const IngestBatch& m);
 IngestBatch decode_ingest_batch(const std::uint8_t* p, std::size_t n);
@@ -273,10 +319,20 @@ IngestBatch decode_ingest_batch(const std::uint8_t* p, std::size_t n);
 // returning views into `p`.
 IngestBatchView view_ingest_batch(const std::uint8_t* p, std::size_t n);
 std::vector<std::uint8_t> encode_ingest_ack(const IngestAck& m);
+// The worker's form: the ack's egress held as columns.
+void encode_ingest_ack(const std::vector<std::uint64_t>& seqs,
+                       const std::vector<FrameStatus>& statuses,
+                       const EgressColumns& egress,
+                       std::vector<std::uint8_t>& out);
 IngestAck decode_ingest_ack(const std::uint8_t* p, std::size_t n);
+// Decodes into `m`, reusing the capacity of its vectors.
+void decode_ingest_ack(const std::uint8_t* p, std::size_t n, IngestAck& m);
 std::vector<std::uint8_t> encode_heartbeat(const Heartbeat& m);
 Heartbeat decode_heartbeat(const std::uint8_t* p, std::size_t n);
 std::vector<std::uint8_t> encode_heartbeat_ack(const HeartbeatAck& m);
+void encode_heartbeat_ack(std::uint64_t nonce, std::uint64_t delivered,
+                          const EgressColumns& egress,
+                          std::vector<std::uint8_t>& out);
 HeartbeatAck decode_heartbeat_ack(const std::uint8_t* p, std::size_t n);
 std::vector<std::uint8_t> encode_snapshot_req(const SnapshotReq& m);
 SnapshotReq decode_snapshot_req(const std::uint8_t* p, std::size_t n);
@@ -286,7 +342,13 @@ std::vector<std::uint8_t> encode_snapshot_resp(const SnapshotResp& m);
 std::vector<std::uint8_t> encode_snapshot_resp(
     const std::vector<SlotStateRef>& slots,
     const std::vector<EgressRecord>& egress);
+void encode_snapshot_resp(const std::vector<SlotStateRef>& slots,
+                          const EgressColumns& egress,
+                          std::vector<std::uint8_t>& out);
 SnapshotResp decode_snapshot_resp(const std::uint8_t* p, std::size_t n);
+// Validates the whole reply (same checks as decode_snapshot_resp) before
+// returning views of its blobs in `p`.
+SnapshotRespView view_snapshot_resp(const std::uint8_t* p, std::size_t n);
 std::vector<std::uint8_t> encode_restore_req(const RestoreReq& m);
 RestoreReq decode_restore_req(const std::uint8_t* p, std::size_t n);
 std::vector<std::uint8_t> encode_swap_engine(const SwapEngine& m);
@@ -294,6 +356,8 @@ SwapEngine decode_swap_engine(const std::uint8_t* p, std::size_t n);
 std::vector<std::uint8_t> encode_swap_ack(const SwapAck& m);
 SwapAck decode_swap_ack(const std::uint8_t* p, std::size_t n);
 std::vector<std::uint8_t> encode_flush_ack(const FlushAck& m);
+void encode_flush_ack(const EgressColumns& egress,
+                      std::vector<std::uint8_t>& out);
 FlushAck decode_flush_ack(const std::uint8_t* p, std::size_t n);
 std::vector<std::uint8_t> encode_error(const ErrorMsg& m);
 ErrorMsg decode_error(const std::uint8_t* p, std::size_t n);

@@ -171,9 +171,7 @@ void FrontTier::offer(const std::uint8_t* data, std::size_t len) {
   const std::size_t wi = owner_[slot];
   route({ordinal, slot, static_cast<std::uint32_t>(len)});
   if (resend_total_ >= cfg_.resend_limit) checkpoint();
-  const WorkerLink& w = workers_[wi];
-  if (w.outbox.size() >= cfg_.max_batch || w.outbox_bytes >= kBatchBytes)
-    flush_worker(wi);
+  if (batch_waiting(workers_[wi])) flush_worker(wi, /*ahead=*/true);
 }
 
 bool FrontTier::ensure_connected(WorkerLink& w) {
@@ -229,7 +227,7 @@ std::uint64_t FrontTier::hello(WorkerLink& w) {
   h.algorithm = cfg_.algorithm;
   h.num_slots = static_cast<std::uint32_t>(cfg_.num_slots);
   h.header_bytes = static_cast<std::uint32_t>(rx_->header_bytes());
-  const Message resp = call(w, MsgType::kHello, encode_hello(h));
+  const Message& resp = call(w, MsgType::kHello, encode_hello(h));
   if (resp.type != MsgType::kHelloAck)
     throw RpcError("hello: worker refused the handshake");
   const HelloAck ack =
@@ -239,24 +237,80 @@ std::uint64_t FrontTier::hello(WorkerLink& w) {
   return ack.incarnation;
 }
 
-Message FrontTier::call(WorkerLink& w, MsgType type,
-                        const std::vector<std::uint8_t>& payload) {
+const Message& FrontTier::call(WorkerLink& w, MsgType type,
+                               const std::vector<std::uint8_t>& payload) {
   const TimePoint deadline = Clock::now() + cfg_.rpc_timeout;
   w.conn.send_msg(type, payload, deadline);
-  return w.conn.recv_msg(deadline);
+  w.conn.recv_msg(w.reply, deadline);
+  return w.reply;
 }
 
-IngestAck FrontTier::ingest(WorkerLink& w,
-                            const std::vector<std::uint8_t>& batch) {
-  const Message resp = call(w, MsgType::kIngestBatch, batch);
-  if (resp.type != MsgType::kIngestAck)
+void FrontTier::recv_ingest_ack(WorkerLink& w) {
+  // The wait is bounded from when the front starts to read: the worker has
+  // had the batch since the send, however long the caller took since.
+  w.conn.recv_msg(w.reply, Clock::now() + cfg_.rpc_timeout);
+  if (w.reply.type != MsgType::kIngestAck)
     throw FramingError("unexpected reply to ingest");
-  return decode_ingest_ack(resp.payload.data(), resp.payload.size());
+  decode_ingest_ack(w.reply.payload.data(), w.reply.payload.size(), ack_);
+}
+
+bool FrontTier::await_ack(WorkerLink& w) {
+  if (w.sent.refs == 0) return true;
+  const InFlight sent = w.sent;
+  try {
+    recv_ingest_ack(w);
+  } catch (const RpcTimeout&) {
+    ++stats_.retries;
+    on_rpc_failure(w, true);
+    return false;
+  } catch (const RpcError&) {
+    ++stats_.retries;
+    on_rpc_failure(w, false);
+    return false;
+  } catch (const FramingError&) {
+    ++stats_.retries;
+    on_rpc_failure(w, false);
+    return false;
+  }
+  w.sent = {};
+  w.detector.on_success(Clock::now());
+  stats_.frames_sent += sent.frames;
+  ++stats_.ingest_batches;
+  process_ack();
+  pop_refs(w, sent.refs);
+  ++batches_sent_;
+  if (cfg_.dup_every != 0 && batches_sent_ % cfg_.dup_every == 0) {
+    // Chaos knob: replay the batch just acknowledged (w.request still holds
+    // it).  The worker's seq dedup must answer kDuplicate for every frame,
+    // and the egress window must not emit anything twice.
+    try {
+      w.conn.send_msg(MsgType::kIngestBatch, w.request,
+                      Clock::now() + cfg_.rpc_timeout);
+      recv_ingest_ack(w);
+      stats_.frames_sent += sent.frames;
+      ++stats_.ingest_batches;
+      process_ack();
+      w.detector.on_success(Clock::now());
+    } catch (const RpcTimeout&) {
+      on_rpc_failure(w, true);
+    } catch (const RpcError&) {
+      on_rpc_failure(w, false);
+    } catch (const FramingError&) {
+      on_rpc_failure(w, false);
+    }
+  }
+  return true;
+}
+
+bool FrontTier::ready(WorkerLink& w) {
+  return await_ack(w) && ensure_connected(w);
 }
 
 void FrontTier::on_rpc_failure(WorkerLink& w, bool timeout) {
-  // The stream may be mid-message: only a fresh connection is safe.
+  // The stream may be mid-message: only a fresh connection is safe, and a
+  // batch in flight on the old one is re-sent from the outbox.
   w.conn.close();
+  w.sent = {};
   if (timeout)
     w.detector.on_timeout(Clock::now());
   else
@@ -278,8 +332,9 @@ void FrontTier::deliver_tombstone(std::uint64_t seq) {
   if (window_.tombstone(seq)) ++stats_.rejects;
 }
 
-void FrontTier::process_ack_frames(const std::vector<std::uint64_t>& seqs,
-                                   const std::vector<FrameStatus>& statuses) {
+void FrontTier::process_ack() {
+  const std::vector<std::uint64_t>& seqs = ack_.seqs;
+  const std::vector<FrameStatus>& statuses = ack_.statuses;
   const std::size_t n = std::min(seqs.size(), statuses.size());
   for (std::size_t i = 0; i < n; ++i) {
     switch (statuses[i]) {
@@ -296,9 +351,10 @@ void FrontTier::process_ack_frames(const std::vector<std::uint64_t>& seqs,
         break;
     }
   }
+  process_egress(ack_.egress);
 }
 
-void FrontTier::process_egress(std::vector<EgressRecord>&& egress) {
+void FrontTier::process_egress(std::vector<EgressRecord>& egress) {
   for (EgressRecord& rec : egress) {
     if (!valid_egress_seq(rec.seq)) continue;
     window_.deliver(rec.seq, std::move(rec.bytes));
@@ -329,10 +385,16 @@ void FrontTier::pop_refs(WorkerLink& w, std::size_t n) {
                  w.outbox.begin() + static_cast<std::ptrdiff_t>(n));
 }
 
-bool FrontTier::flush_worker(std::size_t wi) {
+bool FrontTier::batch_waiting(const WorkerLink& w) const {
+  return w.outbox.size() - w.sent.refs >= cfg_.max_batch ||
+         w.outbox_bytes - w.sent.bytes >= kBatchBytes;
+}
+
+bool FrontTier::flush_worker(std::size_t wi, bool ahead) {
   WorkerLink& w = workers_[wi];
   std::uint32_t attempts = 0;
   while (!w.outbox.empty()) {
+    if (ahead && !batch_waiting(w)) return true;
     if (!w.detector.alive()) {
       migrate(wi);
       return false;
@@ -342,6 +404,10 @@ bool FrontTier::flush_worker(std::size_t wi) {
       migrate(wi);
       return false;
     }
+    if (w.sent.refs != 0) {  // one request in flight: its ack comes first
+      if (await_ack(w)) attempts = 0;
+      continue;
+    }
     if (!ensure_connected(w)) continue;
     const std::size_t n = next_batch(w);
     if (batch_.empty()) {  // every ref taken was trimmed: nothing to send
@@ -349,11 +415,10 @@ bool FrontTier::flush_worker(std::size_t wi) {
       attempts = 0;
       continue;
     }
-    const std::size_t frames = batch_.size();
-    const std::vector<std::uint8_t> wire_batch = encode_ingest_batch(batch_);
-    IngestAck ack;
+    encode_ingest_batch(batch_, w.request);
     try {
-      ack = ingest(w, wire_batch);
+      w.conn.send_msg(MsgType::kIngestBatch, w.request,
+                      Clock::now() + cfg_.rpc_timeout);
     } catch (const RpcTimeout&) {
       ++stats_.retries;
       on_rpc_failure(w, true);
@@ -362,38 +427,11 @@ bool FrontTier::flush_worker(std::size_t wi) {
       ++stats_.retries;
       on_rpc_failure(w, false);
       continue;
-    } catch (const FramingError&) {
-      ++stats_.retries;
-      on_rpc_failure(w, false);
-      continue;
     }
-    w.detector.on_success(Clock::now());
-    stats_.frames_sent += frames;
-    ++stats_.ingest_batches;
-    process_ack_frames(ack.seqs, ack.statuses);
-    process_egress(std::move(ack.egress));
-    pop_refs(w, n);
-    attempts = 0;
-    ++batches_sent_;
-    if (cfg_.dup_every != 0 && batches_sent_ % cfg_.dup_every == 0) {
-      // Chaos knob: replay the batch we just had acknowledged.  The worker's
-      // seq dedup must answer kDuplicate for every frame, and the egress
-      // window must not emit anything twice.
-      try {
-        IngestAck again = ingest(w, wire_batch);
-        stats_.frames_sent += frames;
-        ++stats_.ingest_batches;
-        process_ack_frames(again.seqs, again.statuses);
-        process_egress(std::move(again.egress));
-        w.detector.on_success(Clock::now());
-      } catch (const RpcTimeout&) {
-        on_rpc_failure(w, true);
-      } catch (const RpcError&) {
-        on_rpc_failure(w, false);
-      } catch (const FramingError&) {
-        on_rpc_failure(w, false);
-      }
-    }
+    std::size_t bytes = 0;
+    for (std::size_t i = 0; i < n; ++i)
+      bytes += ingest_record_bytes(w.outbox[i].len);
+    w.sent = {n, bytes, batch_.size()};
   }
   return true;
 }
@@ -420,15 +458,15 @@ void FrontTier::flush() {
       WorkerLink& w = workers_[wi];
       if (!w.detector.alive()) continue;
       if (!owned_slots(wi).empty() || w.conn.valid()) {
-        if (!ensure_connected(w)) continue;
+        if (!ready(w)) continue;
         try {
-          const Message resp = call(w, MsgType::kFlushReq, {});
+          const Message& resp = call(w, MsgType::kFlushReq, {});
           if (resp.type != MsgType::kFlushAck)
             throw FramingError("unexpected reply to flush");
           FlushAck ack =
               decode_flush_ack(resp.payload.data(), resp.payload.size());
           w.detector.on_success(Clock::now());
-          process_egress(std::move(ack.egress));
+          process_egress(ack.egress);
         } catch (const RpcTimeout&) {
           on_rpc_failure(w, true);
         } catch (const RpcError&) {
@@ -456,21 +494,18 @@ void FrontTier::checkpoint() {
     SnapshotReq sreq;
     for (std::size_t s : slots)
       sreq.slots.push_back(static_cast<std::uint32_t>(s));
-    if (!ensure_connected(w)) continue;
+    if (!ready(w)) continue;
     try {
-      const Message resp =
+      const Message& resp =
           call(w, MsgType::kSnapshotReq, encode_snapshot_req(sreq));
       if (resp.type != MsgType::kSnapshotResp)
         throw FramingError("unexpected reply to snapshot");
-      SnapshotResp sr =
-          decode_snapshot_resp(resp.payload.data(), resp.payload.size());
+      SnapshotRespView sr =
+          view_snapshot_resp(resp.payload.data(), resp.payload.size());
       w.detector.on_success(Clock::now());
-      process_egress(std::move(sr.egress));
-      for (SlotState& ss : sr.slots) {
-        if (ss.slot >= logs_.size()) continue;
-        trim_log(ss.slot, ss.applied_seq);
-        checkpoint_[ss.slot] = std::move(ss);
-      }
+      process_egress(sr.egress);
+      for (const SlotStateView& ss : sr.slots)
+        if (ss.slot < logs_.size()) store_checkpoint(ss);
     } catch (const RpcTimeout&) {
       on_rpc_failure(w, true);
     } catch (const RpcError&) {
@@ -486,11 +521,11 @@ void FrontTier::heartbeat() {
   for (std::size_t wi = 0; wi < workers_.size(); ++wi) {
     WorkerLink& w = workers_[wi];
     if (!w.detector.alive()) continue;
-    if (!ensure_connected(w)) continue;
+    if (!ready(w)) continue;
     Heartbeat hb;
     hb.nonce = ++w.hb_nonce;
     try {
-      const Message resp =
+      const Message& resp =
           call(w, MsgType::kHeartbeat, encode_heartbeat(hb));
       if (resp.type != MsgType::kHeartbeatAck)
         throw FramingError("unexpected reply to heartbeat");
@@ -498,7 +533,7 @@ void FrontTier::heartbeat() {
           decode_heartbeat_ack(resp.payload.data(), resp.payload.size());
       if (ack.nonce != hb.nonce) throw FramingError("heartbeat nonce mismatch");
       w.detector.on_success(Clock::now());
-      process_egress(std::move(ack.egress));
+      process_egress(ack.egress);
       ++stats_.heartbeats;
     } catch (const RpcTimeout&) {
       on_rpc_failure(w, true);
@@ -532,6 +567,14 @@ void FrontTier::trim_log(std::size_t slot, std::uint64_t applied_seq) {
   resend_total_ -= logs_[slot].trim(applied_seq);
 }
 
+void FrontTier::store_checkpoint(const SlotStateView& ss) {
+  trim_log(ss.slot, ss.applied_seq);
+  SlotState& cp = checkpoint_[ss.slot];
+  cp.slot = ss.slot;
+  cp.applied_seq = ss.applied_seq;
+  cp.state.assign(ss.state, ss.state + ss.len);  // into the old blob's buffer
+}
+
 void FrontTier::replay_slot(std::size_t slot) {
   const FrameLog& log = logs_[slot];
   FrameView v;
@@ -549,10 +592,11 @@ void FrontTier::migrate(std::size_t dead) {
   if (w.detector.alive()) w.detector.mark_dead(Clock::now());
   std::deque<std::size_t> pending;
   for (std::size_t s : owned_slots(dead)) pending.push_back(s);
-  // Unsent frames in the dead worker's outbox are all in the frame logs, so
-  // the replay below routes them again.
+  // Unacked frames in the dead worker's outbox, a batch in flight included,
+  // are all in the frame logs, so the replay below routes them again.
   w.outbox.clear();
   w.outbox_bytes = 0;
+  w.sent = {};
   if (pending.empty()) return;
   ++stats_.migrations;
   std::size_t salt = 0;
@@ -596,9 +640,9 @@ bool FrontTier::restore_to(std::size_t target, const RestoreReq& req) {
   WorkerLink& w = workers_[target];
   for (std::uint32_t attempts = 0; attempts < cfg_.max_attempts; ++attempts) {
     if (!w.detector.alive()) return false;
-    if (!ensure_connected(w)) continue;
+    if (!ready(w)) continue;
     try {
-      const Message resp =
+      const Message& resp =
           call(w, MsgType::kRestoreReq, encode_restore_req(req));
       if (resp.type == MsgType::kError) {
         // A protocol-level refusal (corrupt blob, shape mismatch) is not a
@@ -655,22 +699,21 @@ void FrontTier::move_slot(std::size_t slot, std::size_t to_worker) {
     for (std::uint32_t attempts = 0;
          attempts < cfg_.max_attempts && !barrier_ok && src.detector.alive();
          ++attempts) {
-      if (!ensure_connected(src)) continue;
+      if (!ready(src)) continue;
       SnapshotReq sreq;
       sreq.slots.push_back(static_cast<std::uint32_t>(slot));
       try {
-        const Message resp =
+        const Message& resp =
             call(src, MsgType::kSnapshotReq, encode_snapshot_req(sreq));
         if (resp.type != MsgType::kSnapshotResp)
           throw FramingError("unexpected reply to snapshot");
-        SnapshotResp sr =
-            decode_snapshot_resp(resp.payload.data(), resp.payload.size());
+        SnapshotRespView sr =
+            view_snapshot_resp(resp.payload.data(), resp.payload.size());
         src.detector.on_success(Clock::now());
-        process_egress(std::move(sr.egress));
-        for (SlotState& ss : sr.slots) {
+        process_egress(sr.egress);
+        for (const SlotStateView& ss : sr.slots) {
           if (ss.slot != slot) continue;
-          trim_log(slot, ss.applied_seq);
-          checkpoint_[slot] = std::move(ss);
+          store_checkpoint(ss);
           barrier_ok = true;
         }
       } catch (const RpcTimeout&) {
@@ -707,9 +750,9 @@ void FrontTier::swap_engine(banzai::ExecEngine engine) {
     // until the next flush migrates them onto survivors that did swap.
     for (std::uint32_t attempts = 0;
          attempts < cfg_.max_attempts && w.detector.alive(); ++attempts) {
-      if (!ensure_connected(w)) continue;
+      if (!ready(w)) continue;
       try {
-        const Message resp =
+        const Message& resp =
             call(w, MsgType::kSwapEngine, encode_swap_engine(msg));
         if (resp.type != MsgType::kSwapAck)
           throw FramingError("unexpected reply to engine swap");
@@ -737,8 +780,9 @@ bool FrontTier::readmit(std::size_t worker) {
   if (worker >= workers_.size()) return false;
   WorkerLink& w = workers_[worker];
   // Always a fresh connection: the open one may lead to a process that has
-  // died and come back since.
+  // died and come back since.  A batch in flight on it is re-sent.
   w.conn.close();
+  w.sent = {};
   w.attempt = 0;
   if (ensure_connected(w)) return true;
   if (w.detector.alive()) return false;

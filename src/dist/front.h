@@ -10,7 +10,8 @@
 //   offer(bytes) ──hash──► slot ──► per-slot FrameLog (the one copy; the
 //                                     │ resend buffer for at-least-once)
 //                     owner table ──► per-worker outbox of {slot, ordinal}
-//                                     │ refs into the logs (batched RPC)
+//                                     │ refs into the logs (batched RPC,
+//                                     │ one batch sent ahead per worker)
 //                                     ▼
 //   EgressWindow ◄── seq-tagged egress piggybacked on every ack
 //   (dedup + global order + tombstones for rejects)
@@ -21,6 +22,18 @@
 // worker's batch only once it is full, so frames a caller offers and never
 // flushes wait, up to max_batch - 1 of them per worker, until more offers
 // fill the batch or the caller flushes.
+//
+// Send-ahead: offer() sends a full batch and returns without reading its
+// ack, so the worker applies it while the caller offers the next one.  The
+// front reads that ack, and applies its statuses and egress, just before
+// its next request of any type on that connection, so each connection has
+// at most one request in flight and the worker's rule holds that the next
+// request proves the last reply arrived.  A sent batch's refs stay in the
+// outbox until its ack: a failed read closes the connection, counts one
+// failure, and the batch is re-sent (or migrated and replayed) as a failed
+// exchange of any other request would be.  frames_sent and ingest_batches
+// count at the ack.  A caller that never flushes therefore drains egress up
+// to one more batch behind its offers than the hold bound alone implies.
 //
 // Fault model and the invariant it preserves: any RPC may time out or the
 // connection may die at any point.  The front then retries the same frames
@@ -82,7 +95,8 @@ struct FrontConfig {
   // calls and the worker's wake-ups), so a fuller batch costs less per
   // frame when the caller offers at least this many frames to one worker
   // between flushes.  It is also how many frames, less one, an unflushed
-  // worker's outbox may hold (see above).
+  // worker's outbox may hold unsent, besides one batch sent ahead and not
+  // yet acked (see above).
   std::size_t max_batch = 256;
   // Resend-buffer bound: when this many frames are logged fleet-wide, the
   // front forces a checkpoint (which trims every log to the unapplied
@@ -219,11 +233,12 @@ class FrontTier {
   void connect();
 
   // Offers one ingress frame: assigns the next global seq, logs it for
-  // resend, routes it to its slot's owner, and sends that owner's outbox
-  // once it holds a full batch.  Malformed frames still get a seq (the worker
-  // rejects them with a typed status and the window tombstones the seq); one
-  // too large for any message is tombstoned here, as the worker would reject
-  // it kOversized.
+  // resend, routes it to its slot's owner, and once that owner's outbox
+  // holds a full batch, reads the owner's outstanding ack (if any) and sends
+  // the batch ahead, without waiting for its ack.  Malformed frames still
+  // get a seq (the worker rejects them with a typed status and the window
+  // tombstones the seq); one too large for any message is tombstoned here,
+  // as the worker would reject it kOversized.
   void offer(const std::uint8_t* data, std::size_t len);
   void offer(const std::vector<std::uint8_t>& frame) {
     offer(frame.data(), frame.size());
@@ -286,6 +301,18 @@ class FrontTier {
     std::uint32_t len = 0;  // the frame's, for the outbox's byte count
   };
 
+  // The IngestBatch sent on a connection and not yet acked: it took the
+  // first `refs` refs of the outbox (their record bytes `bytes`) and carries
+  // `frames` frames.  refs == 0: nothing in flight.
+  struct InFlight {
+    std::size_t refs = 0;
+    std::size_t bytes = 0;
+    std::size_t frames = 0;
+  };
+
+  // One worker's connection and queues.  At most one request is in flight
+  // on `conn` (`sent`, an IngestBatch sent ahead); every other exchange
+  // reads its reply before returning.
   struct WorkerLink {
     std::uint16_t port = 0;
     Conn conn;
@@ -293,6 +320,9 @@ class FrontTier {
     std::uint32_t attempt = 0;           // reconnect backoff exponent
     std::deque<FrameRef> outbox;         // routed here, not yet acked
     std::size_t outbox_bytes = 0;        // their encoded record bytes
+    InFlight sent;                       // reset whenever conn closes
+    std::vector<std::uint8_t> request;   // the last batch encoded, reused
+    Message reply;                       // the last reply, buffer reused
     std::uint64_t incarnation = 0;       // the worker's, at the last HELLO
     std::uint64_t hb_nonce = 0;
   };
@@ -307,25 +337,43 @@ class FrontTier {
   bool ensure_connected(WorkerLink& w);
   // Returns the worker's incarnation.
   std::uint64_t hello(WorkerLink& w);
-  // One request/response exchange; throws RpcTimeout/RpcError.
-  Message call(WorkerLink& w, MsgType type,
-               const std::vector<std::uint8_t>& payload);
-  // One IngestBatch exchange; also throws FramingError on a bad reply.
-  IngestAck ingest(WorkerLink& w, const std::vector<std::uint8_t>& batch);
+  // One request/response exchange into w.reply, which the returned
+  // reference names; throws RpcTimeout/RpcError.  Nothing may be in flight.
+  const Message& call(WorkerLink& w, MsgType type,
+                      const std::vector<std::uint8_t>& payload);
+  // Reads the ack of the batch in flight on w, if any, and applies its
+  // statuses and egress (and the dup_every re-send).  On a failure the
+  // connection closes, one failure is counted and the batch's refs stay
+  // queued for a resend: false.
+  bool await_ack(WorkerLink& w);
+  // What every request but a batch goes through first: the in-flight ack,
+  // then a live connection (ensure_connected).  False when either failed.
+  bool ready(WorkerLink& w);
+  // Receives an IngestAck into w.reply and decodes it into ack_; throws
+  // RpcTimeout/RpcError, or FramingError on a bad reply.
+  void recv_ingest_ack(WorkerLink& w);
   void on_rpc_failure(WorkerLink& w, bool timeout);
-  void process_ack_frames(const std::vector<std::uint64_t>& seqs,
-                          const std::vector<FrameStatus>& statuses);
-  void process_egress(std::vector<EgressRecord>&& egress);
+  // Applies ack_: per-frame statuses, then its egress.
+  void process_ack();
+  void process_egress(std::vector<EgressRecord>& egress);
   // Views the outbox's next batch into batch_ and returns how many refs it
   // takes.  A ref whose entry a checkpoint trimmed is taken but not viewed:
   // the checkpoint proved that frame applied.
   std::size_t next_batch(const WorkerLink& w);
   void pop_refs(WorkerLink& w, std::size_t n);
+  // True when the refs past the one in flight make a full batch.
+  bool batch_waiting(const WorkerLink& w) const;
   // Drops log entries the slot's owner reports applied, up to applied_seq.
   void trim_log(std::size_t slot, std::uint64_t applied_seq);
-  // Drains one worker's outbox (batched, with retry/backoff); migrates and
-  // re-routes if the worker dies.  Returns false if the worker died.
-  bool flush_worker(std::size_t wi);
+  // Makes a snapshot's slot (a valid index) its checkpoint, the blob copied
+  // into the buffer of the slot's last one, and trims the slot's log.
+  void store_checkpoint(const SlotStateView& ss);
+  // Sends one worker's outbox in batches (with retry/backoff); migrates and
+  // re-routes if the worker dies.  Returns false if the worker died.  By
+  // default it returns with the outbox empty and every ack read; `ahead`
+  // returns as soon as no full batch waits, leaving the last one sent in
+  // flight (offer's send-ahead).
+  bool flush_worker(std::size_t wi, bool ahead = false);
   void flush_all_outboxes();
   void migrate(std::size_t dead);
   // Installs slot blobs on `target`, retrying through connection failures
@@ -358,6 +406,7 @@ class FrontTier {
   std::map<std::size_t, SlotState> checkpoint_;  // slot -> last checkpoint
   std::size_t resend_total_ = 0;                 // live entries, all logs
   std::vector<FrameView> batch_;                 // next_batch's views
+  IngestAck ack_;                                // the last ack, decoded
   EgressWindow window_;
   std::uint64_t next_seq_ = 1;
   std::uint32_t batches_sent_ = 0;  // for the dup_every chaos knob

@@ -9,6 +9,7 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -174,7 +175,7 @@ void Conn::send_msg(MsgType type, const std::vector<std::uint8_t>& payload,
   }
 }
 
-Message Conn::recv_msg(TimePoint deadline) {
+void Conn::recv_msg(Message& into, TimePoint deadline) {
   if (!valid()) throw RpcError("recv_msg: connection is closed");
   std::uint8_t hdr[5];
   recv_all(hdr, sizeof(hdr), deadline);
@@ -182,10 +183,21 @@ Message Conn::recv_msg(TimePoint deadline) {
   for (int i = 0; i < 4; ++i) len |= static_cast<std::uint32_t>(hdr[i]) << (8 * i);
   if (len > kMaxMessageBytes)
     throw RpcError("recv_msg: length prefix exceeds kMaxMessageBytes");
+  into.type = static_cast<MsgType>(hdr[4]);
+  // Emptied first, so a buffer that must grow copies none of the previous
+  // payload; the allocator leaves the new bytes for recv_all to write.  It
+  // grows at least twofold, so payloads that creep up in size (checkpoint
+  // replies carry varying egress) do not each leave a freed block behind.
+  into.payload.clear();
+  const std::size_t cap = into.payload.capacity();
+  if (len > cap) into.payload.reserve(std::max<std::size_t>(len, 2 * cap));
+  into.payload.resize(len);
+  if (len > 0) recv_all(into.payload.data(), len, deadline);
+}
+
+Message Conn::recv_msg(TimePoint deadline) {
   Message m;
-  m.type = static_cast<MsgType>(hdr[4]);
-  m.payload.resize(len);
-  if (len > 0) recv_all(m.payload.data(), len, deadline);
+  recv_msg(m, deadline);
   return m;
 }
 

@@ -25,8 +25,11 @@
 
 #include <chrono>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dist/framing.h"
@@ -51,9 +54,33 @@ class RpcTimeout : public RpcError {
   using RpcError::RpcError;
 };
 
+// Allocates like std::allocator but default-initialises: a byte vector
+// grown by resize() leaves the new bytes unwritten instead of zero-filling
+// them, for buffers whose every byte is about to be overwritten.
+template <typename T>
+struct UninitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = UninitAllocator<U>;
+  };
+  UninitAllocator() = default;
+  template <typename U>
+  UninitAllocator(const UninitAllocator<U>&) noexcept {}
+  template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
 struct Message {
   MsgType type = MsgType::kError;
-  std::vector<std::uint8_t> payload;
+  // Received bytes are written here once, by the receive; a Message reused
+  // across recv_msg calls keeps this buffer's capacity.
+  std::vector<std::uint8_t, UninitAllocator<std::uint8_t>> payload;
 };
 
 // Ends the untimed waits below from another thread: an eventfd that sits in
@@ -98,8 +125,11 @@ class Conn {
   void send_msg(MsgType type, const std::vector<std::uint8_t>& payload,
                 TimePoint deadline);
 
-  // Reads exactly one message.  Throws RpcTimeout on deadline, RpcError on
-  // EOF / reset / an over-long length prefix.
+  // Reads exactly one message into `into`, over its previous payload: the
+  // buffer grows only past its capacity, and only the received bytes are
+  // written.  Throws RpcTimeout on deadline, RpcError on EOF / reset / an
+  // over-long length prefix.
+  void recv_msg(Message& into, TimePoint deadline);
   Message recv_msg(TimePoint deadline);
 
   // Blocks, with no timer, until the peer has sent bytes (or closed, or

@@ -44,6 +44,9 @@ WorkerServer::WorkerServer(const banzai::Machine& prototype,
   svc_cfg_.backpressure = banzai::Backpressure::kBlock;
   for (const auto& name : cfg_.flow_key)
     svc_cfg_.flow_key.push_back(proto_.fields().id_of(name));
+  // The service deparses with tx, or with rx when there is no tx.
+  out_egress_.frame_len = unconfirmed_.frame_len =
+      (tx_ ? tx_ : rx_)->header_bytes();
   rebuild_service();
 }
 
@@ -163,18 +166,21 @@ void WorkerServer::serve_connection(Conn& conn) {
     // redelivers it (the front tier dedups if it did arrive).
     std::lock_guard<std::mutex> lock(mu_);
     stats_.egress_redelivered += unconfirmed_.size();
-    out_egress_.insert(out_egress_.begin(),
-                       std::make_move_iterator(unconfirmed_.begin()),
-                       std::make_move_iterator(unconfirmed_.end()));
+    unconfirmed_.seqs.insert(unconfirmed_.seqs.end(), out_egress_.seqs.begin(),
+                             out_egress_.seqs.end());
+    unconfirmed_.frames.insert(unconfirmed_.frames.end(),
+                               out_egress_.frames.begin(),
+                               out_egress_.frames.end());
+    std::swap(out_egress_, unconfirmed_);
     unconfirmed_.clear();
   }
+  Message req;  // its payload buffer serves every request on the connection
   while (!stopping_.load(std::memory_order_acquire)) {
-    Message req;
     try {
       // Block until the next request's first bytes arrive, or until stop()
       // or kill() raises the waker.  No timer: an idle worker costs nothing.
       if (!conn.wait_readable(waker_)) return;
-      req = conn.recv_msg(Clock::now() + cfg_.io_timeout);
+      conn.recv_msg(req, Clock::now() + cfg_.io_timeout);
     } catch (const RpcError&) {
       // Disconnect (or a mid-message stall, which leaves the stream in an
       // undefined position — same remedy): drop the connection and go back
@@ -185,8 +191,8 @@ void WorkerServer::serve_connection(Conn& conn) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.requests;
-      // Lockstep: a new request on this connection proves the previous
-      // reply was received — its egress is now safely the front's problem.
+      // One request in flight: a new request on this connection proves the
+      // previous reply was received — its egress is now the front's.
       unconfirmed_.clear();
     }
     try {
@@ -246,32 +252,24 @@ void WorkerServer::reply_error(Conn& conn, const std::string& what) {
 }
 
 void WorkerServer::harvest_egress() {
-  auto frames = svc_->drain_egress_frames();
-  for (auto& f : frames) {
-    // The service settles egress strictly in ingest order and the worker is
-    // lossless (kBlock, no DropTail), so settled frames pair 1:1 FIFO with
-    // the global seqs of accepted ingest.
-    if (pending_seq_.empty())
-      throw std::logic_error("egress without a pending sequence number");
-    EgressRecord rec;
-    rec.seq = pending_seq_.front();
+  const std::size_t n = svc_->drain_egress_frames(out_egress_.frames);
+  // The service settles egress strictly in ingest order and the worker is
+  // lossless (kBlock, no DropTail), so settled frames pair 1:1 FIFO with
+  // the global seqs of accepted ingest.
+  if (n > pending_seq_.size())
+    throw std::logic_error("egress without a pending sequence number");
+  for (std::size_t i = 0; i < n; ++i) {
+    out_egress_.seqs.push_back(pending_seq_.front());
     pending_seq_.pop_front();
-    rec.bytes = std::move(f);
-    out_egress_.push_back(std::move(rec));
   }
 }
 
-std::vector<EgressRecord> WorkerServer::take_egress() {
-  std::vector<EgressRecord> out(std::make_move_iterator(out_egress_.begin()),
-                                std::make_move_iterator(out_egress_.end()));
+void WorkerServer::hold_egress() {
+  // Every request clears unconfirmed_ before its one reply is built, so the
+  // swap leaves out_egress_ empty, with the capacity unconfirmed_ had.
+  stats_.egress_returned += out_egress_.size();
+  std::swap(out_egress_, unconfirmed_);
   out_egress_.clear();
-  stats_.egress_returned += out.size();
-  return out;
-}
-
-void WorkerServer::hold(std::vector<EgressRecord>&& egress) {
-  // Every request clears unconfirmed_ before its one reply is built.
-  unconfirmed_ = std::move(egress);
 }
 
 void WorkerServer::handle_hello(Conn& conn, const Message& req) {
@@ -303,16 +301,14 @@ void WorkerServer::handle_hello(Conn& conn, const Message& req) {
 void WorkerServer::handle_ingest(Conn& conn, const Message& req) {
   const IngestBatchView batch =
       view_ingest_batch(req.payload.data(), req.payload.size());
-  IngestAck ack;
-  ack.seqs.reserve(batch.frames.size());
-  ack.statuses.reserve(batch.frames.size());
-  std::vector<std::uint8_t> payload;
+  ack_seqs_.clear();
+  ack_statuses_.clear();
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (const FrameView& f : batch.frames) {
-      ack.seqs.push_back(f.seq);
+      ack_seqs_.push_back(f.seq);
       if (f.slot >= applied_seq_.size()) {
-        ack.statuses.push_back(FrameStatus::kRejectBadValue);
+        ack_statuses_.push_back(FrameStatus::kRejectBadValue);
         ++stats_.frames_rejected;
         continue;
       }
@@ -328,10 +324,10 @@ void WorkerServer::handle_ingest(Conn& conn, const Message& req) {
         // reconstructs the original verdict exactly.
         const wire::ParseResult pr = rx_->parse_exact(f.data, f.len, scratch_);
         if (!pr.ok()) {
-          ack.statuses.push_back(reject_status(pr.status));
+          ack_statuses_.push_back(reject_status(pr.status));
           ++stats_.frames_rejected;
         } else {
-          ack.statuses.push_back(FrameStatus::kDuplicate);
+          ack_statuses_.push_back(FrameStatus::kDuplicate);
           ++stats_.frames_duplicate;
         }
         continue;
@@ -340,50 +336,48 @@ void WorkerServer::handle_ingest(Conn& conn, const Message& req) {
       if (res.accepted) {
         applied_seq_[f.slot] = f.seq;
         pending_seq_.push_back(f.seq);
-        ack.statuses.push_back(FrameStatus::kAccepted);
+        ack_statuses_.push_back(FrameStatus::kAccepted);
         ++stats_.frames_accepted;
       } else {
-        ack.statuses.push_back(reject_status(res.parse.status));
+        ack_statuses_.push_back(reject_status(res.parse.status));
         ++stats_.frames_rejected;
       }
     }
-    harvest_egress();
-    ack.egress = take_egress();
-    payload = encode_ingest_ack(ack);
-    hold(std::move(ack.egress));
-    ++ingest_count_;
   }
-  if (cfg_.stall_every != 0 && ingest_count_ % cfg_.stall_every == 0) {
+  if (cfg_.stall_every != 0 && ++ingest_count_ % cfg_.stall_every == 0) {
     // Chaos knob: the frames above are APPLIED but the ack is late — the
     // front tier times out, retries, and must see kDuplicate. Sleeping
-    // outside mu_ keeps kill()/stats() responsive.
+    // outside mu_ keeps kill()/stats() responsive.  The reply is built after
+    // the sleep, so the one the front gives up on carries the egress that
+    // settled meanwhile, for the next connection to redeliver.
     std::this_thread::sleep_for(cfg_.stall_for);
   }
-  reply(conn, MsgType::kIngestAck, payload);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    harvest_egress();
+    encode_ingest_ack(ack_seqs_, ack_statuses_, out_egress_, reply_);
+    hold_egress();
+  }
+  reply(conn, MsgType::kIngestAck, reply_);
 }
 
 void WorkerServer::handle_heartbeat(Conn& conn, const Message& req) {
   const Heartbeat hb = decode_heartbeat(req.payload.data(), req.payload.size());
-  HeartbeatAck ack;
-  ack.nonce = hb.nonce;
   std::lock_guard<std::mutex> lock(mu_);
   harvest_egress();
-  ack.delivered = svc_->stats().delivered;
-  ack.egress = take_egress();
-  const std::vector<std::uint8_t> payload = encode_heartbeat_ack(ack);
-  hold(std::move(ack.egress));
-  reply(conn, MsgType::kHeartbeatAck, payload);
+  encode_heartbeat_ack(hb.nonce, svc_->stats().delivered, out_egress_,
+                       reply_);
+  hold_egress();
+  reply(conn, MsgType::kHeartbeatAck, reply_);
 }
 
 void WorkerServer::handle_flush(Conn& conn) {
-  FlushAck ack;
   std::lock_guard<std::mutex> lock(mu_);
   svc_->flush();
   harvest_egress();
-  ack.egress = take_egress();
-  const std::vector<std::uint8_t> payload = encode_flush_ack(ack);
-  hold(std::move(ack.egress));
-  reply(conn, MsgType::kFlushAck, payload);
+  encode_flush_ack(out_egress_, reply_);
+  hold_egress();
+  reply(conn, MsgType::kFlushAck, reply_);
 }
 
 void WorkerServer::handle_snapshot(Conn& conn, const Message& req) {
@@ -412,10 +406,9 @@ void WorkerServer::handle_snapshot(Conn& conn, const Message& req) {
   slots.reserve(ids.size());
   for (std::uint32_t s : ids)
     slots.push_back({s, applied_seq_[s], &svc_->slot_machine(s).state()});
-  std::vector<EgressRecord> egress = take_egress();
-  const std::vector<std::uint8_t> payload = encode_snapshot_resp(slots, egress);
-  hold(std::move(egress));
-  reply(conn, MsgType::kSnapshotResp, payload);
+  encode_snapshot_resp(slots, out_egress_, reply_);
+  hold_egress();
+  reply(conn, MsgType::kSnapshotResp, reply_);
 }
 
 void WorkerServer::handle_restore(Conn& conn, const Message& req) {

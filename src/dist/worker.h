@@ -34,7 +34,17 @@
 //     the same state and the same dedup table.
 //   * A reply lost in flight cannot lose egress: the egress a reply carries
 //     stays held until the next request on the same connection proves the
-//     reply arrived, and a new connection re-queues it.
+//     reply arrived, and a new connection re-queues it.  That proof needs a
+//     front with at most one request in flight per connection: one that
+//     sends a batch ahead of reading the last ack would let a later request
+//     arrive before the earlier reply is read.  FrontTier reads every ack
+//     before its next request on the connection (front.h, "Send-ahead").
+//
+// Egress travels as columns (dist::EgressColumns): the service deparses
+// each settled row straight into one reused byte buffer beside a seq column,
+// every reply is encoded from those columns into one reused payload buffer,
+// and the held copy swaps buffers with them — in steady state the worker
+// allocates nothing per frame.
 //
 // The serve thread never sleeps to wait: between requests it blocks in
 // poll() on the connection and an eventfd (Waker), and between connections
@@ -144,14 +154,13 @@ class WorkerServer {
              const std::vector<std::uint8_t>& payload);
   void reply_error(Conn& conn, const std::string& what);
 
-  // Drains settled service egress and pairs it with the pending global seqs
-  // (FIFO: the service preserves ingest order).  Appends to out_egress_.
+  // Drains settled service egress onto out_egress_ and pairs it with the
+  // pending global seqs (FIFO: the service preserves ingest order).
   void harvest_egress();
-  // Moves every harvested egress record into a response.
-  std::vector<EgressRecord> take_egress();
-  // Takes back the egress of the reply about to be sent (encoded already)
-  // as unconfirmed_, until the next request proves that reply arrived.
-  void hold(std::vector<EgressRecord>&& egress);
+  // Holds out_egress_, which the reply about to be sent was just encoded
+  // from, as unconfirmed_ until the next request proves that reply
+  // arrived; out_egress_ is left empty.
+  void hold_egress();
 
   void handle_ingest(Conn& conn, const Message& req);
   void handle_snapshot(Conn& conn, const Message& req);
@@ -180,19 +189,25 @@ class WorkerServer {
   std::unique_ptr<banzai::FleetService> svc_;
   std::vector<std::uint64_t> applied_seq_;  // per slot, 0 = nothing applied
   std::deque<std::uint64_t> pending_seq_;   // global seqs of accepted frames
-  std::deque<EgressRecord> out_egress_;     // harvested, not yet returned
-  // Egress included in the most recent reply — the one copy of each record,
-  // moved here once the reply is encoded.  Request/response lockstep means
-  // the next request on the same connection proves the reply arrived
-  // (confirmed -> dropped); a NEW connection instead means the reply may
-  // have died with the old one, so these re-queue onto out_egress_.  The
-  // front tier's window dedups the case where the reply did arrive.
-  std::vector<EgressRecord> unconfirmed_;
+  EgressColumns out_egress_;                // harvested, not yet returned
+  // Egress included in the most recent reply, its buffers swapped in from
+  // out_egress_ once the reply is encoded.  With one request in flight per
+  // connection, the next request on the same connection proves the reply
+  // arrived (confirmed -> dropped); a NEW connection instead means the
+  // reply may have died with the old one, so these re-queue ahead of
+  // out_egress_.  The front tier's window dedups the case where the reply
+  // did arrive.
+  EgressColumns unconfirmed_;
   WorkerStats stats_;
   std::uint64_t conns_seen_ = 0;
   std::uint32_t ingest_count_ = 0;          // for the stall_every knob
   banzai::Packet scratch_;                  // re-parse target for dedup acks
   std::uint64_t incarnation_ = 0;           // new with every rebuild_service
+  // Serve-thread buffers, reused across requests: the current request's
+  // ack columns and the reply payload encoded from them.
+  std::vector<std::uint64_t> ack_seqs_;
+  std::vector<FrameStatus> ack_statuses_;
+  std::vector<std::uint8_t> reply_;
 
   Listener listener_;
   Waker waker_;  // raised by stop()/kill() to end the serve thread's waits

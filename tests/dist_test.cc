@@ -6,6 +6,8 @@
 // rejection.  The seeded fault-injection schedules (kill mid-burst,
 // reconnect storm) live in dist_chaos_test.cc.
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sys/socket.h>
 
 #include <algorithm>
 #include <atomic>
@@ -200,6 +202,72 @@ TEST(DistFramingTest, SnapshotFromLiveStoresMatchesBlobEncoding) {
       back.slots[0].state.data(), back.slots[0].state.size());
   EXPECT_EQ(a2, a);
   EXPECT_EQ(back.slots[1].applied_seq, 41u);
+}
+
+// The worker encodes every reply's egress from two columns (seqs, frames
+// back to back) into a reused buffer, and the front reads a checkpoint
+// reply as views: both must be the bytes and values of the record forms.
+TEST(DistFramingTest, EgressColumnsAndSnapshotViewsMatchTheRecordForms) {
+  dist::EgressColumns cols;
+  cols.frame_len = 3;
+  std::vector<dist::EgressRecord> records;
+  for (std::uint64_t seq : {4u, 9u, 10u}) {
+    const std::vector<std::uint8_t> frame = {static_cast<std::uint8_t>(seq),
+                                             0xAB, 0xCD};
+    cols.seqs.push_back(seq);
+    cols.frames.insert(cols.frames.end(), frame.begin(), frame.end());
+    records.push_back({seq, frame});
+  }
+  std::vector<std::uint8_t> out(1000, 0x77);  // stale bytes, longer than any
+
+  dist::IngestAck ack;
+  ack.seqs = {4, 9, 10, 11};
+  ack.statuses = {dist::FrameStatus::kAccepted, dist::FrameStatus::kDuplicate,
+                  dist::FrameStatus::kAccepted,
+                  dist::FrameStatus::kRejectTruncated};
+  ack.egress = records;
+  dist::encode_ingest_ack(ack.seqs, ack.statuses, cols, out);
+  EXPECT_EQ(out, dist::encode_ingest_ack(ack));
+  dist::IngestAck reused;
+  reused.egress.push_back({99, {1}});  // replaced, not appended to
+  dist::decode_ingest_ack(out.data(), out.size(), reused);
+  EXPECT_EQ(reused.seqs, ack.seqs);
+  EXPECT_EQ(reused.statuses, ack.statuses);
+  ASSERT_EQ(reused.egress.size(), records.size());
+  EXPECT_EQ(reused.egress[2].bytes, records[2].bytes);
+
+  dist::encode_heartbeat_ack(5, 6, cols, out);
+  EXPECT_EQ(out, dist::encode_heartbeat_ack(dist::HeartbeatAck{5, 6, records}));
+  dist::encode_flush_ack(cols, out);
+  EXPECT_EQ(out, dist::encode_flush_ack(dist::FlushAck{records}));
+
+  banzai::StateStore a;
+  a.declare("x", 3, false);
+  a.var("x").store(2, 7);
+  const std::vector<dist::SlotStateRef> refs = {{2, 40, &a}, {5, 41, &a}};
+  dist::encode_snapshot_resp(refs, cols, out);
+  EXPECT_EQ(out, dist::encode_snapshot_resp(refs, records));
+  const dist::SnapshotRespView view =
+      dist::view_snapshot_resp(out.data(), out.size());
+  const dist::SnapshotResp decoded =
+      dist::decode_snapshot_resp(out.data(), out.size());
+  ASSERT_EQ(view.slots.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(view.slots[i].slot, decoded.slots[i].slot);
+    EXPECT_EQ(view.slots[i].applied_seq, decoded.slots[i].applied_seq);
+    const dist::SlotStateView& v = view.slots[i];
+    EXPECT_EQ(std::vector<std::uint8_t>(v.state, v.state + v.len),
+              decoded.slots[i].state);
+  }
+  EXPECT_EQ(view.egress.size(), records.size());
+  for (std::size_t cut = 0; cut < out.size(); ++cut)
+    EXPECT_THROW(dist::view_snapshot_resp(out.data(), cut), FramingError);
+
+  // A sized Writer refuses a field past the size its encoder computed.
+  std::vector<std::uint8_t> small;
+  dist::Writer w(small, 3);
+  w.u16(1);
+  EXPECT_THROW(w.u16(2), std::logic_error);
 }
 
 TEST(DistFramingTest, StateStoreSerializationIsCanonicalAndValidated) {
@@ -1083,7 +1151,8 @@ TEST(DistWorkerSwapTest, OnlyKernelAndNativeBytesAreAccepted) {
 // on purpose: it acks every ingest (optionally echoing frame bytes back as
 // egress), can prepend one corrupt-seq egress record, and can slam the
 // connection shut on RestoreReq — the failure modes the front tier must
-// absorb without crashing or corrupting its window.
+// absorb without crashing or corrupting its window.  Like a worker, it acks
+// a frame kDuplicate once its slot has applied that seq.
 struct ScriptedWorker {
   dist::Listener listener;
   std::thread thread;
@@ -1096,9 +1165,19 @@ struct ScriptedWorker {
   // Nonzero: a snapshot reports every requested slot applied up to this
   // seq, and returns junk egress for seqs [1, snapshot_applied].
   std::uint64_t snapshot_applied = 0;
+  // Nonzero: the Nth ingest batch is applied, then the connection closes
+  // with no reply.
+  std::uint32_t close_on_batch = 0;
+  // Each ingest reply is held this long; any request that becomes readable
+  // on the connection meanwhile counts in early_requests.
+  dist::Millis hold_reply{0};
   std::atomic<std::uint64_t> frames_seen{0};
+  std::atomic<std::uint64_t> batches_seen{0};
+  std::atomic<std::uint64_t> early_requests{0};
+  std::vector<std::uint64_t> applied;  // per slot, serve thread only
 
-  explicit ScriptedWorker(std::uint32_t slots) : num_slots(slots) {
+  explicit ScriptedWorker(std::uint32_t slots)
+      : num_slots(slots), applied(slots, 0) {
     listener.listen(0);
     thread = std::thread([this] { run(); });
   }
@@ -1155,9 +1234,21 @@ struct ScriptedWorker {
               ack.egress.push_back({inject_seq, {0xEE}});
             frames_seen += batch.frames.size();
             for (const auto& f : batch.frames) {
+              std::uint64_t& done = applied.at(f.slot);
               ack.seqs.push_back(f.seq);
-              ack.statuses.push_back(dist::FrameStatus::kAccepted);
+              ack.statuses.push_back(f.seq <= done
+                                         ? dist::FrameStatus::kDuplicate
+                                         : dist::FrameStatus::kAccepted);
+              done = std::max(done, f.seq);
               if (echo_egress) ack.egress.push_back({f.seq, f.bytes});
+            }
+            if (++batches_seen == close_on_batch) return;
+            if (hold_reply.count() > 0) {
+              pollfd pfd{conn.fd(), POLLIN, 0};
+              std::uint8_t byte = 0;
+              if (::poll(&pfd, 1, static_cast<int>(hold_reply.count())) > 0 &&
+                  ::recv(conn.fd(), &byte, 1, MSG_PEEK | MSG_DONTWAIT) > 0)
+                ++early_requests;
             }
             reply(conn, MsgType::kIngestAck, dist::encode_ingest_ack(ack));
             break;
@@ -1430,27 +1521,44 @@ struct RigCluster {
   }
 };
 
+// Waits, up to two seconds, until `done` holds; returns whether it did.
+template <typename Pred>
+bool wait_until(Pred done) {
+  const auto deadline = dist::Clock::now() + dist::Millis(2000);
+  while (!done()) {
+    if (dist::Clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(dist::Millis(1));
+  }
+  return true;
+}
+
 // The hold bound front.h and docs/DISTRIBUTED.md state: the front has no
 // timer, so max_batch - 1 frames offered to one worker send nothing, and the
-// next offer sends exactly one batch of max_batch.
+// next offer sends exactly one batch of max_batch.  That offer sends the
+// batch ahead, without reading its ack, so the test waits for the worker to
+// count the request and reads the ack's counters after flush().
 TEST(DistBatchBoundTest, AFullBatchAndNothingLessIsSentUnflushed) {
   RigCluster c(1);
   const std::size_t max_batch = FrontConfig{}.max_batch;
   const auto frames = c.rig.make_frames(max_batch, 151);
   const std::uint64_t requests_before = c.worker_requests();
   for (std::size_t i = 0; i + 1 < max_batch; ++i) c.front->offer(frames[i]);
+  std::this_thread::sleep_for(dist::Millis(20));  // a stray send lands
   EXPECT_EQ(c.worker_requests(), requests_before);
   EXPECT_EQ(c.front->stats().frames_sent, 0u);
   EXPECT_EQ(c.front->stats().ingest_batches, 0u);
   EXPECT_EQ(c.front->stats().resend_frames, max_batch - 1);
 
   c.front->offer(frames.back());
+  EXPECT_TRUE(
+      wait_until([&] { return c.worker_requests() > requests_before; }));
+  std::this_thread::sleep_for(dist::Millis(20));  // a second one would land
   EXPECT_EQ(c.worker_requests(), requests_before + 1);
+  c.front->flush();
   const auto st = c.front->stats();
   EXPECT_EQ(st.ingest_batches, 1u);
   EXPECT_EQ(st.frames_sent, max_batch);
   EXPECT_EQ(c.workers[0]->stats().frames_accepted, max_batch);
-  c.front->flush();
   EXPECT_EQ(c.front->drain_egress().size(), max_batch);
 }
 
@@ -1529,6 +1637,122 @@ TEST(DistBatchBoundTest, FrameThatFitsNoMessageSettlesWithoutAnRpc) {
   EXPECT_EQ(c.front->stats().rejects, 1u);
   EXPECT_EQ(c.workers[0]->stats().requests + c.workers[1]->stats().requests,
             requests_before);
+}
+
+// ---- send-ahead ------------------------------------------------------------
+
+// A front with scripted workers (echoing ingress as egress) behind it.
+FrontConfig scripted_front_config(const CodecRig& rig) {
+  FrontConfig fc;
+  fc.algorithm = "flowlets";
+  fc.num_slots = kSlots;
+  fc.flow_key = rig.flow_key;
+  fc.max_batch = 16;
+  return fc;
+}
+
+// offer() sends a full batch without reading its ack, and the front reads
+// that ack before its next request of any kind on the connection: a worker
+// that holds every reply for a while never sees a second request meanwhile,
+// whether the next one is a batch, a heartbeat, a checkpoint or a flush.
+TEST(DistSendAheadTest, AtMostOneRequestInFlightPerConnection) {
+  CodecRig rig;
+  ScriptedWorker a(kSlots), b(kSlots);
+  for (ScriptedWorker* w : {&a, &b}) {
+    w->echo_egress = true;
+    w->hold_reply = dist::Millis(3);
+  }
+  FrontTier front(rig.rx, scripted_front_config(rig));
+  front.add_worker(a.port());
+  front.add_worker(b.port());
+  front.connect();
+
+  // The flows split unevenly over the two workers: offer enough that each
+  // gets at least 64 batches.
+  const auto frames = rig.make_frames(4 * 16 * 64, 167);
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    front.offer(frames[i]);
+    if (i % 512 == 300) front.heartbeat();
+    if (i % 1024 == 700) front.checkpoint();
+  }
+  front.flush();
+  EXPECT_EQ(front.stats().heartbeats, 16u);
+  EXPECT_GE(a.batches_seen.load(), 64u);
+  EXPECT_GE(b.batches_seen.load(), 64u);
+  EXPECT_EQ(a.early_requests.load(), 0u);
+  EXPECT_EQ(b.early_requests.load(), 0u);
+  const auto got = front.drain_egress();
+  ASSERT_EQ(got.size(), frames.size());
+  for (std::size_t i = 0; i < got.size(); ++i)
+    ASSERT_EQ(got[i], frames[i]) << "frame " << i;
+  EXPECT_EQ(front.stats().retries, 0u);
+}
+
+// A batch sent ahead that the worker applies before its connection dies
+// unanswered: the front finds out when it reads the ack before the next
+// batch, counts one failure, reconnects and re-sends it, and the worker acks
+// those frames kDuplicate.  The egress stays byte-exact.
+TEST(DistSendAheadTest, LostAckOfABatchSentAheadIsResentAndDeduplicated) {
+  CodecRig rig;
+  ScriptedWorker fake(kSlots);
+  fake.echo_egress = true;
+  fake.close_on_batch = 3;
+  const FrontConfig fc = scripted_front_config(rig);
+  FrontTier front(rig.rx, fc);
+  front.add_worker(fake.port());
+  front.connect();
+
+  const auto frames = rig.make_frames(200, 163);
+  for (const auto& f : frames) front.offer(f);
+  front.flush();
+  const auto got = front.drain_egress();
+  ASSERT_EQ(got.size(), frames.size());
+  for (std::size_t i = 0; i < got.size(); ++i)
+    ASSERT_EQ(got[i], frames[i]) << "frame " << i;
+  const auto st = front.stats();
+  // The lost batch counts once, at its resend's ack, and only as duplicates.
+  EXPECT_EQ(st.retries, 1u);
+  EXPECT_EQ(st.dup_acks, fc.max_batch);
+  EXPECT_EQ(st.frames_acked + st.dup_acks, frames.size());
+  EXPECT_EQ(st.frames_sent, frames.size());
+  EXPECT_EQ(front.worker_view(0).errors, 1u);
+  EXPECT_EQ(front.worker_view(0).health, HealthState::kHealthy);
+}
+
+// The dup_every knob still re-sends every Nth acknowledged batch verbatim
+// once: with the whole stream on one worker in full batches, exactly every
+// second batch's frames come back kDuplicate.
+TEST(DistSendAheadTest, DupEveryResendsEveryNthBatch) {
+  CodecRig rig;
+  WorkerConfig wc;
+  wc.algorithm = "flowlets";
+  wc.num_slots = kSlots;
+  wc.num_shards = 1;
+  wc.flow_key = {"sport", "dport"};
+  WorkerServer worker(rig.compiled.machine(), rig.rx, rig.tx, wc);
+  worker.start();
+  FrontConfig fc = scripted_front_config(rig);
+  fc.dup_every = 2;
+  FrontTier front(rig.rx, fc);
+  front.add_worker(worker.port());
+  front.connect();
+
+  const auto frames = rig.make_frames(8 * fc.max_batch, 173);
+  const auto expected = reference_egress(rig.compiled.machine(), *rig.rx,
+                                         *rig.tx, rig.flow_key, frames);
+  for (const auto& f : frames) front.offer(f);
+  front.flush();
+  const auto got = front.drain_egress();
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < got.size(); ++i)
+    ASSERT_EQ(got[i], expected[i]) << "frame " << i;
+  const auto st = front.stats();
+  EXPECT_EQ(st.ingest_batches, 8u + 4u);
+  EXPECT_EQ(st.dup_acks, 4 * fc.max_batch);
+  EXPECT_EQ(st.frames_acked, frames.size());
+  EXPECT_EQ(st.frames_acked + st.dup_acks, st.frames_sent);
+  EXPECT_EQ(st.egress_duplicates, 0u);
+  worker.stop();
 }
 
 // ---- worker lifecycle ------------------------------------------------------

@@ -532,6 +532,87 @@ TEST(WireServiceTest, DropTailByteIngestAccountsForEveryFrame) {
         << "frame " << i;
 }
 
+// drain_egress_frames comes in two forms over one drain loop: a byte vector
+// per frame, or every frame back to back in a caller's reused buffer.  Two
+// services fed the same heavy_hitters stream, malformed frames of every
+// reject kind included, drain the same bytes either way and count the same
+// bytes out.
+TEST(WireServiceTest, BufferDrainMatchesVectorDrainByteForByte) {
+  const auto& alg = algorithms::algorithm("heavy_hitters");
+  const auto target = test_util::least_target(alg.source);
+  ASSERT_TRUE(target.has_value());
+  auto compiled = domino::compile(alg.source, *target);
+  const auto& ft = compiled.machine().fields();
+  const WireSpec spec = wire::parse_wire_spec(alg.wire_spec);
+  auto rx = std::make_shared<const WireCodec>(spec, ft);
+  auto tx = std::make_shared<const WireCodec>(spec, ft, compiled.output_map());
+  const std::size_t hb = tx->header_bytes();
+
+  banzai::ServiceConfig cfg;
+  cfg.num_shards = 2;
+  cfg.num_slots = 8;
+  cfg.batch_size = 32;
+  cfg.ring_capacity = 256;
+  for (const char* f : {"srcip", "dstip", "sport", "dport", "proto"})
+    cfg.flow_key.push_back(ft.id_of(f));
+  banzai::FleetService by_vector(compiled.machine(), cfg);
+  banzai::FleetService by_buffer(compiled.machine(), cfg);
+  for (banzai::FleetService* svc : {&by_vector, &by_buffer}) {
+    svc->set_wire(rx, tx);
+    svc->start();
+  }
+
+  std::mt19937 rng(4242);
+  std::vector<std::uint8_t> from_vectors, from_buffer, buffer;
+  std::size_t vector_frames = 0, buffer_frames = 0;
+  auto drain = [&] {
+    for (const auto& f : by_vector.drain_egress_frames()) {
+      ASSERT_EQ(f.size(), hb);
+      from_vectors.insert(from_vectors.end(), f.begin(), f.end());
+      ++vector_frames;
+    }
+    buffer.clear();  // reused: the frames land over the last drain's bytes
+    const std::size_t n = by_buffer.drain_egress_frames(buffer);
+    ASSERT_EQ(buffer.size(), n * hb);
+    from_buffer.insert(from_buffer.end(), buffer.begin(), buffer.end());
+    buffer_frames += n;
+  };
+  for (int i = 0; i < 3000; ++i) {
+    std::map<std::string, banzai::Value> f;
+    alg.workload(rng, i, f);
+    Packet p(ft.size());
+    for (const auto& [k, v] : f)
+      if (ft.try_id_of(k).has_value()) p.set(ft.id_of(k), v);
+    std::vector<std::uint8_t> frame = rx->deparse(p);
+    switch (i % 10) {  // 30% malformed: truncated, oversized, bad magic
+      case 3: frame.pop_back(); break;
+      case 6: frame.push_back(0); break;
+      case 9: frame[0] ^= 0xFF; break;
+      default: break;
+    }
+    for (banzai::FleetService* svc : {&by_vector, &by_buffer})
+      svc->ingest_frame(frame.data(), frame.size());
+    if (i % 250 == 249) {
+      for (banzai::FleetService* svc : {&by_vector, &by_buffer}) svc->flush();
+      drain();
+    }
+  }
+  for (banzai::FleetService* svc : {&by_vector, &by_buffer}) svc->flush();
+  drain();
+  const auto vs = by_vector.stats();
+  const auto bs = by_buffer.stats();
+  by_vector.stop();
+  by_buffer.stop();
+
+  EXPECT_EQ(vector_frames, 2100u);
+  EXPECT_EQ(buffer_frames, vector_frames);
+  EXPECT_EQ(from_buffer, from_vectors);
+  EXPECT_EQ(vs.wire.frames_rejected, 900u);
+  EXPECT_EQ(bs.wire.frames_rejected, vs.wire.frames_rejected);
+  EXPECT_EQ(bs.wire.bytes_out, vs.wire.bytes_out);
+  EXPECT_EQ(vs.wire.bytes_out, vector_frames * hb);
+}
+
 // Ring rows and egress cells are reused, so a reused row must read like a
 // fresh Packet(n) to the pipeline: every field the frame does not carry is
 // zero.  The hand-built program reads a field the wire omits before writing
